@@ -82,12 +82,13 @@ void Run() {
     const minihouse::PhysicalPlan naive_plan =
         optimizer.Plan(query, ctx.sketch.get());
 
+    // Unpruned I/O: the ablation measures what filter order alone saves.
     minihouse::ScanOptions learned;
     learned.reader = minihouse::ReaderKind::kMultiStage;
     learned.filter_order = learned_plan.scans[0].filter_order;
+    learned.features.prune_blocks = false;
 
-    minihouse::ScanOptions naive;
-    naive.reader = minihouse::ReaderKind::kMultiStage;
+    minihouse::ScanOptions naive = learned;
     naive.filter_order = naive_plan.scans[0].filter_order;
 
     minihouse::ScanOptions worst = learned;

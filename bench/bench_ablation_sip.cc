@@ -21,7 +21,7 @@ void Run() {
 
   minihouse::OptimizerOptions sip_on;
   minihouse::OptimizerOptions sip_off;
-  sip_off.enable_sip = false;
+  sip_off.features.sip = false;
   const minihouse::Optimizer with_sip(sip_on);
   const minihouse::Optimizer without_sip(sip_off);
 

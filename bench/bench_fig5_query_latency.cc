@@ -267,10 +267,10 @@ SpecializationPoint RunSpecializationStudy(BenchContext& ctx,
   ctx.db->SetStorageCostFactor(0);
   ctx.db->SetStorageBlockLatencyNanos(0);
 
-  const minihouse::Optimizer specialized;  // specialize_operators defaults on
+  const minihouse::Optimizer specialized;  // specialize_ops defaults on
   minihouse::OptimizerOptions generic_opt;
-  generic_opt.specialize_operators = false;
-  generic_opt.specialized_predicates = false;
+  generic_opt.features.specialize_ops = false;
+  generic_opt.features.specialized_predicates = false;
   const minihouse::Optimizer generic(generic_opt);
 
   SpecializationPoint point;
@@ -354,7 +354,7 @@ ProjectionPoint RunProjectionStudy(BenchContext& ctx,
               ctx.workload_name.c_str());
 
   minihouse::OptimizerOptions no_prune;
-  no_prune.prune_columns = false;
+  no_prune.features.prune_columns = false;
   const minihouse::Optimizer with_pruning;  // prune_columns defaults on
   const minihouse::Optimizer without_pruning(no_prune);
 

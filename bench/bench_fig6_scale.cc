@@ -83,7 +83,7 @@ IdentityOutcome RunIdentityLeg(double scale) {
     for (const int dop : {1, 2, 4, 8}) {
       for (const bool sip : {true, false}) {
         minihouse::OptimizerOptions opt;
-        opt.enable_sip = sip;
+        opt.features.sip = sip;
         opt.max_dop = dop;
         minihouse::Optimizer optimizer(opt);
         std::vector<std::string> fps;

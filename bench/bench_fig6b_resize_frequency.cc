@@ -62,11 +62,11 @@ void Run() {
     // hash-table sizing mechanism, and the dense-array aggregate (which
     // never resizes) would flatten the signal it measures.
     minihouse::OptimizerOptions hinted;
-    hinted.specialize_operators = false;
+    hinted.features.specialize_ops = false;
     minihouse::Optimizer with_hint(hinted);
     minihouse::OptimizerOptions no_hint;
     no_hint.use_ndv_hint = false;
-    no_hint.specialize_operators = false;
+    no_hint.features.specialize_ops = false;
     minihouse::Optimizer without_hint(no_hint);
 
     int64_t with = 0;

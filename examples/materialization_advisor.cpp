@@ -70,6 +70,8 @@ int main() {
       minihouse::ScanOptions scan_options;
       scan_options.reader = reader;
       scan_options.filter_order = scan.filter_order;
+      // Unpruned I/O, so the comparison isolates the reader choice.
+      scan_options.features.prune_blocks = false;
       minihouse::IoStats io;
       const minihouse::ScanResult result =
           ScanTable(*query.tables[0].table, query.tables[0].filters, {0},

@@ -48,7 +48,7 @@ class BnCountPage {
   BnCountPage() = default;
 
   cardest::BayesNetModel base_;  // frozen structure + discretizers
-  double alpha_ = 0.02;
+  double alpha_ = cardest::kBnLaplaceAlpha;
   double total_rows_ = 0.0;  // pseudo-count total (base N + absorbed rows)
   // Per node: root -> nb counts; non-root -> pb*nb joint counts (row-major
   // [parent_bin][bin], same layout as the CPD matrix).

@@ -31,9 +31,9 @@ class FjMaintenanceState {
   // Copies `model` and seeds the per-bucket distinct sketches with one pass
   // over every member key column in `db` (enable-time cost only; appends
   // from then on merge batch sketches).
-  static Result<FjMaintenanceState> Seed(const cardest::FactorJoinModel& model,
-                                         const minihouse::Database& db,
-                                         int hll_precision = 12);
+  static Result<FjMaintenanceState> Seed(
+      const cardest::FactorJoinModel& model, const minihouse::Database& db,
+      int hll_precision = stats::kHllPrecision);
 
   // Merges the batch's value counts into every key column of delta.table.
   // Returns true when the delta touched at least one modelled key column
@@ -58,7 +58,7 @@ class FjMaintenanceState {
   // (table, column) -> one sketch per bucket of that key's group.
   std::map<std::pair<std::string, int>, std::vector<cardest::NdvSketch>>
       bucket_hlls_;
-  int precision_ = 12;
+  int precision_ = stats::kHllPrecision;
 };
 
 }  // namespace bytecard::incremental

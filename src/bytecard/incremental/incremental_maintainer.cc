@@ -15,17 +15,14 @@ IncrementalMaintainer::IncrementalMaintainer(ByteCard* bytecard,
 Status IncrementalMaintainer::Seed(const minihouse::Database& db,
                                    const EstimatorSnapshot& snapshot) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (options_.update_factorjoin && snapshot.fj_engine() != nullptr) {
-    BC_ASSIGN_OR_RETURN(FjMaintenanceState fj,
-                        FjMaintenanceState::Seed(snapshot.fj_engine()->model(),
-                                                 db, options_.hll_precision));
+  if (snapshot.fj_engine() != nullptr) {
+    BC_ASSIGN_OR_RETURN(
+        FjMaintenanceState fj,
+        FjMaintenanceState::Seed(snapshot.fj_engine()->model(), db));
     fj_ = std::move(fj);
   }
-  if (options_.update_ndv) {
-    for (const std::string& name : db.TableNames()) {
-      const minihouse::Table* table = db.FindTable(name).value();
-      ndv_.SeedTable(*table, options_.hll_precision);
-    }
+  for (const std::string& name : db.TableNames()) {
+    ndv_.SeedTable(*db.FindTable(name).value());
   }
   return Status::Ok();
 }
@@ -47,23 +44,21 @@ Result<IncrementalUpdates> IncrementalMaintainer::ComputeUpdates(
 
   // BN: delta-update only a live, healthy model — a demoted table is the
   // drift detector's business, and its retrain resets the page anyway.
-  if (options_.update_bn) {
-    const cardest::BayesNetModel* model = snapshot.bn_model(delta.table);
-    if (model != nullptr && snapshot.IsHealthy(delta.table)) {
-      auto it = pages_.find(delta.table);
-      if (it == pages_.end()) {
-        BC_ASSIGN_OR_RETURN(
-            BnCountPage page,
-            BnCountPage::FromModel(*model, options_.laplace_alpha));
-        it = pages_.emplace(delta.table, std::move(page)).first;
-      }
-      BC_RETURN_IF_ERROR(it->second.ApplyBatch(delta));
-      updates.bn.emplace_back(delta.table, it->second.ToModel());
-      ++stats_.bn_updates;
+  const cardest::BayesNetModel* model = snapshot.bn_model(delta.table);
+  if (model != nullptr && snapshot.IsHealthy(delta.table)) {
+    auto it = pages_.find(delta.table);
+    if (it == pages_.end()) {
+      BC_ASSIGN_OR_RETURN(
+          BnCountPage page,
+          BnCountPage::FromModel(*model, cardest::kBnLaplaceAlpha));
+      it = pages_.emplace(delta.table, std::move(page)).first;
     }
+    BC_RETURN_IF_ERROR(it->second.ApplyBatch(delta));
+    updates.bn.emplace_back(delta.table, it->second.ToModel());
+    ++stats_.bn_updates;
   }
 
-  if (options_.update_factorjoin && fj_.has_value()) {
+  if (fj_.has_value()) {
     BC_ASSIGN_OR_RETURN(bool touched, fj_->ApplyBatch(delta));
     if (touched) {
       updates.has_fj = true;
@@ -72,21 +67,19 @@ Result<IncrementalUpdates> IncrementalMaintainer::ComputeUpdates(
     }
   }
 
-  if (options_.update_ndv) {
-    bool merged = false;
-    for (const ColumnDelta& cd : delta.columns) {
-      if (!cd.has_values) continue;
-      cardest::NdvSketch* sketch = ndv_.FindMutable(delta.table, cd.column);
-      if (sketch == nullptr || sketch->precision() != cd.hll.precision()) {
-        continue;  // never seeded (or precision changed) — skip, don't guess
-      }
-      sketch->Merge(cd.hll);
-      merged = true;
-      ++stats_.ndv_merges;
+  bool merged = false;
+  for (const ColumnDelta& cd : delta.columns) {
+    if (!cd.has_values) continue;
+    cardest::NdvSketch* sketch = ndv_.FindMutable(delta.table, cd.column);
+    if (sketch == nullptr || sketch->precision() != cd.hll.precision()) {
+      continue;  // never seeded (or precision changed) — skip, don't guess
     }
-    if (merged) {
-      updates.ndv = std::make_shared<cardest::NdvSketchCatalog>(ndv_);
-    }
+    sketch->Merge(cd.hll);
+    merged = true;
+    ++stats_.ndv_merges;
+  }
+  if (merged) {
+    updates.ndv = std::make_shared<cardest::NdvSketchCatalog>(ndv_);
   }
 
   return updates;

@@ -24,14 +24,10 @@ class ByteCard;
 
 namespace bytecard::incremental {
 
+// Every model family is maintained. BN count pages renormalize with
+// cardest::kBnLaplaceAlpha and the NDV sketches use stats::kHllPrecision, the
+// values training and the ingestor use.
 struct IncrementalOptions {
-  // Must match the alpha the BN models were trained with (BnTrainOptions
-  // default); the count pages renormalize with exactly this value.
-  double laplace_alpha = 0.02;
-  int hll_precision = 12;
-  bool update_bn = true;
-  bool update_factorjoin = true;
-  bool update_ndv = true;
   // Also publish each delta-updated model through the ModelForge artifact
   // store (and commit the loader's mark), so a restart reloads the delta
   // state instead of the stale trained artifact. Off by default: the common

@@ -46,7 +46,7 @@ struct IngestDelta {
   static IngestDelta Build(std::string table, uint64_t epoch,
                            int64_t first_row, int64_t total_rows,
                            std::vector<std::vector<int64_t>> batch,
-                           int hll_precision = 12);
+                           int hll_precision = stats::kHllPrecision);
 };
 
 }  // namespace bytecard::incremental

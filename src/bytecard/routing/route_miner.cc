@@ -151,7 +151,7 @@ Result<std::shared_ptr<const RoutingTable>> RouteMiner::Mine(
       double value = 0.0;
       watch.Restart();
       if (!snapshot.EstimateWithFamily(kCandidates[f], request, nullptr,
-                                       nullptr, &value)) {
+                                       &value)) {
         score.applicable = false;
         continue;
       }

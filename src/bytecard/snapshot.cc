@@ -56,8 +56,7 @@ double EstimatorSnapshot::Estimate(const cardest::CardEstRequest& request,
       if (route->family != routing::RouteFamily::kGeneral &&
           route->family != routing::RouteFamily::kCachedActual) {
         double routed = 0.0;
-        if (EstimateWithFamily(route->family, request, session, counters,
-                               &routed)) {
+        if (EstimateWithFamily(route->family, request, session, &routed)) {
           if (counters != nullptr) ++counters->routed_estimates;
           return routed;
         }
@@ -97,46 +96,6 @@ double EstimatorSnapshot::EstimateGeneral(
                              counters);
   }
   return 1.0;
-}
-
-double EstimatorSnapshot::EstimateSelectivity(
-    const minihouse::Table& table, const minihouse::Conjunction& filters,
-    SnapshotCounters* counters) const {
-  return Estimate(cardest::CardEstRequest::Selectivity(table, filters),
-                  nullptr, counters);
-}
-
-double EstimatorSnapshot::EstimateJoinCardinality(
-    const minihouse::BoundQuery& query, const std::vector<int>& subset,
-    SnapshotCounters* counters) const {
-  return Estimate(cardest::CardEstRequest::JoinCount(query, subset), nullptr,
-                  counters);
-}
-
-double EstimatorSnapshot::EstimateCount(const minihouse::BoundQuery& query,
-                                        SnapshotCounters* counters) const {
-  return Estimate(cardest::CardEstRequest::Count(query), nullptr, counters);
-}
-
-double EstimatorSnapshot::EstimateGroupNdv(const minihouse::BoundQuery& query,
-                                           SnapshotCounters* counters) const {
-  return Estimate(cardest::CardEstRequest::GroupNdv(query), nullptr,
-                  counters);
-}
-
-double EstimatorSnapshot::EstimateColumnNdv(
-    const minihouse::Table& table, int column,
-    const minihouse::Conjunction& filters, SnapshotCounters* counters) const {
-  return Estimate(cardest::CardEstRequest::ColumnNdv(table, column, filters),
-                  nullptr, counters);
-}
-
-double EstimatorSnapshot::EstimateCountDisjunction(
-    const minihouse::Table& table,
-    const std::vector<minihouse::Conjunction>& disjuncts,
-    SnapshotCounters* counters) const {
-  return Estimate(cardest::CardEstRequest::Disjunction(table, disjuncts),
-                  nullptr, counters);
 }
 
 bool EstimatorSnapshot::FamilySelectivity(routing::RouteFamily family,
@@ -192,8 +151,7 @@ bool EstimatorSnapshot::FamilySelectivity(routing::RouteFamily family,
 
 bool EstimatorSnapshot::EstimateWithFamily(
     routing::RouteFamily family, const cardest::CardEstRequest& request,
-    cardest::InferenceSession* session, SnapshotCounters* counters,
-    double* out) const {
+    cardest::InferenceSession* session, double* out) const {
   using cardest::CardEstTarget;
   switch (request.target) {
     case CardEstTarget::kSelectivity:
@@ -247,7 +205,6 @@ bool EstimatorSnapshot::EstimateWithFamily(
       // RBX / inclusion-exclusion machinery is the only answer.
       return false;
   }
-  (void)counters;
   return false;
 }
 

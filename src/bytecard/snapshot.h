@@ -67,28 +67,6 @@ class EstimatorSnapshot {
                   cardest::InferenceSession* session,
                   SnapshotCounters* counters = nullptr) const;
 
-  // Typed convenience wrappers; each builds a CardEstRequest and delegates
-  // to Estimate with no session.
-  double EstimateSelectivity(const minihouse::Table& table,
-                             const minihouse::Conjunction& filters,
-                             SnapshotCounters* counters = nullptr) const;
-  double EstimateJoinCardinality(const minihouse::BoundQuery& query,
-                                 const std::vector<int>& subset,
-                                 SnapshotCounters* counters = nullptr) const;
-  double EstimateGroupNdv(const minihouse::BoundQuery& query,
-                          SnapshotCounters* counters = nullptr) const;
-  double EstimateCount(const minihouse::BoundQuery& query,
-                       SnapshotCounters* counters = nullptr) const;
-  double EstimateColumnNdv(const minihouse::Table& table, int column,
-                           const minihouse::Conjunction& filters,
-                           SnapshotCounters* counters = nullptr) const;
-  // OR-query estimation (paper §5.1.2) via inclusion-exclusion; the whole
-  // disjunction is answered by this one snapshot.
-  double EstimateCountDisjunction(
-      const minihouse::Table& table,
-      const std::vector<minihouse::Conjunction>& disjuncts,
-      SnapshotCounters* counters = nullptr) const;
-
   // --- Adaptive routing -----------------------------------------------------
   // Answers `request` with one specific estimator family, bypassing the
   // tiered general dispatch. Returns false (and leaves *out untouched) when
@@ -103,7 +81,7 @@ class EstimatorSnapshot {
   bool EstimateWithFamily(routing::RouteFamily family,
                           const cardest::CardEstRequest& request,
                           cardest::InferenceSession* session,
-                          SnapshotCounters* counters, double* out) const;
+                          double* out) const;
 
   // The pre-routing tiered dispatch (BN -> FactorJoin -> traditional),
   // byte-identical to the historical Estimate() body. Estimate() lands here

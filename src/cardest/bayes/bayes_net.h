@@ -26,6 +26,11 @@ struct BnNode {
   int num_bins() const { return discretizer.num_bins(); }
 };
 
+// Laplace smoothing mass for CPD estimation. The incremental maintainer's
+// count pages renormalize with the same value, so a delta-updated model
+// keeps the smoothing its base was trained with.
+inline constexpr double kBnLaplaceAlpha = 0.02;
+
 struct BnTrainOptions {
   // Columns (schema indices) to model. Empty = all supported columns.
   std::vector<int> columns;
@@ -34,8 +39,7 @@ struct BnTrainOptions {
   // Join columns discretize with externally supplied boundaries so that all
   // tables sharing a join key group agree on bucket identity (FactorJoin).
   std::map<int, std::vector<int64_t>> join_column_boundaries;
-  // Laplace smoothing mass for CPD estimation.
-  double laplace_alpha = 0.02;
+  double laplace_alpha = kBnLaplaceAlpha;
   // Training rows are sampled down to this many (0 = use all rows).
   int64_t max_train_rows = 200000;
   uint64_t seed = 1;

@@ -21,7 +21,8 @@ namespace bytecard::cardest {
 // the data actually in the table.
 class NdvSketch {
  public:
-  explicit NdvSketch(int precision = 12) : hll_(precision) {}
+  explicit NdvSketch(int precision = stats::kHllPrecision)
+      : hll_(precision) {}
 
   // Add/Merge return true when the sketch state changed — callers caching
   // derived estimates skip the O(2^p) Estimate() rescan when they return
@@ -51,7 +52,8 @@ class NdvSketchCatalog {
  public:
   // Seeds a sketch per scalar column of `table` with one full pass. Array
   // columns have no scalar domain and are skipped.
-  void SeedTable(const minihouse::Table& table, int precision = 12);
+  void SeedTable(const minihouse::Table& table,
+                 int precision = stats::kHllPrecision);
 
   // The sketch for (table, column), or nullptr when never seeded.
   const NdvSketch* Find(const std::string& table, int column) const;

@@ -22,9 +22,12 @@ struct AggRequest {
 // partitions index groups through a DenseKeyIndex over the assumed key
 // domain instead of the aggregation hash table. Only meaningful for
 // single-column group keys; the compiler sets it from the group-key column's
-// min/max domain stats when the domain width fits the plan's budget. A key
-// outside the assumed domain despecializes that partition mid-execution
-// (results stay exact; the degradation is counted and fed back).
+// min/max domain stats when the domain width fits kDenseAggBudget (which
+// bounds the dense array's memory). A key outside the assumed domain
+// despecializes that partition mid-execution (results stay exact; the
+// degradation is counted and fed back).
+inline constexpr int64_t kDenseAggBudget = int64_t{1} << 16;
+
 struct DenseAggSpec {
   bool enabled = false;
   int64_t domain_min = 0;

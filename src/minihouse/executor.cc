@@ -114,7 +114,7 @@ Result<ExecResult> ExecuteQuery(const BoundQuery& query,
   ExecStats* stats = ctx->mutable_stats();
   MergeOperatorStats(dag.root.get(), nullptr, stats);
   stats->exec_ms = timer.ElapsedMillis();
-  stats->plan_ms = plan.estimation_ms;
+  stats->plan_ms = static_cast<double>(plan.estimation.planning_nanos) / 1e6;
   stats->estimator_calls = plan.estimation.estimator_calls;
   stats->memo_hits = plan.estimation.memo_hits;
   stats->fallback_estimates = plan.estimation.fallback_estimates;

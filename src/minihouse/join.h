@@ -68,13 +68,18 @@ struct JoinRunInfo {
 // "no usable domain" (that side never array-builds). The build pass
 // validates every key against the assumed domain — one out-of-domain key
 // (stale stats) falls the operator back to the hash join.
+//
+// kArrayJoinBudget bounds the array's memory: a build-key domain wider than
+// this many entries never array-builds.
+inline constexpr int64_t kArrayJoinBudget = int64_t{1} << 20;
+
 struct ArrayJoinSpec {
   bool enabled = false;
   int64_t left_min = 0;
   int64_t left_max = -1;
   int64_t right_min = 0;
   int64_t right_max = -1;
-  int64_t budget = 0;  // max array entries (domain width ceiling)
+  int64_t budget = kArrayJoinBudget;  // max array entries (domain width cap)
 };
 
 // Hash equi-join of two relations on possibly multiple key pairs

@@ -31,11 +31,12 @@ int FindSlot(const std::vector<ColumnId>& ids, const ColumnId& id) {
 // --- ScanOp ------------------------------------------------------------------
 
 ScanOp::ScanOp(const BoundQuery& query, int table_idx, TableScanPlan scan_plan,
-               const QueryContext* ctx)
+               ExecFeatures features, const QueryContext* ctx)
     : ref_(query.tables[table_idx]),
       ctx_(ctx),
       table_idx_(table_idx),
       scan_plan_(std::move(scan_plan)),
+      features_(features),
       output_schema_columns_(RequiredScanColumns(query, table_idx)) {
   output_ids_.reserve(output_schema_columns_.size());
   output_names_.reserve(output_schema_columns_.size());
@@ -52,8 +53,7 @@ Result<Relation> ScanOp::Execute() {
   options.sip = sip_;
   options.dop = scan_plan_.dop;
   options.morsel_policy = ctx_->morsel_policy();
-  options.specialized_predicates = scan_plan_.specialized_predicates;
-  options.prune_blocks = scan_plan_.prune_blocks;
+  options.features = features_;
   ScanResult scanned = ScanTable(*ref_.table, ref_.filters,
                                  output_schema_columns_, options, &stats_.io);
   stats_.dop_used = scanned.dop_used;
@@ -274,7 +274,7 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
 
   // Column lifetimes for late projection (empty = keep everything).
   std::vector<std::vector<ColumnId>> keep_after;
-  if (plan.prune_columns) {
+  if (plan.features.prune_columns) {
     keep_after = RequiredColumnsAfterJoin(query, order);
   }
 
@@ -284,13 +284,9 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
   // by subset key so the connectivity fixup above cannot misattribute an
   // estimate to the wrong prefix.
   const bool capture = plan.feedback != nullptr;
-  // The plan-level predicate-kernel switch rides into every scan here (the
-  // per-scan field exists so a compiled scan is self-describing).
   auto make_scan = [&](int t) {
-    TableScanPlan sp = plan.scans[t];
-    sp.specialized_predicates = plan.specialized_predicates;
-    sp.prune_blocks = plan.prune_blocks;
-    return std::make_unique<ScanOp>(query, t, std::move(sp), ctx);
+    return std::make_unique<ScanOp>(query, t, plan.scans[t], plan.features,
+                                    ctx);
   };
   // A specialization is vetoed when a prior run of the same subplan
   // mis-specialized (its runtime guard fired). Without feedback there is
@@ -376,7 +372,7 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
     auto join = std::make_unique<HashJoinOp>(
         std::move(op), std::move(scan), std::move(build_keys),
         std::move(probe_keys), join_dop, ctx);
-    if (plan.use_sip) {
+    if (plan.features.sip) {
       join->EnableSip(scan_raw, sip_probe_schema_col,
                       query.tables[t].table->num_rows());
     }
@@ -408,7 +404,7 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
     // whose base key column has domain stats (join values are drawn from the
     // base column, so its bounds hold for any filtered/joined subset). The
     // budget and the build-side choice resolve inside HashJoin at runtime.
-    if (plan.specialize_ops && num_key_pairs == 1) {
+    if (plan.features.specialize_ops && num_key_pairs == 1) {
       std::vector<int> subset(order.begin(),
                               order.begin() + static_cast<long>(step) + 1);
       if (!vetoed(SubplanFingerprint(query, subset))) {
@@ -417,7 +413,6 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
         const ColumnDomain& right_dom =
             query.tables[t].table->domain(sip_probe_schema_col);
         ArrayJoinSpec spec;
-        spec.budget = plan.array_join_budget;
         if (left_dom.valid && left_dom.Width() > 0) {
           spec.left_min = left_dom.min;
           spec.left_max = left_dom.max;
@@ -485,13 +480,13 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
   // domain stats, width within budget, and — when the optimizer priced the
   // group NDV — a domain not wildly sparser than the estimated group count
   // (a huge nearly-empty array wastes more than hashing costs).
-  if (plan.specialize_ops && num_group_keys == 1) {
+  if (plan.features.specialize_ops && num_group_keys == 1) {
     const GroupKeyRef& g = query.group_by[0];
     const ColumnDomain& dom = query.tables[g.table].table->domain(g.column);
     const int64_t width = dom.Width();
     const int64_t hint = plan.group_ndv_hint;
     const bool sparse = hint > 0 && width > 1024 && width > 32 * hint;
-    if (dom.valid && width > 0 && width <= plan.dense_agg_budget && !sparse &&
+    if (dom.valid && width > 0 && width <= kDenseAggBudget && !sparse &&
         !vetoed(GroupNdvFingerprint(query))) {
       DenseAggSpec spec;
       spec.enabled = true;

@@ -102,10 +102,11 @@ class PhysicalOperator {
 // filter (SIP) immediately before execution.
 class ScanOp : public PhysicalOperator {
  public:
-  // `ctx` (non-null, not owned) supplies the owning query's morsel policy;
-  // it must outlive Execute.
+  // `features` is the plan's (the scan honours its predicate-kernel and
+  // block-pruning switches). `ctx` (non-null, not owned) supplies the owning
+  // query's morsel policy; it must outlive Execute.
   ScanOp(const BoundQuery& query, int table_idx, TableScanPlan scan_plan,
-         const QueryContext* ctx);
+         ExecFeatures features, const QueryContext* ctx);
 
   OpKind kind() const override { return OpKind::kScan; }
   const char* name() const override { return "Scan"; }
@@ -133,6 +134,7 @@ class ScanOp : public PhysicalOperator {
   const QueryContext* ctx_;
   int table_idx_;
   TableScanPlan scan_plan_;
+  ExecFeatures features_;
   SemiJoinFilter sip_;
   std::vector<int> output_schema_columns_;  // schema indices, ascending
   std::vector<ColumnId> output_ids_;
@@ -275,7 +277,7 @@ struct CompiledDag {
 //   2. builds a ScanOp per table over exactly its required columns;
 //   3. chains left-deep HashJoinOps, arming SIP per the plan;
 //   4. runs required-column analysis and inserts ProjectOps after any join
-//      step whose output carries dead columns (plan.prune_columns);
+//      step whose output carries dead columns (plan.features.prune_columns);
 //   5. roots the tree with an AggregateOp resolving group keys and aggregate
 //      inputs to slots via the column-identity map.
 // All slot arithmetic happens here, at compile time — execution never looks

@@ -229,15 +229,13 @@ TableScanPlan Optimizer::PlanScan(const BoundTableRef& ref,
   plan.estimated_selectivity = ctx->Selectivity(*ref.table, ref.filters);
 
   // Zone-map tier (DESIGN.md §12): block min/max give a sound selectivity
-  // upper bound for free. Clamping here makes reader choice, dop, and
-  // admission pruning-aware even when the learned model overestimates —
-  // e.g. a range predicate on a clustered column that zone maps prove
-  // touches a few blocks.
-  if (options_.zone_map_estimation) {
-    plan.estimated_selectivity = std::min(
-        plan.estimated_selectivity, ZoneMapSelectivityBound(*ref.table,
-                                                            ref.filters));
-  }
+  // upper bound for free (no estimator call, one pass over block metadata).
+  // Clamping here makes reader choice, dop, and admission pruning-aware even
+  // when the learned model overestimates — e.g. a range predicate on a
+  // clustered column that zone maps prove touches a few blocks.
+  plan.estimated_selectivity =
+      std::min(plan.estimated_selectivity,
+               ZoneMapSelectivityBound(*ref.table, ref.filters));
 
   // Dynamic reader selection (paper §5.1.2): multi-stage pays off exactly
   // when filters eliminate most rows early; otherwise its extra passes lose.
@@ -389,13 +387,7 @@ PhysicalPlan Optimizer::Plan(const BoundQuery& query,
   }
   std::vector<double> prefix_cards;
   plan.join_order = PlanJoinOrder(query, ctx, &prefix_cards);
-  plan.use_sip = options_.enable_sip;
-  plan.prune_blocks = options_.prune_blocks;
-  plan.prune_columns = options_.prune_columns;
-  plan.specialize_ops = options_.specialize_operators;
-  plan.specialized_predicates = options_.specialized_predicates;
-  plan.dense_agg_budget = options_.dense_agg_domain_budget;
-  plan.array_join_budget = options_.array_join_domain_budget;
+  plan.features = options_.features;
   if (options_.use_ndv_hint && !query.group_by.empty()) {
     const double ndv = ctx->GroupNdv(query);
     plan.group_ndv_hint = std::max<int64_t>(0, static_cast<int64_t>(ndv));
@@ -439,7 +431,6 @@ PhysicalPlan Optimizer::Plan(const BoundQuery& query,
     // Aggregation consumes the final joined relation.
     plan.agg_dop = PickDop(last_card);
   }
-  plan.estimation_ms = timer.ElapsedMillis();
   plan.estimation = ctx->stats();
   plan.estimation.planning_nanos = timer.ElapsedNanos();
   // The join-subset estimates priced during planning travel on the plan

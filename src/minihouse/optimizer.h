@@ -191,12 +191,6 @@ struct TableScanPlan {
   std::vector<int> filter_order;  // multi-stage column order
   double estimated_selectivity = 1.0;
   int dop = 1;                    // morsel drainers for this scan
-  // Predicate kernels for this scan (see ScanOptions); the DAG compiler
-  // overwrites it from the plan-level switch.
-  bool specialized_predicates = true;
-  // Zone-map block pruning for this scan (see ScanOptions); likewise
-  // overwritten from the plan-level switch.
-  bool prune_blocks = false;
 };
 
 struct PhysicalPlan {
@@ -209,31 +203,7 @@ struct PhysicalPlan {
   std::vector<int> join_dop;
   int agg_dop = 1;                   // aggregation partitions
   int64_t group_ndv_hint = 0;        // 0 = no hint (engine default sizing)
-  bool use_sip = true;               // sideways information passing enabled
-  // Late projection: insert ProjectOps that drop intermediate columns at
-  // their last consumer (required-column analysis). Results and I/O are
-  // identical either way; off carries every scanned column through every
-  // join, which is what the projection bench measures against.
-  bool prune_columns = true;
-  // --- Kernel specialization (DESIGN.md §11) -------------------------------
-  // Master switch for estimate-driven operator kernels: the DAG compiler
-  // swaps in a dense-array aggregate / array-index join when the relevant
-  // key column's min/max domain is narrow enough. Results are identical
-  // either way (specialized operators carry runtime guards that degrade to
-  // the generic path on any domain violation).
-  bool specialize_ops = true;
-  // Tight-loop predicate kernels in scans (vs the generic row-at-a-time
-  // path). Pure CPU-path choice: rows and I/O are byte-identical.
-  bool specialized_predicates = true;
-  // Zone-map block pruning in scans (DESIGN.md §12): skip blocks whose
-  // min/max cannot satisfy some filter, before charging I/O. Result rows are
-  // identical; blocks_read shrinks and blocks_pruned counts the skips.
-  bool prune_blocks = true;
-  // Domain-width ceilings: a group-key / build-key domain wider than this
-  // never specializes (bounds the dense arrays' memory).
-  int64_t dense_agg_budget = 1 << 16;
-  int64_t array_join_budget = 1 << 20;
-  double estimation_ms = 0.0;        // time spent inside the estimator
+  ExecFeatures features;             // copied from OptimizerOptions
   EstimationStats estimation;        // estimation-path accounting
   // Runtime feedback (all unset/empty when the estimator has no hook):
   // the executor reports estimate-vs-actual observations here after running
@@ -261,9 +231,8 @@ struct OptimizerOptions {
   bool use_ndv_hint = true;
   // Pick join order from estimated join cardinalities (greedy left-deep).
   bool optimize_join_order = true;
-  // Sideways information passing: probe-side scans receive a Bloom filter of
-  // the build side's join keys (paper §3.1.2).
-  bool enable_sip = true;
+  // Execution switches every plan carries (see ExecFeatures).
+  ExecFeatures features;
   // Degree-of-parallelism ceiling for scans, join probes, and aggregation.
   // <= 1 disables parallel execution (the default; benches and parallel
   // tests opt in). Dop is chosen per operator from the cardinalities already
@@ -274,20 +243,6 @@ struct OptimizerOptions {
   // optimizer grants it another: dop = work / min_dop_work_rows, clamped to
   // [1, max_dop].
   int64_t min_dop_work_rows = 2 * kBlockRows;
-  // Late projection (see PhysicalPlan::prune_columns).
-  bool prune_columns = true;
-  // Kernel specialization (see the PhysicalPlan fields of the same names).
-  bool specialize_operators = true;
-  bool specialized_predicates = true;
-  // Zone-map block pruning (see PhysicalPlan::prune_blocks).
-  bool prune_blocks = true;
-  // Clamp per-scan selectivity estimates with the zone-map upper bound
-  // (ZoneMapSelectivityBound) — the cheap sketch tier under the learned
-  // models. Affects reader choice, scan dop, and scheduler admission; free
-  // (no estimator call, one pass over block metadata).
-  bool zone_map_estimation = true;
-  int64_t dense_agg_domain_budget = 1 << 16;
-  int64_t array_join_domain_budget = 1 << 20;
 };
 
 // --- Required-column analysis ----------------------------------------------

@@ -36,7 +36,7 @@ struct ExecStats {
   // aggregation ran serially).
   int64_t agg_merge_groups = 0;
   double exec_ms = 0.0;           // execution only
-  double plan_ms = 0.0;           // optimizer (incl. estimator) time
+  double plan_ms = 0.0;           // planning_nanos in milliseconds
   // Scheduler accounting (0/false for queries run outside the scheduler):
   // time between Submit and the start of execution, and the admission
   // decision the estimator's intermediate-cardinality prediction drove.
@@ -50,7 +50,7 @@ struct ExecStats {
   // Per-query inference-session probes answered from the session memo (BN
   // probes / FactorJoin bucket vectors reused across join-order subsets).
   int64_t probe_cache_hits = 0;
-  int64_t planning_nanos = 0;     // optimizer wall time, ns (= plan_ms source)
+  int64_t planning_nanos = 0;     // wall time inside Optimizer::Plan, ns
   uint64_t snapshot_version = 0;  // model snapshot the plan was built on
   // Adaptive routing (all zero without a live mined routing table): distinct
   // route classes planning touched, estimates answered by a routed family,
@@ -106,11 +106,9 @@ class QueryContext {
 
   // A context for one query served by `estimator`: pins a model snapshot and
   // opens an inference session for the query's lifetime (see
-  // EstimationContext). `use_session` gates per-query probe memoization.
-  explicit QueryContext(CardinalityEstimator* estimator,
-                        bool use_session = true)
-      : estimation_(std::make_unique<EstimationContext>(estimator,
-                                                        use_session)) {}
+  // EstimationContext).
+  explicit QueryContext(CardinalityEstimator* estimator)
+      : estimation_(std::make_unique<EstimationContext>(estimator)) {}
 
   QueryContext(const QueryContext&) = delete;
   QueryContext& operator=(const QueryContext&) = delete;

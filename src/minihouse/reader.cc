@@ -37,7 +37,7 @@ void ApplyFilterStage(const Table& table, const ColumnPredicate& pred,
                       std::vector<uint8_t>* selection, ScanResult* result,
                       IoStats* io) {
   const Column& col = table.column(pred.column);
-  if (options.specialized_predicates) {
+  if (options.features.specialized_predicates) {
     if (const EncodedBlock* encoded = col.encoded_block(b)) {
       EvaluateOnEncodedBlock(pred, *encoded, selection);
       col.ChargeBlockRead(b, io);
@@ -63,7 +63,8 @@ void SingleStageScanRange(const Table& table, const Conjunction& filters,
 
   for (int64_t b = block_begin; b < block_end; ++b) {
     // Zone-map pruning: skip the whole block before charging any I/O.
-    if (options.prune_blocks && BlockPrunedByZoneMaps(table, filters, b)) {
+    if (options.features.prune_blocks &&
+        BlockPrunedByZoneMaps(table, filters, b)) {
       if (io != nullptr) ++io->blocks_pruned;
       continue;
     }
@@ -136,7 +137,8 @@ void MultiStageScanRange(const Table& table, const Conjunction& filters,
     // Zone-map pruning, identical to the single-stage reader's: both readers
     // skip exactly the same blocks, so reader choice stays a pure cost
     // decision.
-    if (options.prune_blocks && BlockPrunedByZoneMaps(table, filters, b)) {
+    if (options.features.prune_blocks &&
+        BlockPrunedByZoneMaps(table, filters, b)) {
       if (io != nullptr) ++io->blocks_pruned;
       continue;
     }

@@ -29,6 +29,37 @@ struct SemiJoinFilter {
   const BloomFilter* bloom = nullptr;  // not owned; must outlive the scan
 };
 
+// The execution switches, declared once: OptimizerOptions carries the
+// configured value, Optimizer::Plan copies it onto the PhysicalPlan, and the
+// DAG compiler hands the plan's copy to every scan. Each switch trades only
+// CPU work or I/O; result rows are byte-identical with any combination, and
+// the off settings exist for the reference legs that measure them.
+struct ExecFeatures {
+  // Sideways information passing: a join build side publishes a Bloom
+  // filter of its keys into the probe-side scan (paper §3.1.2).
+  bool sip = true;
+  // Late projection: ProjectOps drop intermediate columns at their last
+  // consumer (required-column analysis). I/O is identical either way; off
+  // carries every scanned column through every join.
+  bool prune_columns = true;
+  // Estimate-driven operator kernels (DESIGN.md §11): the DAG compiler swaps
+  // in a dense-array aggregate / array-index join when the key column's
+  // min/max domain is narrow enough; runtime guards degrade to the generic
+  // path on any domain violation.
+  bool specialize_ops = true;
+  // Predicate evaluation path: the branch-free tight-loop kernels
+  // (EvaluateOnBlock) or the generic row-at-a-time path
+  // (EvaluateOnBlockGeneric). Selections, blocks read and all IoStats are
+  // identical; on encoded storage the kernel path also evaluates filters
+  // directly over the encoded block (dictionary-code compares, RLE run
+  // skipping) instead of decoding it first.
+  bool specialized_predicates = true;
+  // Zone-map block pruning (DESIGN.md §12): skip a block, before charging
+  // any I/O, when some filter's range cannot overlap its min/max. Only
+  // blocks_read/blocks_pruned change.
+  bool prune_blocks = true;
+};
+
 struct ScanOptions {
   ReaderKind reader = ReaderKind::kSingleStage;
   // For the multi-stage reader: evaluation order as indices into the filter
@@ -47,21 +78,9 @@ struct ScanOptions {
   // morsel budget (from its QueryContext). Defaults reproduce standalone
   // behaviour — fast lane, unbudgeted.
   common::MorselPolicy morsel_policy;
-  // Predicate evaluation path: the branch-free tight-loop kernels
-  // (EvaluateOnBlock, the default) or the generic row-at-a-time path
-  // (EvaluateOnBlockGeneric). Selections — and therefore rows, blocks read,
-  // and all IoStats — are byte-identical either way; this is a pure CPU-path
-  // choice, observable only in wall time and the kernel-pick counter. On
-  // encoded storage the kernel path additionally evaluates filters directly
-  // over the encoded block (dictionary-code compares, RLE run skipping)
-  // instead of decoding it first.
-  bool specialized_predicates = true;
-  // Zone-map block pruning: skip a block — before charging any I/O — when
-  // some filter's range cannot overlap the block's min/max. Default off so
-  // direct ScanTable callers observe the historical exact I/O counts; the
-  // optimizer turns it on for planned queries (PhysicalPlan.prune_blocks).
-  // Pruning never changes result rows, only blocks_read/blocks_pruned.
-  bool prune_blocks = false;
+  // The plan's switches; a scan honours specialized_predicates and
+  // prune_blocks.
+  ExecFeatures features;
 };
 
 // Output of a table scan: surviving row ids plus materialized tuples for the
@@ -74,7 +93,7 @@ struct ScanResult {
   int dop_used = 1;
   int64_t parallel_tasks = 0;
   // (predicate, block) evaluations that ran through the specialized kernel
-  // path (0 when options.specialized_predicates is off).
+  // path (0 when options.features.specialized_predicates is off).
   int64_t kernel_blocks = 0;
   int64_t rows_matched() const {
     return static_cast<int64_t>(row_ids.size());

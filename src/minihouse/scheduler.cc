@@ -62,21 +62,22 @@ std::shared_ptr<QueryTicket> QueryScheduler::Submit(const BoundQuery& query) {
   // Planning runs here, on the submitting thread: N clients plan N queries
   // concurrently, each against its own pinned snapshot (the ticket's
   // QueryContext), with no shared mutable state between them.
-  std::shared_ptr<QueryTicket> ticket(
-      new QueryTicket(estimator_, options_.use_session));
+  std::shared_ptr<QueryTicket> ticket(new QueryTicket(estimator_));
   ticket->query_ = query;
+  common::TaskLane lane = common::TaskLane::kFast;
   {
-    // Read-latch the referenced tables for the planning window so zone maps
-    // and row counts are not mid-append; Run's ExecuteQuery re-acquires for
-    // execution (never nested — shared_mutex is not recursive).
+    // Read-latch the referenced tables for the planning and admission window
+    // so zone maps and row counts are not mid-append (Classify reads
+    // num_rows); Run's ExecuteQuery re-acquires for execution (never nested —
+    // shared_mutex is not recursive).
     TableReadGuard table_guard(ticket->query_);
     ticket->plan_ = optimizer_.Plan(ticket->query_, &ticket->context_);
+    lane = Classify(ticket->query_, ticket->plan_);
   }
-
-  const common::TaskLane lane = Classify(ticket->query_, ticket->plan_);
   const bool heavy = lane == common::TaskLane::kHeavy;
-  ticket->context_.SetAdmission(lane, heavy ? options_.heavy_morsel_tokens
-                                            : options_.fast_morsel_tokens);
+  ticket->context_.SetAdmission(
+      lane, heavy ? options_.heavy_morsel_tokens
+                  : common::MorselBudget::kUnlimited);
 
   submitted_.fetch_add(1, std::memory_order_relaxed);
   (heavy ? heavy_admitted_ : fast_admitted_)
@@ -89,8 +90,7 @@ std::shared_ptr<QueryTicket> QueryScheduler::Submit(const BoundQuery& query) {
 }
 
 std::shared_ptr<QueryTicket> QueryScheduler::FailedTicket(Status status) {
-  std::shared_ptr<QueryTicket> ticket(
-      new QueryTicket(estimator_, options_.use_session));
+  std::shared_ptr<QueryTicket> ticket(new QueryTicket(estimator_));
   ticket->result_ = std::move(status);
   ticket->done_ = true;  // pre-publication: no other thread sees the ticket
   return ticket;

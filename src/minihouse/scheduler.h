@@ -32,15 +32,11 @@ struct SchedulerOptions {
   // while planning — classification costs zero extra estimator calls.
   double heavy_rows_threshold = 256.0 * 1024;
 
-  // Morsel tokens per query: how many pool helpers one query's operators may
-  // hold concurrently (its own thread is always free). Fast queries get the
-  // pre-scheduler unlimited fan-out; heavy queries are capped so one huge
-  // join cannot occupy every worker while point queries wait.
-  int fast_morsel_tokens = common::MorselBudget::kUnlimited;
+  // Morsel tokens per heavy query: how many pool helpers its operators may
+  // hold concurrently (its own thread is always free), so one huge join
+  // cannot occupy every worker while point queries wait. Fast queries keep
+  // the unlimited fan-out.
   int heavy_morsel_tokens = 2;
-
-  // Per-query InferenceSession memoization (see EstimationContext).
-  bool use_session = true;
 
   // Priority aging for the heavy lane (milliseconds; 0 = disabled): a heavy
   // query whose head-of-queue wait reaches this age is promoted past the
@@ -71,8 +67,8 @@ class QueryTicket {
 
  private:
   friend class QueryScheduler;
-  QueryTicket(CardinalityEstimator* estimator, bool use_session)
-      : context_(estimator, use_session) {}
+  explicit QueryTicket(CardinalityEstimator* estimator)
+      : context_(estimator) {}
 
   BoundQuery query_;
   PhysicalPlan plan_;

@@ -8,6 +8,12 @@
 
 namespace bytecard::stats {
 
+// Default precision of every HLL sketch in the system. Incremental NDV
+// maintenance depends on it being shared: the ingestor's batch sketches merge
+// into the maintainer's seeded sketches only when both have the same
+// precision.
+inline constexpr int kHllPrecision = 12;
+
 // HyperLogLog distinct-count sketch (Flajolet et al. 2007, with the linear-
 // counting small-range correction from Heule et al. 2013). This is the
 // sketch-based NDV baseline the paper's ByteHouse used before RBX; its known
@@ -16,7 +22,7 @@ namespace bytecard::stats {
 class HyperLogLog {
  public:
   // `precision` p gives 2^p registers; standard error ~ 1.04 / sqrt(2^p).
-  explicit HyperLogLog(int precision = 12);
+  explicit HyperLogLog(int precision = kHllPrecision);
 
   // Both return true when a register grew — i.e. the observation changed the
   // sketch state. Callers that cache derived values (the incremental

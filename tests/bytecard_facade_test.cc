@@ -18,9 +18,7 @@ using minihouse::CompareOp;
 class ByteCardFacadeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string(
-        (fs::temp_directory_path() / "bytecard_facade_test").string());
-    fs::remove_all(*dir_);
+    dir_ = new testutil::TempDir("facade");
     db_ = testutil::BuildToyDatabase(20000).release();
 
     ByteCard::Options options;
@@ -29,7 +27,7 @@ class ByteCardFacadeTest : public ::testing::Test {
     options.rbx.replicas = 2;
     options.rbx.epochs = 30;
     auto bc = ByteCard::Bootstrap(
-        *db_, {testutil::ToyJoinQuery(*db_)}, *dir_, options);
+        *db_, {testutil::ToyJoinQuery(*db_)}, dir_->str(), options);
     BC_CHECK_OK(bc.status());
     bytecard_ = std::move(bc).value().release();
   }
@@ -37,7 +35,6 @@ class ByteCardFacadeTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete bytecard_;
     delete db_;
-    fs::remove_all(*dir_);
     delete dir_;
   }
 
@@ -50,12 +47,12 @@ class ByteCardFacadeTest : public ::testing::Test {
     return pred;
   }
 
-  static std::string* dir_;
+  static testutil::TempDir* dir_;
   static minihouse::Database* db_;
   static ByteCard* bytecard_;
 };
 
-std::string* ByteCardFacadeTest::dir_ = nullptr;
+testutil::TempDir* ByteCardFacadeTest::dir_ = nullptr;
 minihouse::Database* ByteCardFacadeTest::db_ = nullptr;
 ByteCard* ByteCardFacadeTest::bytecard_ = nullptr;
 
@@ -162,9 +159,8 @@ TEST_F(ByteCardFacadeTest, ImplementsEstimatorInterface) {
 }
 
 TEST(ByteCardBootstrapTest, PretrainedRbxReused) {
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_pretrained_rbx").string();
-  fs::remove_all(dir);
+  const testutil::TempDir tmp("pretrained_rbx");
+  const std::string& dir = tmp.str();
   auto db = testutil::BuildToyDatabase(3000);
 
   // First bootstrap trains RBX and leaves an artifact behind.
@@ -191,7 +187,6 @@ TEST(ByteCardBootstrapTest, PretrainedRbxReused) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second.value()->training_stats().rbx_seconds, 0.0);
   EXPECT_GT(second.value()->training_stats().rbx_bytes, 0);
-  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -33,8 +33,6 @@ minihouse::ColumnPredicate Pred(int column, CompareOp op, int64_t operand,
 class LifecycleTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "bytecard_lifecycle").string();
-    fs::remove_all(dir_);
     db_ = testutil::BuildToyDatabase(20000);
 
     ByteCard::Options options;
@@ -42,15 +40,13 @@ class LifecycleTest : public ::testing::Test {
     options.rbx.sample_rates = {0.05};
     options.rbx.replicas = 1;
     options.rbx.epochs = 10;
-    auto bc = ByteCard::Bootstrap(*db_, {testutil::ToyJoinQuery(*db_)}, dir_,
-                                  options);
+    auto bc = ByteCard::Bootstrap(*db_, {testutil::ToyJoinQuery(*db_)},
+                                  dir_.str(), options);
     ASSERT_TRUE(bc.ok()) << bc.status().ToString();
     bytecard_ = std::move(bc).value();
   }
 
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string dir_;
+  const testutil::TempDir dir_{"lifecycle"};
   std::unique_ptr<minihouse::Database> db_;
   std::unique_ptr<ByteCard> bytecard_;
 };
@@ -165,7 +161,7 @@ TEST_F(LifecycleTest, CorruptArtifactRetriedAfterRepublish) {
 
   // Find the retrained artifact (newest bn.fact.<timestamp>.model).
   fs::path newest;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
+  for (const auto& entry : fs::directory_iterator(dir_.str())) {
     const std::string name = entry.path().filename().string();
     if (name.rfind("bn.fact.", 0) != 0) continue;
     if (newest.empty() || name > newest.filename().string()) {

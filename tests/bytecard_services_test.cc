@@ -18,22 +18,7 @@ namespace bytecard {
 namespace {
 
 namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& name)
-      : path_(fs::temp_directory_path() /
-              ("bytecard_test_" + name + "_" +
-               std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
+using testutil::TempDir;
 
 // --- ModelForge -----------------------------------------------------------------
 

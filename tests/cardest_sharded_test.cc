@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "bytecard/model_forge.h"
 #include "cardest/bayes/sharded_bn.h"
 #include "common/rng.h"
@@ -14,7 +12,6 @@
 namespace bytecard::cardest {
 namespace {
 
-namespace fs = std::filesystem;
 using minihouse::CompareOp;
 using minihouse::DataType;
 
@@ -64,12 +61,10 @@ int64_t TrueCount(const minihouse::Table& table,
 class ShardedBnTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "bytecard_sharded").string();
-    fs::remove_all(dir_);
     table_ = MakeSegmentedTable(24000, 17);
 
     // Train via the forge's shard-aware path: shard key = segment (col 0).
-    ModelForgeService forge(dir_);
+    ModelForgeService forge(dir_.str());
     BnTrainOptions options;
     options.max_train_rows = 0;
     auto artifacts = forge.TrainShardedBn(*table_, 0, 8, options);
@@ -101,9 +96,7 @@ class ShardedBnTest : public ::testing::Test {
         std::make_unique<BnInferenceContext>(global_model_.get());
   }
 
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string dir_;
+  const testutil::TempDir dir_{"sharded"};
   std::unique_ptr<minihouse::Table> table_;
   std::unique_ptr<ShardedBnEnsemble> ensemble_;
   std::unique_ptr<BayesNetModel> global_model_;

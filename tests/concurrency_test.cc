@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -139,10 +138,8 @@ TEST(ConcurrencyTest, SnapshotPublishSafeDuringEstimation) {
   // consistent version for its whole plan: repeated estimates through one
   // pin are bit-identical and the pinned version never moves, no matter how
   // many publishes land concurrently.
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_snapshot_stress").string();
-  fs::remove_all(dir);
+  const testutil::TempDir tmp("snapshot_stress");
+  const std::string& dir = tmp.str();
   auto db = testutil::BuildToyDatabase(8000);
 
   ByteCard::Options options;
@@ -213,7 +210,6 @@ TEST(ConcurrencyTest, SnapshotPublishSafeDuringEstimation) {
   EXPECT_EQ(mismatches.load(), 0);
   // Health flips + refreshes really did publish successors.
   EXPECT_GT(bytecard->SnapshotVersion(), version_at_start);
-  fs::remove_all(dir);
 }
 
 TEST(ConcurrencyTest, AggregationHashTablesIndependentPerThread) {

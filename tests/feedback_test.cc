@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <filesystem>
 #include <limits>
 #include <string>
 #include <thread>
@@ -30,7 +29,6 @@
 namespace bytecard {
 namespace {
 
-namespace fs = std::filesystem;
 using minihouse::AggFunc;
 using minihouse::BoundQuery;
 using minihouse::BoundTableRef;
@@ -480,7 +478,7 @@ TEST(FeedbackCaptureTest, SipFilteredScanExcludedFromCapture) {
 
   // Control: with SIP off, the fact scan's actual is exact and captured.
   minihouse::OptimizerOptions sip_off = sip_on;
-  sip_off.enable_sip = false;
+  sip_off.features.sip = false;
   {
     feedback::FeedbackManager manager;
     StubEstimator estimator(&manager);
@@ -578,8 +576,6 @@ TEST(FeedbackConcurrencyTest, ParallelQueriesRaceInvalidation) {
 class FeedbackByteCardTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "bytecard_feedback").string();
-    fs::remove_all(dir_);
     db_ = testutil::BuildToyDatabase(20000);
 
     ByteCard::Options options;
@@ -594,13 +590,11 @@ class FeedbackByteCardTest : public ::testing::Test {
     options.feedback.drift.window = 32;
     options.feedback.drift.min_samples = 6;
     options.feedback.drift.qerror_threshold = 5.0;
-    auto bc = ByteCard::Bootstrap(*db_, {testutil::ToyJoinQuery(*db_)}, dir_,
-                                  options);
+    auto bc = ByteCard::Bootstrap(*db_, {testutil::ToyJoinQuery(*db_)},
+                                  dir_.str(), options);
     ASSERT_TRUE(bc.ok()) << bc.status().ToString();
     bytecard_ = std::move(bc).value();
   }
-
-  void TearDown() override { fs::remove_all(dir_); }
 
   Result<minihouse::ExecResult> RunFactQuery(ColumnPredicate pred) {
     minihouse::Optimizer optimizer;
@@ -608,7 +602,7 @@ class FeedbackByteCardTest : public ::testing::Test {
                                      optimizer, bytecard_.get());
   }
 
-  std::string dir_;
+  const testutil::TempDir dir_{"feedback"};
   std::unique_ptr<minihouse::Database> db_;
   std::unique_ptr<ByteCard> bytecard_;
 };

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -26,7 +25,6 @@
 namespace bytecard {
 namespace {
 
-namespace fs = std::filesystem;
 using minihouse::CompareOp;
 
 minihouse::ColumnPredicate Pred(int column, CompareOp op, int64_t operand) {
@@ -276,9 +274,7 @@ TEST(FjDeltaTest, BatchOnUnmodelledTableIsANoop) {
 class IncrementalMaintainerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string(
-        (fs::temp_directory_path() / "bytecard_incremental_test").string());
-    fs::remove_all(*dir_);
+    dir_ = new testutil::TempDir("incremental");
     db_ = testutil::BuildToyDatabase(8000, 113).release();
 
     ByteCard::Options options;
@@ -288,7 +284,7 @@ class IncrementalMaintainerTest : public ::testing::Test {
     options.rbx.replicas = 2;
     options.rbx.epochs = 30;
     auto bc = ByteCard::Bootstrap(
-        *db_, {testutil::ToyJoinQuery(*db_)}, *dir_, options);
+        *db_, {testutil::ToyJoinQuery(*db_)}, dir_->str(), options);
     BC_CHECK_OK(bc.status());
     bytecard_ = std::move(bc).value().release();
     BC_CHECK_OK(bytecard_->EnableIncrementalMaintenance(*db_));
@@ -302,17 +298,16 @@ class IncrementalMaintainerTest : public ::testing::Test {
     delete ingestor_;
     delete bytecard_;
     delete db_;
-    fs::remove_all(*dir_);
     delete dir_;
   }
 
-  static std::string* dir_;
+  static testutil::TempDir* dir_;
   static minihouse::Database* db_;
   static ByteCard* bytecard_;
   static DataIngestor* ingestor_;
 };
 
-std::string* IncrementalMaintainerTest::dir_ = nullptr;
+testutil::TempDir* IncrementalMaintainerTest::dir_ = nullptr;
 minihouse::Database* IncrementalMaintainerTest::db_ = nullptr;
 ByteCard* IncrementalMaintainerTest::bytecard_ = nullptr;
 DataIngestor* IncrementalMaintainerTest::ingestor_ = nullptr;
@@ -458,9 +453,8 @@ TEST_F(IncrementalMaintainerTest, FeedbackInvalidationScopedToIngestedTable) {
 // --- Races: ingest vs query streams vs lifecycle --------------------------------
 
 TEST(IncrementalConcurrencyTest, IngestRacesQueriesAndLifecycle) {
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_incremental_race").string();
-  fs::remove_all(dir);
+  const testutil::TempDir tmp("incremental_race");
+  const std::string& dir = tmp.str();
   auto db = testutil::BuildToyDatabase(4000, 211);
 
   ByteCard::Options options;
@@ -479,27 +473,50 @@ TEST(IncrementalConcurrencyTest, IngestRacesQueriesAndLifecycle) {
   ingestor.AddObserver(bc->feedback_manager());
   ingestor.AddObserver(bc->incremental_maintainer());
 
+  // Scheduler streams: planning and admission run on the submitting thread
+  // while batches append, with both lanes in use.
+  minihouse::SchedulerOptions serving;
+  serving.optimizer.max_dop = 2;
+  serving.heavy_rows_threshold = 1000.0;
+  bc->StartServing(serving);
+
   constexpr int kQueryThreads = 8;
+  constexpr int kServingThreads = 4;
   constexpr int kQueriesPerThread = 25;
   constexpr int kBatches = 6;
   std::atomic<int> failures{0};
   std::atomic<int> nonmonotonic{0};
 
+  auto random_query = [&](Rng* rng) {
+    minihouse::BoundQuery query = testutil::ToyJoinQuery(*db);
+    if (rng->Uniform(2) == 0) {
+      query.tables[0].filters.push_back(Pred(
+          1, CompareOp::kLt, static_cast<int64_t>(1 + rng->Uniform(49))));
+    }
+    return query;
+  };
+
   std::vector<std::thread> threads;
-  threads.reserve(kQueryThreads + 1);
+  threads.reserve(kQueryThreads + kServingThreads + 1);
+  for (int t = 0; t < kServingThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(2000 + t);
+      for (int i = 0; i < kQueriesPerThread; ++i) {
+        auto result = bc->Wait(bc->Submit(random_query(&rng)));
+        if (!result.ok() || result.value().ScalarCount() <= 0) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
   for (int t = 0; t < kQueryThreads; ++t) {
     threads.emplace_back([&, t] {
       minihouse::Optimizer optimizer;
       Rng rng(1000 + t);
       uint64_t last_version = 0;
       for (int i = 0; i < kQueriesPerThread; ++i) {
-        minihouse::BoundQuery query = testutil::ToyJoinQuery(*db);
-        if (rng.Uniform(2) == 0) {
-          query.tables[0].filters.push_back(
-              Pred(1, CompareOp::kLt,
-                   static_cast<int64_t>(1 + rng.Uniform(49))));
-        }
-        auto result = minihouse::PlanAndExecute(query, optimizer, bc.get());
+        auto result = minihouse::PlanAndExecute(random_query(&rng), optimizer,
+                                                bc.get());
         if (!result.ok() || result.value().ScalarCount() <= 0) {
           failures.fetch_add(1);
           continue;
@@ -537,13 +554,15 @@ TEST(IncrementalConcurrencyTest, IngestRacesQueriesAndLifecycle) {
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(nonmonotonic.load(), 0);
+  EXPECT_EQ(bc->scheduler()->counters().completed,
+            kServingThreads * kQueriesPerThread);
+  bc->StopServing();
   // Every batch published (possibly interleaved with lifecycle publishes).
   EXPECT_GE(bc->SnapshotVersion(), version_before + kBatches);
   EXPECT_EQ(
       bc->incremental_maintainer()->stats().batches_applied, kBatches);
   EXPECT_EQ(db->FindTable("fact").value()->num_rows(),
             4000 + kBatches * 250);
-  fs::remove_all(dir);
 }
 
 }  // namespace

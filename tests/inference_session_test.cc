@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -25,7 +24,6 @@
 namespace bytecard {
 namespace {
 
-namespace fs = std::filesystem;
 using minihouse::BoundQuery;
 using minihouse::BoundTableRef;
 using minihouse::ColumnPredicate;
@@ -40,9 +38,7 @@ using minihouse::PhysicalPlan;
 class InferenceSessionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string(
-        (fs::temp_directory_path() / "bytecard_session_test").string());
-    fs::remove_all(*dir_);
+    dir_ = new testutil::TempDir("session");
     db_ = testutil::BuildToyDatabase(20000).release();
 
     ByteCard::Options options;
@@ -51,7 +47,7 @@ class InferenceSessionTest : public ::testing::Test {
     options.rbx.replicas = 2;
     options.rbx.epochs = 30;
     auto bc = ByteCard::Bootstrap(
-        *db_, {testutil::ToyJoinQuery(*db_)}, *dir_, options);
+        *db_, {testutil::ToyJoinQuery(*db_)}, dir_->str(), options);
     BC_CHECK_OK(bc.status());
     bytecard_ = std::move(bc).value().release();
   }
@@ -59,7 +55,6 @@ class InferenceSessionTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete bytecard_;
     delete db_;
-    fs::remove_all(*dir_);
     delete dir_;
   }
 
@@ -141,12 +136,12 @@ class InferenceSessionTest : public ::testing::Test {
     return {std::move(plan_on), std::move(plan_off)};
   }
 
-  static std::string* dir_;
+  static testutil::TempDir* dir_;
   static minihouse::Database* db_;
   static ByteCard* bytecard_;
 };
 
-std::string* InferenceSessionTest::dir_ = nullptr;
+testutil::TempDir* InferenceSessionTest::dir_ = nullptr;
 minihouse::Database* InferenceSessionTest::db_ = nullptr;
 ByteCard* InferenceSessionTest::bytecard_ = nullptr;
 
@@ -262,10 +257,8 @@ TEST_F(InferenceSessionTest, PlanningStatsReachExecStats) {
 }
 
 TEST(SessionConcurrencyTest, ThreadsShareSnapshotWithPrivateSessions) {
-  namespace tfs = std::filesystem;
-  const std::string dir =
-      (tfs::temp_directory_path() / "bytecard_session_concurrency").string();
-  tfs::remove_all(dir);
+  const testutil::TempDir tmp("session_concurrency");
+  const std::string& dir = tmp.str();
   auto db = testutil::BuildToyDatabase(8000);
 
   ByteCard::Options options;
@@ -316,7 +309,6 @@ TEST(SessionConcurrencyTest, ThreadsShareSnapshotWithPrivateSessions) {
                                                                << i;
   }
   EXPECT_FALSE(estimates[0].empty());
-  tfs::remove_all(dir);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <map>
 #include <numeric>
 
@@ -14,6 +13,7 @@
 #include "minihouse/executor.h"
 #include "sql/analyzer.h"
 #include "stats/traditional_estimator.h"
+#include "test_util.h"
 #include "workload/datagen.h"
 #include "workload/qerror.h"
 #include "workload/truth.h"
@@ -22,14 +22,10 @@
 namespace bytecard {
 namespace {
 
-namespace fs = std::filesystem;
-
 class IntegrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string(
-        (fs::temp_directory_path() / "bytecard_integration").string());
-    fs::remove_all(*dir_);
+    dir_ = new testutil::TempDir("integration");
 
     db_ = workload::GenerateAeolus(0.15, 2026).value().release();
 
@@ -49,7 +45,7 @@ class IntegrationTest : public ::testing::Test {
     bc_options.rbx.sample_rates = {0.02, 0.05};
     bc_options.rbx.replicas = 2;
     bc_options.rbx.epochs = 25;
-    auto bc = ByteCard::Bootstrap(*db_, hint, *dir_, bc_options);
+    auto bc = ByteCard::Bootstrap(*db_, hint, dir_->str(), bc_options);
     BC_CHECK_OK(bc.status());
     bytecard_ = std::move(bc).value().release();
 
@@ -65,11 +61,10 @@ class IntegrationTest : public ::testing::Test {
     delete bytecard_;
     delete workload_;
     delete db_;
-    fs::remove_all(*dir_);
     delete dir_;
   }
 
-  static std::string* dir_;
+  static testutil::TempDir* dir_;
   static minihouse::Database* db_;
   static workload::Workload* workload_;
   static ByteCard* bytecard_;
@@ -78,7 +73,7 @@ class IntegrationTest : public ::testing::Test {
   static stats::SampleEstimator* sample_;
 };
 
-std::string* IntegrationTest::dir_ = nullptr;
+testutil::TempDir* IntegrationTest::dir_ = nullptr;
 minihouse::Database* IntegrationTest::db_ = nullptr;
 workload::Workload* IntegrationTest::workload_ = nullptr;
 ByteCard* IntegrationTest::bytecard_ = nullptr;

@@ -15,7 +15,9 @@
 #include "minihouse/database.h"
 #include "minihouse/decode_cache.h"
 #include "minihouse/encoded_block.h"
+#include "minihouse/executor.h"
 #include "minihouse/io_stats.h"
+#include "minihouse/optimizer.h"
 #include "minihouse/predicate.h"
 #include "minihouse/reader.h"
 #include "minihouse/table.h"
@@ -363,12 +365,13 @@ TEST(EncodedScanTest, PruningSkipsBlocksAndPreservesResults) {
   pred.operand2 = 200;  // entirely inside block 0
 
   ScanOptions no_prune;
+  no_prune.features.prune_blocks = false;
   IoStats io_off;
   ScanResult base = ScanTable(*table, {pred}, {0, 1}, no_prune, &io_off);
   EXPECT_EQ(io_off.blocks_pruned, 0);
 
   ScanOptions prune = no_prune;
-  prune.prune_blocks = true;
+  prune.features.prune_blocks = true;
   IoStats io_on;
   ScanResult pruned = ScanTable(*table, {pred}, {0, 1}, prune, &io_on);
 
@@ -379,6 +382,39 @@ TEST(EncodedScanTest, PruningSkipsBlocksAndPreservesResults) {
   EXPECT_EQ(io_on.blocks_pruned, 7);
   EXPECT_LT(io_on.blocks_read, io_off.blocks_read);
   EXPECT_GT(io_on.encoded_blocks, 0);
+
+  // Planned leg: OptimizerOptions::features.prune_blocks reaches the scans.
+  struct UniformEstimator : CardinalityEstimator {
+    std::string Name() const override { return "uniform"; }
+    double EstimateSelectivity(const Table&, const Conjunction&) override {
+      return 1.0;
+    }
+    double EstimateJoinCardinality(const BoundQuery&,
+                                   const std::vector<int>&) override {
+      return 1.0;
+    }
+    double EstimateGroupNdv(const BoundQuery&) override { return 1.0; }
+  } estimator;
+  BoundQuery query;
+  BoundTableRef ref;
+  ref.table = table.get();
+  ref.filters = {pred};
+  query.tables = {ref};
+  query.group_by = {{0, 0}};
+  query.aggs = {{AggFunc::kCountStar, -1, -1}, {AggFunc::kSum, 0, 1}};
+  OptimizerOptions unpruned;
+  unpruned.features.prune_blocks = false;
+  auto planned_off = PlanAndExecute(query, Optimizer(unpruned), &estimator);
+  auto planned_on = PlanAndExecute(query, Optimizer(), &estimator);
+  ASSERT_TRUE(planned_off.ok()) << planned_off.status().ToString();
+  ASSERT_TRUE(planned_on.ok()) << planned_on.status().ToString();
+  EXPECT_EQ(planned_on.value().agg.num_groups, 191);
+  EXPECT_EQ(planned_on.value().agg.group_keys,
+            planned_off.value().agg.group_keys);
+  EXPECT_EQ(planned_on.value().agg.agg_values,
+            planned_off.value().agg.agg_values);
+  EXPECT_EQ(planned_off.value().stats.blocks_pruned, 0);
+  EXPECT_GT(planned_on.value().stats.blocks_pruned, 0);
 }
 
 TEST(EncodedScanTest, AllBlocksPrunedReadsNothing) {
@@ -389,7 +425,7 @@ TEST(EncodedScanTest, AllBlocksPrunedReadsNothing) {
   pred.op = CompareOp::kGt;
   pred.operand = kBlockRows * 100;  // beyond every zone map
   ScanOptions options;
-  options.prune_blocks = true;
+  options.features.prune_blocks = true;
   for (const ReaderKind reader :
        {ReaderKind::kSingleStage, ReaderKind::kMultiStage}) {
     options.reader = reader;
@@ -445,7 +481,9 @@ TEST(EncodedScanTest, EncodedAndRawScansAreByteIdentical) {
       for (const int dop : {1, 4}) {
         ScanOptions options;
         options.reader = reader;
-        options.specialized_predicates = specialized;
+        options.features.specialized_predicates = specialized;
+        // Raw storage has no zone maps: compare unpruned I/O.
+        options.features.prune_blocks = false;
         options.dop = dop;
         IoStats io_enc, io_raw;
         ScanResult enc = ScanTable(*encoded, filters, {0, 1, 2}, options,

@@ -62,8 +62,8 @@ PhysicalPlan MakePlan(const BoundQuery& query, bool prune, bool sip, int dop) {
   for (TableScanPlan& scan : plan.scans) scan.dop = dop;
   plan.join_dop.assign(query.tables.size(), dop);
   plan.agg_dop = dop;
-  plan.prune_columns = prune;
-  plan.use_sip = sip;
+  plan.features.prune_columns = prune;
+  plan.features.sip = sip;
   return plan;
 }
 
@@ -325,9 +325,9 @@ TEST(OperatorDagTest, PruningCostsNoEstimatorCalls) {
   const BoundQuery query = ThreeTableQuery(*db);
 
   OptimizerOptions with_prune;
-  with_prune.prune_columns = true;
+  with_prune.features.prune_columns = true;
   OptimizerOptions without_prune;
-  without_prune.prune_columns = false;
+  without_prune.features.prune_columns = false;
 
   CountingEstimator est1;
   const PhysicalPlan plan1 = Optimizer(with_prune).Plan(query, &est1);

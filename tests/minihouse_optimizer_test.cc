@@ -283,7 +283,7 @@ TEST(OptimizerTest, RecordsEstimationTime) {
   estimator.column_selectivity = {{0, 0.1}, {1, 0.1}};
   Optimizer optimizer;
   const PhysicalPlan plan = optimizer.Plan(query, &estimator);
-  EXPECT_GE(plan.estimation_ms, 0.0);
+  EXPECT_GE(plan.estimation.planning_nanos, 0);
 }
 
 }  // namespace

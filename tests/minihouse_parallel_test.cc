@@ -291,23 +291,23 @@ TEST(ParallelAggregateTest, NdvHintPresizesEveryPartition) {
 
 // --- End-to-end executor ---------------------------------------------------
 
-PhysicalPlan ToyPlan(bool use_sip) {
+PhysicalPlan ToyPlan(bool sip) {
   PhysicalPlan plan;
   plan.scans.resize(2);
   plan.join_order = {1, 0};  // dim first so SIP can prune the fact scan
   plan.join_dop.assign(2, 1);
-  plan.use_sip = use_sip;
+  plan.features.sip = sip;
   return plan;
 }
 
-void ExpectExecEquivalent(const BoundQuery& query, bool use_sip) {
-  PhysicalPlan serial_plan = ToyPlan(use_sip);
+void ExpectExecEquivalent(const BoundQuery& query, bool sip) {
+  PhysicalPlan serial_plan = ToyPlan(sip);
   auto serial = ExecuteQuery(query, serial_plan);
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(serial.value().stats.threads_used, 1);
   EXPECT_EQ(serial.value().stats.parallel_tasks, 0);
 
-  PhysicalPlan parallel_plan = ToyPlan(use_sip);
+  PhysicalPlan parallel_plan = ToyPlan(sip);
   parallel_plan.scans[0].dop = 4;  // fact scan
   parallel_plan.join_dop[0] = 4;   // fact as probe side
   parallel_plan.agg_dop = 4;
@@ -332,7 +332,7 @@ TEST(ParallelExecutorTest, JoinAggIdenticalAcrossDopsSipOff) {
   query.tables[0].filters = {Pred(1, CompareOp::kGe, 10)};
   query.group_by = {{0, 2}, {1, 1}};  // fact.bucket, dim.category
   query.aggs = {{AggFunc::kCountStar, -1, -1}, {AggFunc::kSum, 0, 1}};
-  ExpectExecEquivalent(query, /*use_sip=*/false);
+  ExpectExecEquivalent(query, /*sip=*/false);
 }
 
 TEST(ParallelExecutorTest, JoinAggIdenticalAcrossDopsSipOn) {
@@ -342,7 +342,7 @@ TEST(ParallelExecutorTest, JoinAggIdenticalAcrossDopsSipOn) {
   query.tables[1].filters = {Pred(0, CompareOp::kLt, 30)};
   query.group_by = {{0, 2}, {1, 1}};
   query.aggs = {{AggFunc::kCountStar, -1, -1}, {AggFunc::kSum, 0, 1}};
-  ExpectExecEquivalent(query, /*use_sip=*/true);
+  ExpectExecEquivalent(query, /*sip=*/true);
 }
 
 // --- Optimizer dop selection -----------------------------------------------

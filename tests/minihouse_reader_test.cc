@@ -66,8 +66,10 @@ TEST(ReaderTest, MultiStageSavesIoOnSelectiveFilters) {
   IoStats io_multi;
   ScanOptions single;
   single.reader = ReaderKind::kSingleStage;
+  single.features.prune_blocks = false;  // counts below model unpruned I/O
   ScanOptions multi;
   multi.reader = ReaderKind::kMultiStage;
+  multi.features.prune_blocks = false;
   ScanTable(*table, filters, {1, 2}, single, &io_single);
   ScanTable(*table, filters, {1, 2}, multi, &io_multi);
 
@@ -109,12 +111,15 @@ TEST(ReaderTest, FilterOrderControlsStageSequence) {
   useless.operand = 0;
   Conjunction filters = {useless, SelectiveFilter()[0]};
 
+  // Unpruned I/O: zone maps would skip the same blocks under either order.
   ScanOptions selective_first;
   selective_first.reader = ReaderKind::kMultiStage;
   selective_first.filter_order = {1, 0};
+  selective_first.features.prune_blocks = false;
   ScanOptions useless_first;
   useless_first.reader = ReaderKind::kMultiStage;
   useless_first.filter_order = {0, 1};
+  useless_first.features.prune_blocks = false;
 
   IoStats io_good;
   IoStats io_bad;

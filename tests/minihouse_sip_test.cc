@@ -118,10 +118,10 @@ TEST_F(SipScanTest, ExecutorSipPreservesResultsAndSavesIo) {
   minihouse::PhysicalPlan with_sip;
   with_sip.scans.resize(2);
   with_sip.join_order = {1, 0};  // dim first (small), fact probes
-  with_sip.use_sip = true;
+  with_sip.features.sip = true;
 
   minihouse::PhysicalPlan without_sip = with_sip;
-  without_sip.use_sip = false;
+  without_sip.features.sip = false;
 
   auto a = minihouse::ExecuteQuery(query, with_sip);
   auto b = minihouse::ExecuteQuery(query, without_sip);
@@ -135,7 +135,7 @@ TEST_F(SipScanTest, ExecutorSipPreservesResultsAndSavesIo) {
 
 TEST_F(SipScanTest, OptimizerFlagDisablesSip) {
   minihouse::OptimizerOptions options;
-  options.enable_sip = false;
+  options.features.sip = false;
   const minihouse::Optimizer optimizer(options);
   minihouse::BoundQuery query = testutil::ToyJoinQuery(*db_);
   // Any estimator works; use a trivial one via the sketch-free default path:
@@ -155,7 +155,7 @@ TEST_F(SipScanTest, OptimizerFlagDisablesSip) {
     }
   } trivial;
   const minihouse::PhysicalPlan plan = optimizer.Plan(query, &trivial);
-  EXPECT_FALSE(plan.use_sip);
+  EXPECT_FALSE(plan.features.sip);
 }
 
 }  // namespace

@@ -467,11 +467,11 @@ TEST(SpecializationIdentityTest, FullQueryIdenticalAcrossDopAndSip) {
       minihouse::OptimizerOptions base;
       base.max_dop = dop;
       base.min_dop_work_rows = 1;
-      base.enable_sip = sip;
+      base.features.sip = sip;
 
       minihouse::OptimizerOptions generic_opts = base;
-      generic_opts.specialize_operators = false;
-      generic_opts.specialized_predicates = false;
+      generic_opts.features.specialize_ops = false;
+      generic_opts.features.specialized_predicates = false;
 
       auto specialized = minihouse::PlanAndExecute(
           query, minihouse::Optimizer(base), &estimator);

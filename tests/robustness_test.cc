@@ -108,10 +108,8 @@ TEST(RobustnessTest, EnginesRejectGarbageViaLoadModel) {
 // --- Hostile artifact store -----------------------------------------------------
 
 TEST(RobustnessTest, LoaderSurvivesJunkFilesInStore) {
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_junk_store").string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const testutil::TempDir tmp("junk_store");
+  const std::string& dir = tmp.str();
 
   // Junk that must be ignored or surfaced as data, never crash.
   std::ofstream(dir + "/README.txt") << "not a model";
@@ -129,7 +127,6 @@ TEST(RobustnessTest, LoaderSurvivesJunkFilesInStore) {
     BnCountEngine engine;
     EXPECT_FALSE(engine.LoadModel(model.bytes).ok());
   }
-  fs::remove_all(dir);
 }
 
 // --- SQL parser under random token soup ----------------------------------------

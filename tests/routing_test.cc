@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,7 +26,6 @@
 namespace bytecard {
 namespace {
 
-namespace fs = std::filesystem;
 using minihouse::AggFunc;
 using minihouse::BoundQuery;
 using minihouse::BoundTableRef;
@@ -245,8 +243,6 @@ TEST(RoutingTableTest, WithoutTableRetiresTouchingRoutes) {
 class RoutingByteCardTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "bytecard_routing_test").string();
-    fs::remove_all(dir_);
     db_ = testutil::BuildToyDatabase(12000);
 
     ByteCard::Options options;
@@ -256,20 +252,18 @@ class RoutingByteCardTest : public ::testing::Test {
     options.rbx.epochs = 10;
     options.run_monitor = false;
     options.enable_feedback = true;
-    auto bc = ByteCard::Bootstrap(*db_, {testutil::ToyJoinQuery(*db_)}, dir_,
-                                  options);
+    auto bc = ByteCard::Bootstrap(*db_, {testutil::ToyJoinQuery(*db_)},
+                                  dir_.str(), options);
     ASSERT_TRUE(bc.ok()) << bc.status().ToString();
     bytecard_ = std::move(bc).value();
   }
-
-  void TearDown() override { fs::remove_all(dir_); }
 
   Result<minihouse::ExecResult> Run(const BoundQuery& query) {
     minihouse::Optimizer optimizer;
     return minihouse::PlanAndExecute(query, optimizer, bytecard_.get());
   }
 
-  std::string dir_;
+  const testutil::TempDir dir_{"routing"};
   std::unique_ptr<minihouse::Database> db_;
   std::unique_ptr<ByteCard> bytecard_;
 };
@@ -345,12 +339,12 @@ TEST_F(RoutingIdentityTest, GeneralPathAndRoutedProbesShareNoMemoState) {
   cardest::InferenceSession session;
   double routed = 0.0;
   ASSERT_TRUE(snap->EstimateWithFamily(RouteFamily::kSample, request, &session,
-                                       nullptr, &routed));
+                                       &routed));
   EXPECT_EQ(snap->Estimate(request, &session), fresh);
   // And the probe itself is deterministic through the same session.
   double routed_again = 0.0;
   ASSERT_TRUE(snap->EstimateWithFamily(RouteFamily::kSample, request, &session,
-                                       nullptr, &routed_again));
+                                       &routed_again));
   EXPECT_EQ(routed_again, routed);
 }
 
@@ -455,9 +449,8 @@ TEST_F(RouteMinerTest, HealthDemotionRetiresRoutesOverTable) {
 // --- Concurrency (the TSan leg) -----------------------------------------------
 
 TEST(RoutingConcurrencyTest, ReminingRacesEstimationStreams) {
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_routing_race").string();
-  fs::remove_all(dir);
+  const testutil::TempDir tmp("routing_race");
+  const std::string& dir = tmp.str();
   auto db = testutil::BuildToyDatabase(8000);
 
   ByteCard::Options options;
@@ -523,7 +516,6 @@ TEST(RoutingConcurrencyTest, ReminingRacesEstimationStreams) {
       bytecard->routing_table();
   ASSERT_NE(routes, nullptr);
   EXPECT_TRUE(routes->Validate().ok());
-  fs::remove_all(dir);
 }
 
 }  // namespace

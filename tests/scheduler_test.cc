@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -260,10 +259,8 @@ TEST(SchedulerSqlTest, AnalyzerErrorsSurfaceThroughWait) {
 }
 
 TEST(SchedulerSqlTest, FacadeWiresDefaultAnalyzer) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_sql_front_door").string();
-  fs::remove_all(dir);
+  const testutil::TempDir tmp("sql_front_door");
+  const std::string& dir = tmp.str();
   auto db = testutil::BuildToyDatabase(6000);
 
   ByteCard::Options options;
@@ -287,7 +284,6 @@ TEST(SchedulerSqlTest, FacadeWiresDefaultAnalyzer) {
       bytecard->Submit(std::string("SELECT COUNT(*) FROM nope"), *db));
   EXPECT_FALSE(bad.ok());
   bytecard->StopServing();
-  fs::remove_all(dir);
 }
 
 TEST(SchedulerSqlTest, MissingAnalyzerRejectsSqlSubmissions) {
@@ -301,10 +297,8 @@ TEST(SchedulerSqlTest, MissingAnalyzerRejectsSqlSubmissions) {
 }
 
 TEST(SchedulerConcurrencyTest, LifecyclePublishesRaceSubmittingStreams) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_scheduler_stress").string();
-  fs::remove_all(dir);
+  const testutil::TempDir tmp("scheduler_stress");
+  const std::string& dir = tmp.str();
   auto db = testutil::BuildToyDatabase(8000);
 
   ByteCard::Options options;
@@ -395,7 +389,6 @@ TEST(SchedulerConcurrencyTest, LifecyclePublishesRaceSubmittingStreams) {
   EXPECT_EQ(counters.completed, kStreams * kPerStream);
   bytecard->StopServing();
   EXPECT_EQ(bytecard->scheduler(), nullptr);
-  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
-// Shared helpers for tests: a deterministic toy catalog with known contents.
+// Shared helpers for tests: a deterministic toy catalog with known contents,
+// and per-process scratch directories.
 
 #ifndef BYTECARD_TESTS_TEST_UTIL_H_
 #define BYTECARD_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +17,30 @@
 #include "minihouse/query.h"
 
 namespace bytecard::testutil {
+
+// An empty scratch directory under the system temp dir, removed on
+// destruction. The name carries the process id: ctest runs every TEST as its
+// own process, so parallel runs of one fixture never share (and delete each
+// other's) model artifacts.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& name)
+      : path_((std::filesystem::temp_directory_path() /
+               ("bytecard_test_" + name + "_" + std::to_string(::getpid())))
+                  .string()) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~TempDir() { std::filesystem::remove_all(path_); }
+
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& str() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 // Builds a small two-table star:
 //   dim(id 0..99, category = id % 5, flag = id < 20 ? 1 : 0)

@@ -94,7 +94,7 @@ IdentityOutcome RunIdentityLeg(double scale) {
           fps.push_back(ResultFingerprint(result.value()));
           if (format == StorageFormat::kEncoded) {
             outcome.encoded_blocks_pruned +=
-                result.value().stats.blocks_pruned;
+                result.value().stats.io.blocks_pruned;
           }
         }
         if (format == StorageFormat::kEncoded) {
@@ -180,10 +180,10 @@ ScalePoint RunScalePoint(double scale, int64_t cache_budget) {
           minihouse::PlanAndExecute(query.value(), optimizer, &estimator);
       BC_CHECK_OK(result.status());
       const minihouse::ExecStats& stats = result.value().stats;
-      point.blocks_pruned += stats.blocks_pruned;
+      point.blocks_pruned += stats.io.blocks_pruned;
       point.blocks_read += stats.io.blocks_read;
-      point.decode_cache_hits += stats.decode_cache_hits;
-      point.decode_cache_evictions += stats.decode_cache_evictions;
+      point.decode_cache_hits += stats.io.decode_cache_hits;
+      point.decode_cache_evictions += stats.io.decode_cache_evictions;
       point.bytes_resident =
           std::max(point.bytes_resident, stats.bytes_resident);
     }

@@ -52,6 +52,18 @@ echo "== bench smoke: adaptive routing (mined dispatch) =="
 # writes BENCH_adaptive_routing.json (smoke scale).
 (cd "${BUILD_DIR}/bench" && ./bench_adaptive_routing --smoke)
 
+echo "== perfbench smoke: stats-adhoc runner =="
+# Builds the repository benchmark's runner from this checkout and runs one
+# short stats-adhoc window; fails unless every query answered correctly.
+# A src/ interface change that breaks the runner fails here.
+(cd "${REPO_ROOT}" &&
+  python3 perfbench/run.py --workload stats-adhoc --seed 1 --seconds 1 \
+    --trace 0 | tail -n 1 |
+  python3 -c 'import json, sys
+r = json.loads(sys.stdin.read())
+print("perfbench smoke:", {k: r[k] for k in ("correct", "attempted", "failed")})
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)')
+
 echo "== sanitizer: thread =="
 "${REPO_ROOT}/ci/sanitize.sh" thread
 

@@ -14,13 +14,7 @@
 namespace bytecard {
 
 ByteCard::ByteCard(Options options)
-    : options_(std::move(options)), monitor_(options_.monitor) {
-  if (options_.enable_feedback) {
-    feedback_owned_ =
-        std::make_unique<feedback::FeedbackManager>(options_.feedback);
-    feedback_.store(feedback_owned_.get(), std::memory_order_release);
-  }
-}
+    : options_(std::move(options)), monitor_(options_.monitor) {}
 
 void ByteCard::EnableFeedback() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);

@@ -74,11 +74,8 @@ class ByteCard : public minihouse::CardinalityEstimator {
     ModelMonitor::Options monitor;
     bool run_monitor = true;
     bool build_fallback_sketches = true;
-    // Runtime-feedback subsystem: capture estimate-vs-actual per executed
-    // query, serve repeated subplans from the feedback cache, and detect
-    // per-table drift from real traffic (no synthetic probes). Off by
-    // default; EnableFeedback() turns it on after Bootstrap too.
-    bool enable_feedback = false;
+    // Runtime-feedback subsystem settings, used once EnableFeedback() turns
+    // it on.
     feedback::FeedbackOptions feedback;
     // Reuse a pre-trained workload-independent RBX artifact instead of
     // training (one offline session serves every dataset — paper §4.3).
@@ -143,10 +140,12 @@ class ByteCard : public minihouse::CardinalityEstimator {
   void SetTableHealth(const std::string& table, bool healthy);
 
   // --- Runtime feedback ------------------------------------------------------
-  // Turns the feedback subsystem on (idempotent): subsequent PinSnapshot
-  // views expose the manager as their QueryFeedbackHook, so the optimizer
-  // serves repeated subplans from the cache and the executor reports
-  // estimate-vs-actual observations into the log and drift detector.
+  // Turns the feedback subsystem on (off until called; idempotent):
+  // subsequent PinSnapshot views expose the manager as their
+  // QueryFeedbackHook, so the optimizer serves repeated subplans from the
+  // cache and the executor reports estimate-vs-actual observations into the
+  // log and the drift detector, which flags drifted tables from real traffic
+  // (no synthetic probes).
   void EnableFeedback();
 
   // The feedback subsystem, or null while disabled. Also the IngestObserver

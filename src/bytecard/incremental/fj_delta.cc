@@ -22,8 +22,8 @@ Result<FjMaintenanceState> FjMaintenanceState::Seed(
                                        member.table);
       }
       const minihouse::Column& column = table->column(member.column);
-      std::vector<cardest::NdvSketch> sketches(
-          group.buckets.num_buckets(), cardest::NdvSketch(hll_precision));
+      std::vector<stats::HyperLogLog> sketches(
+          group.buckets.num_buckets(), stats::HyperLogLog(hll_precision));
       const int64_t rows = column.num_rows();
       for (int64_t i = 0; i < rows; ++i) {
         const int64_t value = column.NumericAt(i);
@@ -67,7 +67,7 @@ Result<bool> FjMaintenanceState::ApplyBatch(const IngestDelta& delta) {
       std::vector<double> batch_count(nb, 0.0);
       std::vector<double> batch_max_freq(nb, 0.0);
       std::vector<uint8_t> sketch_grew(nb, 0);
-      std::vector<cardest::NdvSketch>& sketches = hlls->second;
+      std::vector<stats::HyperLogLog>& sketches = hlls->second;
       for (const auto& [value, freq] : cd.value_counts) {
         const int b = group.buckets.BucketOf(value);
         batch_count[b] += static_cast<double>(freq);

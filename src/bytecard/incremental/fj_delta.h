@@ -8,9 +8,9 @@
 
 #include "bytecard/incremental/ingest_delta.h"
 #include "cardest/factorjoin/factor_join.h"
-#include "cardest/ndv/hll.h"
 #include "common/status.h"
 #include "minihouse/database.h"
+#include "stats/hyperloglog.h"
 
 namespace bytecard::incremental {
 
@@ -56,7 +56,7 @@ class FjMaintenanceState {
 
   cardest::FactorJoinModel model_;
   // (table, column) -> one sketch per bucket of that key's group.
-  std::map<std::pair<std::string, int>, std::vector<cardest::NdvSketch>>
+  std::map<std::pair<std::string, int>, std::vector<stats::HyperLogLog>>
       bucket_hlls_;
   int precision_ = stats::kHllPrecision;
 };

@@ -70,7 +70,7 @@ Result<IncrementalUpdates> IncrementalMaintainer::ComputeUpdates(
   bool merged = false;
   for (const ColumnDelta& cd : delta.columns) {
     if (!cd.has_values) continue;
-    cardest::NdvSketch* sketch = ndv_.FindMutable(delta.table, cd.column);
+    stats::HyperLogLog* sketch = ndv_.FindMutable(delta.table, cd.column);
     if (sketch == nullptr || sketch->precision() != cd.hll.precision()) {
       continue;  // never seeded (or precision changed) — skip, don't guess
     }

@@ -20,7 +20,7 @@ IngestDelta IngestDelta::Build(std::string table, uint64_t epoch,
   for (size_t c = 0; c < delta.batch.size(); ++c) {
     ColumnDelta& cd = delta.columns[c];
     cd.column = static_cast<int>(c);
-    cd.hll = cardest::NdvSketch(hll_precision);
+    cd.hll = stats::HyperLogLog(hll_precision);
     const std::vector<int64_t>& values = delta.batch[c];
     if (values.empty()) continue;  // kArray column: no scalar summary
     cd.has_values = true;

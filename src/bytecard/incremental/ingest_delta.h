@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "cardest/ndv/hll.h"
+#include "stats/hyperloglog.h"
 
 namespace bytecard::incremental {
 
@@ -22,7 +22,7 @@ struct ColumnDelta {
   // Distinct batch value -> occurrence count, ascending by value.
   std::vector<std::pair<int64_t, int64_t>> value_counts;
   // Batch-local distinct sketch, ready to merge into the table's NDV sketch.
-  cardest::NdvSketch hll;
+  stats::HyperLogLog hll;
 };
 
 // Everything the incremental maintainer needs from one DataIngestor batch:

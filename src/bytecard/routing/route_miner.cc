@@ -13,16 +13,17 @@ namespace bytecard::routing {
 
 namespace {
 
-// Candidate families scored against the general router. kGeneral is the
-// baseline, kCachedActual is scored separately (it replays the cache, not an
-// estimator), and a family inapplicable for *any* record of a class is
-// disqualified for the whole class — a route must answer every
-// instantiation of its template.
-constexpr RouteFamily kCandidates[] = {
-    RouteFamily::kBn, RouteFamily::kFactorJoin, RouteFamily::kTraditional,
-    RouteFamily::kSample, RouteFamily::kZoneMap,
+// The families scored on every record. kFamilies[0], the general chain, is
+// the baseline the others challenge. kCachedActual is scored separately (it
+// replays the cache, not an estimator), and a family inapplicable for *any*
+// record of a class is disqualified for the whole class — a route must
+// answer every instantiation of its template.
+constexpr RouteFamily kFamilies[] = {
+    RouteFamily::kGeneral,     RouteFamily::kBn,
+    RouteFamily::kFactorJoin,  RouteFamily::kTraditional,
+    RouteFamily::kSample,      RouteFamily::kZoneMap,
 };
-constexpr size_t kNumCandidates = sizeof(kCandidates) / sizeof(kCandidates[0]);
+constexpr size_t kNumFamilies = sizeof(kFamilies) / sizeof(kFamilies[0]);
 
 struct FamilyScore {
   bool applicable = true;
@@ -31,9 +32,7 @@ struct FamilyScore {
 };
 
 struct ClassStats {
-  std::vector<double> general_qerrors;
-  double general_latency_nanos = 0.0;
-  FamilyScore families[kNumCandidates];
+  FamilyScore families[kNumFamilies];
   std::vector<double> cached_qerrors;
   double cached_latency_nanos = 0.0;
   std::set<std::string> tables;
@@ -134,30 +133,32 @@ Result<std::shared_ptr<const RoutingTable>> RouteMiner::Mine(
     ClassStats& stats = classes[op->route_class];
     for (const std::string& name : op->replay.tables) stats.tables.insert(name);
 
-    // The general router's answer to the same question, timed. Called
-    // routing-free (EstimateGeneral) so re-mining a snapshot whose routes
-    // are already live still scores against the true general baseline.
+    // Every family's answer to the same question, timed. kGeneral always
+    // answers, and never consults the routing table, so re-mining a snapshot
+    // whose routes are already live still scores against the true general
+    // baseline.
+    double general_q = 1.0;
+    double general_nanos = 0.0;
     Stopwatch watch;
-    double general = snapshot.EstimateGeneral(request, nullptr, nullptr);
-    const double general_nanos = static_cast<double>(watch.ElapsedNanos());
-    if (is_scan) general *= scan_rows;
-    const double general_q = minihouse::FeedbackQError(general, op->actual);
-    stats.general_qerrors.push_back(general_q);
-    stats.general_latency_nanos += general_nanos;
-
-    for (size_t f = 0; f < kNumCandidates; ++f) {
+    for (size_t f = 0; f < kNumFamilies; ++f) {
       FamilyScore& score = stats.families[f];
       if (!score.applicable) continue;
       double value = 0.0;
       watch.Restart();
-      if (!snapshot.EstimateWithFamily(kCandidates[f], request, nullptr,
+      if (!snapshot.EstimateWithFamily(kFamilies[f], request, nullptr,
                                        &value)) {
         score.applicable = false;
         continue;
       }
-      score.total_latency_nanos += static_cast<double>(watch.ElapsedNanos());
+      const double nanos = static_cast<double>(watch.ElapsedNanos());
+      score.total_latency_nanos += nanos;
       if (is_scan) value *= scan_rows;
-      score.qerrors.push_back(minihouse::FeedbackQError(value, op->actual));
+      const double q = minihouse::FeedbackQError(value, op->actual);
+      score.qerrors.push_back(q);
+      if (f == 0) {
+        general_q = q;
+        general_nanos = nanos;
+      }
     }
 
     // Cached-actual family: a repeat of an already-observed fingerprint is
@@ -180,12 +181,12 @@ Result<std::shared_ptr<const RoutingTable>> RouteMiner::Mine(
 
   local_report.classes_seen = static_cast<int64_t>(classes.size());
   for (auto& [cls, stats] : classes) {
-    const int64_t samples =
-        static_cast<int64_t>(stats.general_qerrors.size());
+    const FamilyScore& general = stats.families[0];
+    const int64_t samples = static_cast<int64_t>(general.qerrors.size());
     if (samples < options_.min_samples_per_class) continue;
     const double n = static_cast<double>(samples);
-    const double general_med = Median(stats.general_qerrors);
-    const double general_lat = stats.general_latency_nanos / n;
+    const double general_med = Median(general.qerrors);
+    const double general_lat = general.total_latency_nanos / n;
 
     // Gather eligible challengers: at least as accurate as the general
     // router (median), applicable on every record of the class.
@@ -195,12 +196,12 @@ Result<std::shared_ptr<const RoutingTable>> RouteMiner::Mine(
       double mean_latency;
     };
     std::vector<Challenger> eligible;
-    for (size_t f = 0; f < kNumCandidates; ++f) {
+    for (size_t f = 1; f < kNumFamilies; ++f) {
       const FamilyScore& score = stats.families[f];
       if (!score.applicable || score.qerrors.empty()) continue;
       const double med = Median(score.qerrors);
       if (med > general_med) continue;
-      eligible.push_back({kCandidates[f], med, score.total_latency_nanos / n});
+      eligible.push_back({kFamilies[f], med, score.total_latency_nanos / n});
     }
     {
       const double med = Median(stats.cached_qerrors);

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <utility>
 
-#include "cardest/route_class.h"
 #include "common/logging.h"
 #include "minihouse/predicate.h"
 #include "stats/ndv_classic.h"
@@ -13,6 +12,8 @@
 namespace bytecard {
 
 namespace {
+
+using routing::RouteFamily;
 
 void CountFallback(SnapshotCounters* counters) {
   if (counters != nullptr) ++counters->fallback_estimates;
@@ -45,234 +46,201 @@ double EstimatorSnapshot::Estimate(const cardest::CardEstRequest& request,
                                    cardest::InferenceSession* session,
                                    SnapshotCounters* counters) const {
   // Adaptive routing: resolve the request's route class against the mined
-  // table, then dispatch to the empirically-best family. With no live table
-  // (bootstrap, empty mine, stale epoch) this is one bool test and the
-  // general path below runs byte-identically to the pre-routing dispatch.
+  // table and dispatch to the empirically-best family. With no live table
+  // (bootstrap, empty mine, stale epoch) this is one bool test and every
+  // request takes the general chain. kCachedActual routes are answered by the
+  // feedback cache upstream (EstimationContext), so the snapshot serves them
+  // generally on a cache miss; neither they nor kGeneral routes count as a
+  // route fallback — the general chain *is* their mined answer here.
+  RouteFamily family = RouteFamily::kGeneral;
   if (routing_live_) {
-    const std::string cls = cardest::RouteClassOf(request, session);
+    const std::string cls = request.RouteClass(session);
     const routing::RouteDecision* route = routing_->Find(cls);
     if (route != nullptr) {
       if (counters != nullptr) counters->route_classes_seen.insert(cls);
-      if (route->family != routing::RouteFamily::kGeneral &&
-          route->family != routing::RouteFamily::kCachedActual) {
-        double routed = 0.0;
-        if (EstimateWithFamily(route->family, request, session, &routed)) {
-          if (counters != nullptr) ++counters->routed_estimates;
-          return routed;
-        }
-        if (counters != nullptr) ++counters->route_fallbacks;
-      }
-      // kGeneral routes fall through by decision; kCachedActual routes are
-      // answered by the feedback cache upstream (EstimationContext), so the
-      // snapshot serves them generally on a cache miss. Neither counts as a
-      // route fallback — the general path *is* their mined answer here.
+      if (route->family != RouteFamily::kCachedActual) family = route->family;
     }
   }
-  return EstimateGeneral(request, session, counters);
+  double value = 1.0;
+  if (family != RouteFamily::kGeneral) {
+    if (EstimateWithFamily(family, request, session, &value)) {
+      if (counters != nullptr) ++counters->routed_estimates;
+      return value;
+    }
+    if (counters != nullptr) ++counters->route_fallbacks;
+  }
+  EstimateWithFamily(RouteFamily::kGeneral, request, session, &value,
+                     counters);
+  return value;
 }
 
-double EstimatorSnapshot::EstimateGeneral(
-    const cardest::CardEstRequest& request, cardest::InferenceSession* session,
+bool EstimatorSnapshot::EstimateWithFamily(
+    RouteFamily family, const cardest::CardEstRequest& request,
+    cardest::InferenceSession* session, double* out,
     SnapshotCounters* counters) const {
   using cardest::CardEstTarget;
+  const bool general = family == RouteFamily::kGeneral;
   switch (request.target) {
     case CardEstTarget::kSelectivity:
-      return SelectivityImpl(*request.table, *request.filters, session,
-                             counters);
+      return Selectivity(family, *request.table, *request.filters, session,
+                         counters, out);
     case CardEstTarget::kJoinCount: {
       // All-tables requests resolve through the session's cached iota when
       // one is given — no per-call allocation on the planning hot path.
       std::vector<int> scratch;
-      return JoinImpl(*request.query, request.ResolveTables(session, &scratch),
-                      session, counters);
+      return JoinCount(family, *request.query,
+                       request.ResolveTables(session, &scratch), session,
+                       counters, out);
     }
     case CardEstTarget::kGroupNdv:
-      return GroupNdvImpl(*request.query, session, counters);
-    case CardEstTarget::kColumnNdv:
-      return ColumnNdvImpl(*request.table, request.ndv_column,
-                           *request.filters, session, counters);
-    case CardEstTarget::kDisjunction:
-      return DisjunctionImpl(*request.table, *request.disjuncts, session,
-                             counters);
-  }
-  return 1.0;
-}
-
-bool EstimatorSnapshot::FamilySelectivity(routing::RouteFamily family,
-                                          const minihouse::Table& table,
-                                          const minihouse::Conjunction& filters,
-                                          cardest::InferenceSession* session,
-                                          double* out) const {
-  // Family-prefixed memo keys keep routed probes out of the general "sel:"
-  // memo: the same (table, filters) can be probed both ways in one query
-  // (e.g. a routed scan next to a general join prefix) and each must replay
-  // its own answer.
-  std::string key;
-  if (session != nullptr) {
-    key = "rt" + std::to_string(static_cast<int>(family)) + ":" +
-          cardest::TableKey(table, filters);
-    double value = 0.0;
-    bool was_fallback = false;
-    if (session->LookupScalar(key, &value, &was_fallback)) {
-      *out = value;
-      return true;
-    }
-  }
-  double value = 0.0;
-  switch (family) {
-    case routing::RouteFamily::kBn: {
-      const cardest::BnInferenceContext* context = bn_context(table.name());
-      if (context == nullptr || !IsHealthy(table.name())) return false;
-      value = context->EstimateSelectivity(filters);
-      break;
-    }
-    case routing::RouteFamily::kTraditional:
-      if (fallback_ == nullptr) return false;
-      value = fallback_->EstimateSelectivity(table, filters);
-      break;
-    case routing::RouteFamily::kSample: {
-      if (samples_ == nullptr) return false;
-      auto it = samples_->find(table.name());
-      if (it == samples_->end() || it->second.num_rows() == 0) return false;
-      value = static_cast<double>(it->second.CountMatches(filters)) /
-              static_cast<double>(it->second.num_rows());
-      break;
-    }
-    case routing::RouteFamily::kZoneMap:
-      value = minihouse::ZoneMapSelectivityBound(table, filters);
-      break;
-    default:
-      return false;
-  }
-  if (session != nullptr) session->StoreScalar(key, value, false);
-  *out = value;
-  return true;
-}
-
-bool EstimatorSnapshot::EstimateWithFamily(
-    routing::RouteFamily family, const cardest::CardEstRequest& request,
-    cardest::InferenceSession* session, double* out) const {
-  using cardest::CardEstTarget;
-  switch (request.target) {
-    case CardEstTarget::kSelectivity:
-      return FamilySelectivity(family, *request.table, *request.filters,
-                               session, out);
-    case CardEstTarget::kJoinCount: {
-      std::vector<int> scratch;
-      const std::vector<int>& subset = request.ResolveTables(session, &scratch);
-      if (subset.size() == 1) {
-        // Single-table "join" questions are selectivity questions; every
-        // selectivity-capable family answers them scaled to row counts.
-        const minihouse::BoundTableRef& ref = request.query->tables[subset[0]];
-        double sel = 0.0;
-        if (!FamilySelectivity(family, *ref.table, ref.filters, session,
-                               &sel)) {
-          return false;
-        }
-        *out = sel * static_cast<double>(ref.table->num_rows());
+      if (general) {
+        *out = GroupNdvImpl(*request.query, session, counters);
         return true;
       }
-      switch (family) {
-        case routing::RouteFamily::kFactorJoin: {
-          if (fj_engine_ == nullptr) return false;
-          FeatureVector features;
-          features.query = request.query;
-          features.table_subset = subset;
-          features.session = session;
-          Result<double> estimate = fj_engine_->Estimate(features);
-          if (!estimate.ok()) return false;
-          *out = estimate.value();
-          return true;
-        }
-        case routing::RouteFamily::kTraditional:
-          if (fallback_ == nullptr) return false;
-          *out = fallback_->EstimateJoinCardinality(*request.query, subset);
-          return true;
-        default:
-          return false;
-      }
-    }
-    case CardEstTarget::kGroupNdv:
-      if (family != routing::RouteFamily::kTraditional ||
-          fallback_ == nullptr) {
+      if (family != RouteFamily::kTraditional || fallback_ == nullptr) {
         return false;
       }
       *out = fallback_->EstimateGroupNdv(*request.query);
       return true;
     case CardEstTarget::kColumnNdv:
+      // No other family implements these targets: the general path's RBX /
+      // inclusion-exclusion machinery is the only answer.
+      if (!general) return false;
+      *out = ColumnNdvImpl(*request.table, request.ndv_column,
+                           *request.filters, session, counters);
+      return true;
     case CardEstTarget::kDisjunction:
-      // No alternate family implements these targets; the general path's
-      // RBX / inclusion-exclusion machinery is the only answer.
-      return false;
+      if (!general) return false;
+      *out = DisjunctionImpl(*request.table, *request.disjuncts, session,
+                             counters);
+      return true;
   }
   return false;
 }
 
-double EstimatorSnapshot::SelectivityImpl(const minihouse::Table& table,
-                                          const minihouse::Conjunction& filters,
-                                          cardest::InferenceSession* session,
-                                          SnapshotCounters* counters) const {
-  // Health-aware selectivity, memoized under "sel:". Cached entries replay
-  // their fallback accounting so SnapshotCounters stay identical with the
-  // memo on or off.
-  std::string key;
-  if (session != nullptr) {
-    key = "sel:" + cardest::TableKey(table, filters);
-    double value = 0.0;
-    bool was_fallback = false;
-    if (session->LookupScalar(key, &value, &was_fallback)) {
-      if (was_fallback) CountFallback(counters);
-      return value;
+bool EstimatorSnapshot::Selectivity(RouteFamily family,
+                                    const minihouse::Table& table,
+                                    const minihouse::Conjunction& filters,
+                                    cardest::InferenceSession* session,
+                                    SnapshotCounters* counters,
+                                    double* out) const {
+  if (family == RouteFamily::kGeneral) {
+    // A healthy BN, else a counted fallback to traditional (1.0 with
+    // neither). The fallback is counted on every call, memo hit or not.
+    if (Selectivity(RouteFamily::kBn, table, filters, session, counters,
+                    out)) {
+      return true;
     }
-  }
-  double value = 1.0;
-  bool was_fallback = false;
-  const cardest::BnInferenceContext* context = bn_context(table.name());
-  if (context != nullptr && IsHealthy(table.name())) {
-    value = context->EstimateSelectivity(filters);
-  } else {
-    was_fallback = true;
     CountFallback(counters);
-    if (fallback_ != nullptr) {
-      value = fallback_->EstimateSelectivity(table, filters);
+    if (!Selectivity(RouteFamily::kTraditional, table, filters, session,
+                     counters, out)) {
+      *out = 1.0;
     }
+    return true;
   }
-  if (session != nullptr) session->StoreScalar(key, value, was_fallback);
-  return value;
+
+  // One memo entry per (family, table, filters): routed probes and the
+  // general chain read the same answer. Only answers a family gave are
+  // stored, so applicability is checked before the memo.
+  auto memoized = [&](auto compute) {
+    std::string key;
+    if (session != nullptr) {
+      key = "rt" + std::to_string(static_cast<int>(family)) + ":" +
+            cardest::TableKey(table, filters);
+      if (session->LookupScalar(key, out)) return true;
+    }
+    *out = compute();
+    if (session != nullptr) session->StoreScalar(key, *out);
+    return true;
+  };
+  switch (family) {
+    case RouteFamily::kBn: {
+      const cardest::BnInferenceContext* context = bn_context(table.name());
+      if (context == nullptr || !IsHealthy(table.name())) return false;
+      return memoized([&] { return context->EstimateSelectivity(filters); });
+    }
+    case RouteFamily::kTraditional:
+      if (fallback_ == nullptr) return false;
+      return memoized(
+          [&] { return fallback_->EstimateSelectivity(table, filters); });
+    case RouteFamily::kSample: {
+      if (samples_ == nullptr) return false;
+      auto it = samples_->find(table.name());
+      if (it == samples_->end() || it->second.num_rows() == 0) return false;
+      const stats::TableSample& sample = it->second;
+      return memoized([&] {
+        return static_cast<double>(sample.CountMatches(filters)) /
+               static_cast<double>(sample.num_rows());
+      });
+    }
+    case RouteFamily::kZoneMap:
+      return memoized(
+          [&] { return minihouse::ZoneMapSelectivityBound(table, filters); });
+    default:
+      return false;
+  }
 }
 
-double EstimatorSnapshot::JoinImpl(const minihouse::BoundQuery& query,
-                                   const std::vector<int>& subset,
-                                   cardest::InferenceSession* session,
-                                   SnapshotCounters* counters) const {
+bool EstimatorSnapshot::JoinCount(RouteFamily family,
+                                  const minihouse::BoundQuery& query,
+                                  const std::vector<int>& subset,
+                                  cardest::InferenceSession* session,
+                                  SnapshotCounters* counters,
+                                  double* out) const {
   if (subset.size() == 1) {
+    // Single-table "join" questions are selectivity questions, scaled to
+    // row counts.
     const minihouse::BoundTableRef& ref = query.tables[subset[0]];
-    return SelectivityImpl(*ref.table, ref.filters, session, counters) *
-           static_cast<double>(ref.table->num_rows());
-  }
-  // Unhealthy single-table models poison join estimates too; fall back to
-  // the traditional estimator for the whole join in that case.
-  for (int t : subset) {
-    if (!IsHealthy(query.tables[t].table->name())) {
-      CountFallback(counters);
-      if (fallback_ != nullptr) {
-        return fallback_->EstimateJoinCardinality(query, subset);
-      }
-      break;
+    double sel = 1.0;
+    if (!Selectivity(family, *ref.table, ref.filters, session, counters,
+                     &sel)) {
+      return false;
     }
+    *out = sel * static_cast<double>(ref.table->num_rows());
+    return true;
   }
-  if (fj_engine_ != nullptr) {
-    FeatureVector features;
-    features.query = &query;
-    features.table_subset = subset;
-    features.session = session;
-    Result<double> estimate = fj_engine_->Estimate(features);
-    if (estimate.ok()) return estimate.value();
+  switch (family) {
+    case RouteFamily::kGeneral:
+      // Unhealthy single-table models poison join estimates too; fall back
+      // to the traditional estimator for the whole join in that case.
+      for (int t : subset) {
+        if (!IsHealthy(query.tables[t].table->name())) {
+          CountFallback(counters);
+          if (JoinCount(RouteFamily::kTraditional, query, subset, session,
+                        counters, out)) {
+            return true;
+          }
+          break;
+        }
+      }
+      if (JoinCount(RouteFamily::kFactorJoin, query, subset, session,
+                    counters, out)) {
+        return true;
+      }
+      CountFallback(counters);
+      if (!JoinCount(RouteFamily::kTraditional, query, subset, session,
+                     counters, out)) {
+        *out = 1.0;
+      }
+      return true;
+    case RouteFamily::kFactorJoin: {
+      if (fj_engine_ == nullptr) return false;
+      FeatureVector features;
+      features.query = &query;
+      features.table_subset = subset;
+      features.session = session;
+      Result<double> estimate = fj_engine_->Estimate(features);
+      if (!estimate.ok()) return false;
+      *out = estimate.value();
+      return true;
+    }
+    case RouteFamily::kTraditional:
+      if (fallback_ == nullptr) return false;
+      *out = fallback_->EstimateJoinCardinality(query, subset);
+      return true;
+    default:
+      return false;
   }
-  CountFallback(counters);
-  return fallback_ != nullptr
-             ? fallback_->EstimateJoinCardinality(query, subset)
-             : 1.0;
 }
 
 double EstimatorSnapshot::ColumnNdvImpl(
@@ -310,9 +278,9 @@ double EstimatorSnapshot::ColumnNdvImpl(
   if (values.empty()) return 1.0;
 
   // Population under the filters comes from the COUNT model.
-  const double filtered_rows =
-      SelectivityImpl(table, filters, session, counters) *
-      static_cast<double>(table.num_rows());
+  double sel = 1.0;
+  Selectivity(RouteFamily::kGeneral, table, filters, session, counters, &sel);
+  const double filtered_rows = sel * static_cast<double>(table.num_rows());
   stats::SampleFrequencies frequencies = stats::ComputeFrequencies(
       values, std::max<int64_t>(1, static_cast<int64_t>(filtered_rows)));
 
@@ -336,11 +304,11 @@ double EstimatorSnapshot::GroupNdvImpl(const minihouse::BoundQuery& query,
                                        session, counters));
   }
   std::vector<int> scratch;
-  const double rows =
-      JoinImpl(query,
-               cardest::CardEstRequest::Count(query).ResolveTables(session,
-                                                                   &scratch),
-               session, counters);
+  double rows = 1.0;
+  JoinCount(RouteFamily::kGeneral, query,
+            cardest::CardEstRequest::Count(query).ResolveTables(session,
+                                                                &scratch),
+            session, counters, &rows);
   return std::max(1.0, std::min(ndv, rows));
 }
 
@@ -363,7 +331,9 @@ double EstimatorSnapshot::DisjunctionImpl(
                       disjuncts[i].end());
       }
     }
-    const double term = SelectivityImpl(table, merged, session, counters);
+    double term = 1.0;
+    Selectivity(RouteFamily::kGeneral, table, merged, session, counters,
+                &term);
     selectivity += (__builtin_popcount(mask) % 2 == 1) ? term : -term;
   }
   selectivity = std::clamp(selectivity, 0.0, 1.0);

@@ -57,40 +57,34 @@ class EstimatorSnapshot {
 
   // --- Estimation (const, lock-free) ---------------------------------------
   // The one estimation entry point: every target kind dispatches through
-  // here. `session` (optional) is a per-query memo for repeated BN probes
-  // and FactorJoin bucket distributions; it belongs to the calling query
-  // thread and must not be shared across threads or outlive the pinned
-  // snapshot it first served. Estimates are byte-identical with and without
-  // a session — the memo replays cached values (including their fallback
-  // accounting), never recomputes differently.
+  // here. It resolves the request's route (kGeneral unless a live routing
+  // table names a family for its class), answers with EstimateWithFamily,
+  // and falls back to the general chain when the routed family cannot
+  // answer. `session` (optional) is a per-query memo for repeated per-family
+  // selectivity probes and FactorJoin bucket distributions; it belongs to the
+  // calling query thread and must not be shared across threads or outlive
+  // the pinned snapshot it first served. Estimates are byte-identical with
+  // and without a session — the memo replays cached values, never
+  // recomputes differently.
   double Estimate(const cardest::CardEstRequest& request,
                   cardest::InferenceSession* session,
                   SnapshotCounters* counters = nullptr) const;
 
-  // --- Adaptive routing -----------------------------------------------------
-  // Answers `request` with one specific estimator family, bypassing the
-  // tiered general dispatch. Returns false (and leaves *out untouched) when
-  // the family cannot answer this request shape on this snapshot — missing
-  // engine, no sample, unhealthy model, unsupported target. Estimate() calls
-  // this when a live routing table names a family for the request's class;
-  // the RouteMiner calls it directly to score candidate families on the
-  // replayed feedback trace. Routed probes memoize under family-prefixed
-  // session keys ("rt<family>:") so the general path's "sel:" memo is never
-  // polluted — the byte-identity invariant survives mixed routed/general
-  // probes within one query.
+  // Answers `request` with one estimator family. kGeneral is the tier chain
+  // over the other families and always answers: for selectivity a healthy
+  // BN, else a counted fallback to traditional; for joins the health gate,
+  // then FactorJoin, else a counted fallback; the NDV and disjunction
+  // composites on top. `counters` records those fallbacks. Every other
+  // family returns false (and leaves *out untouched) when it cannot answer
+  // this request shape on this snapshot — missing engine, no sample,
+  // unhealthy model, unsupported target; kCachedActual is not an estimator
+  // and never answers. The RouteMiner calls this directly to score every
+  // family, kGeneral included, on the replayed feedback trace; it never
+  // consults the routing table.
   bool EstimateWithFamily(routing::RouteFamily family,
                           const cardest::CardEstRequest& request,
-                          cardest::InferenceSession* session,
-                          double* out) const;
-
-  // The pre-routing tiered dispatch (BN -> FactorJoin -> traditional),
-  // byte-identical to the historical Estimate() body. Estimate() lands here
-  // for unrouted classes; the RouteMiner calls it directly so the general
-  // baseline is scored routing-free even when re-mining a snapshot whose
-  // routing table is already live.
-  double EstimateGeneral(const cardest::CardEstRequest& request,
-                         cardest::InferenceSession* session,
-                         SnapshotCounters* counters) const;
+                          cardest::InferenceSession* session, double* out,
+                          SnapshotCounters* counters = nullptr) const;
 
   // The mined routing table (null until a RouteMiner publish).
   const routing::RoutingTable* routing_table() const { return routing_.get(); }
@@ -124,24 +118,21 @@ class EstimatorSnapshot {
   friend class SnapshotBuilder;
   EstimatorSnapshot() = default;
 
-  // Single-table selectivity through one specific family (shared by the
-  // kSelectivity and single-table kJoinCount routed paths).
-  bool FamilySelectivity(routing::RouteFamily family,
-                         const minihouse::Table& table,
-                         const minihouse::Conjunction& filters,
-                         cardest::InferenceSession* session,
-                         double* out) const;
+  // One family's single-table selectivity and join count, each written once;
+  // kGeneral is the tier chain over the others (see EstimateWithFamily). A
+  // single-table join subset is that table's selectivity scaled to its rows.
+  bool Selectivity(routing::RouteFamily family, const minihouse::Table& table,
+                   const minihouse::Conjunction& filters,
+                   cardest::InferenceSession* session,
+                   SnapshotCounters* counters, double* out) const;
+  bool JoinCount(routing::RouteFamily family,
+                 const minihouse::BoundQuery& query,
+                 const std::vector<int>& subset,
+                 cardest::InferenceSession* session,
+                 SnapshotCounters* counters, double* out) const;
 
-  // Per-target implementations behind the Estimate dispatch; all thread the
-  // session down to the engines that can exploit it.
-  double SelectivityImpl(const minihouse::Table& table,
-                         const minihouse::Conjunction& filters,
-                         cardest::InferenceSession* session,
-                         SnapshotCounters* counters) const;
-  double JoinImpl(const minihouse::BoundQuery& query,
-                  const std::vector<int>& subset,
-                  cardest::InferenceSession* session,
-                  SnapshotCounters* counters) const;
+  // The general answers to the NDV and disjunction targets, composed from
+  // the general selectivity and join chains.
   double ColumnNdvImpl(const minihouse::Table& table, int column,
                        const minihouse::Conjunction& filters,
                        cardest::InferenceSession* session,

@@ -219,23 +219,22 @@ double FactorJoinEstimator::EstimateJoinCount(
   if (subset.empty()) return 0.0;
 
   // Raw BN-filtered row count of one table. Memoized under "fjsel:" —
-  // distinct from the snapshot's health-aware "sel:" entries, which may be
-  // served by the fallback estimator instead of the BN.
+  // distinct from the snapshot's per-family selectivity entries: a row
+  // count, not a fraction, and taken from the BN whatever its health.
   auto table_count = [&](int t) {
     const minihouse::BoundTableRef& ref = query.tables[t];
     std::string key;
     if (session != nullptr) {
       key = "fjsel:" + session->TableToken(query, t);
       double value = 0.0;
-      bool was_fallback = false;
-      if (session->LookupScalar(key, &value, &was_fallback)) return value;
+      if (session->LookupScalar(key, &value)) return value;
     }
     auto it = bn_contexts_->find(ref.table->name());
     const double sel = it == bn_contexts_->end()
                            ? 1.0
                            : it->second->EstimateSelectivity(ref.filters);
     const double count = sel * static_cast<double>(ref.table->num_rows());
-    if (session != nullptr) session->StoreScalar(key, count, false);
+    if (session != nullptr) session->StoreScalar(key, count);
     return count;
   };
 

@@ -3,19 +3,42 @@
 #include <algorithm>
 #include <numeric>
 
-#include "cardest/route_class.h"
-
 namespace bytecard::cardest {
 
 // ---------------------------------------------------------------------------
 // Canonical tokens
 // ---------------------------------------------------------------------------
 
-std::string PredicateToken(const minihouse::ColumnPredicate& pred) {
+namespace {
+
+// What tells the two forms apart: whether predicate tokens carry their
+// operands, and the brackets.
+struct Grammar {
+  bool operands;
+  char set_open;    // table predicate sets and disjunct bodies
+  char set_close;
+  char list_open;   // join, group NDV, column NDV and disjunction composites
+  char list_close;
+};
+
+constexpr Grammar kFingerprintGrammar = {true, '{', '}', '[', ']'};
+constexpr Grammar kRouteClassGrammar = {false, '(', ')', '(', ')'};
+
+const Grammar& GrammarOf(TokenForm form) {
+  return form == TokenForm::kFingerprint ? kFingerprintGrammar
+                                         : kRouteClassGrammar;
+}
+
+std::string PredicateToken(const minihouse::ColumnPredicate& pred,
+                           const Grammar& g) {
   std::string token = std::to_string(pred.column) + ":" +
-                      std::to_string(static_cast<int>(pred.op)) + ":" +
-                      std::to_string(pred.operand) + ":" +
-                      std::to_string(pred.operand2);
+                      std::to_string(static_cast<int>(pred.op));
+  if (!g.operands) {
+    if (!pred.in_list.empty()) token += ":in";
+    return token;
+  }
+  token += ":" + std::to_string(pred.operand) + ":" +
+           std::to_string(pred.operand2);
   if (!pred.in_list.empty()) {
     token += ":";
     for (size_t i = 0; i < pred.in_list.size(); ++i) {
@@ -26,43 +49,47 @@ std::string PredicateToken(const minihouse::ColumnPredicate& pred) {
   return token;
 }
 
-std::string TableKey(const minihouse::Table& table,
-                     const minihouse::Conjunction& filters) {
+// Appends "{p1&p2&...}" with the predicate tokens sorted.
+void AppendPredicateSet(const minihouse::Conjunction& filters,
+                        const Grammar& g, std::string* out) {
   std::vector<std::string> parts;
   parts.reserve(filters.size());
   for (const minihouse::ColumnPredicate& pred : filters) {
-    parts.push_back(PredicateToken(pred));
+    parts.push_back(PredicateToken(pred, g));
   }
   std::sort(parts.begin(), parts.end());
-  std::string key = table.name();
-  key += "{";
+  *out += g.set_open;
   for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) key += "&";
-    key += parts[i];
+    if (i > 0) *out += "&";
+    *out += parts[i];
   }
-  key += "}";
-  return key;
+  *out += g.set_close;
 }
 
-namespace {
+std::string RenderTable(const minihouse::Table& table,
+                        const minihouse::Conjunction& filters,
+                        TokenForm form) {
+  std::string token = table.name();
+  AppendPredicateSet(filters, GrammarOf(form), &token);
+  return token;
+}
 
 // Table token via the session memo when one is given.
 const std::string* TokenOf(const minihouse::BoundQuery& query, int table_idx,
-                           InferenceSession* session, std::string* storage) {
-  if (session != nullptr) return &session->TableToken(query, table_idx);
+                           TokenForm form, InferenceSession* session,
+                           std::string* storage) {
+  if (session != nullptr) return &session->TableToken(query, table_idx, form);
   const minihouse::BoundTableRef& ref = query.tables[table_idx];
-  *storage = TableKey(*ref.table, ref.filters);
+  *storage = RenderTable(*ref.table, ref.filters, form);
   return storage;
 }
 
-}  // namespace
-
-std::string SubplanKey(const minihouse::BoundQuery& query,
-                       const std::vector<int>& subset,
+std::string RenderJoin(const minihouse::BoundQuery& query,
+                       const std::vector<int>& subset, TokenForm form,
                        InferenceSession* session) {
   if (subset.size() == 1) {
     std::string storage;
-    return *TokenOf(query, subset[0], session, &storage);
+    return *TokenOf(query, subset[0], form, session, &storage);
   }
 
   // Self-join disambiguation: when the query references the same
@@ -70,13 +97,13 @@ std::string SubplanKey(const minihouse::BoundQuery& query,
   // prefixes (say {fact, dim} vs {dim, fact2}) would share a key. Suffix
   // duplicated tokens with their query-table index — queries without
   // duplicate refs (the common case) keep the plain content token, so their
-  // fingerprints stay comparable across queries.
+  // keys stay comparable across queries.
   const int num_tables = query.num_tables();
   std::vector<std::string> all_tokens(num_tables);
   std::map<std::string, int> token_counts;
   for (int t = 0; t < num_tables; ++t) {
     std::string storage;
-    all_tokens[t] = *TokenOf(query, t, session, &storage);
+    all_tokens[t] = *TokenOf(query, t, form, session, &storage);
     ++token_counts[all_tokens[t]];
   }
 
@@ -109,7 +136,9 @@ std::string SubplanKey(const minihouse::BoundQuery& query,
 
   std::sort(table_tokens.begin(), table_tokens.end());
   std::sort(edge_tokens.begin(), edge_tokens.end());
-  std::string key = "J[";
+  const Grammar& g = GrammarOf(form);
+  std::string key = "J";
+  key += g.list_open;
   for (size_t i = 0; i < table_tokens.size(); ++i) {
     if (i > 0) key += ",";
     key += table_tokens[i];
@@ -119,36 +148,97 @@ std::string SubplanKey(const minihouse::BoundQuery& query,
     if (i > 0) key += ",";
     key += edge_tokens[i];
   }
-  key += "]";
+  key += g.list_close;
   return key;
 }
 
-std::string GroupNdvKey(const minihouse::BoundQuery& query,
+std::string RenderGroup(const minihouse::BoundQuery& query, TokenForm form,
                         InferenceSession* session) {
   std::vector<int> scratch;
-  const std::vector<int>* all;
-  if (session != nullptr) {
-    all = &session->AllTables(query.num_tables());
-  } else {
-    scratch.resize(query.tables.size());
-    std::iota(scratch.begin(), scratch.end(), 0);
-    all = &scratch;
-  }
-  std::string key = "G[";
-  key += SubplanKey(query, *all, session);
+  const Grammar& g = GrammarOf(form);
+  std::string key = "G";
+  key += g.list_open;
+  key += RenderJoin(
+      query, CardEstRequest::GroupNdv(query).ResolveTables(session, &scratch),
+      form, session);
   std::vector<std::string> group_tokens;
   group_tokens.reserve(query.group_by.size());
-  for (const minihouse::GroupKeyRef& g : query.group_by) {
-    group_tokens.push_back(query.tables[g.table].table->name() + "." +
-                           std::to_string(g.column));
+  for (const minihouse::GroupKeyRef& key_ref : query.group_by) {
+    group_tokens.push_back(query.tables[key_ref.table].table->name() + "." +
+                           std::to_string(key_ref.column));
   }
   std::sort(group_tokens.begin(), group_tokens.end());
   for (const std::string& tok : group_tokens) {
     key += ";";
     key += tok;
   }
-  key += "]";
+  key += g.list_close;
   return key;
+}
+
+std::string Render(const CardEstRequest& request, TokenForm form,
+                   InferenceSession* session) {
+  const Grammar& g = GrammarOf(form);
+  switch (request.target) {
+    case CardEstTarget::kSelectivity:
+      return RenderTable(*request.table, *request.filters, form);
+    case CardEstTarget::kJoinCount: {
+      std::vector<int> scratch;
+      return RenderJoin(*request.query,
+                        request.ResolveTables(session, &scratch), form,
+                        session);
+    }
+    case CardEstTarget::kGroupNdv:
+      return RenderGroup(*request.query, form, session);
+    case CardEstTarget::kColumnNdv: {
+      std::string key = "V";
+      key += g.list_open;
+      key += RenderTable(*request.table, *request.filters, form);
+      key += ";" + std::to_string(request.ndv_column);
+      key += g.list_close;
+      return key;
+    }
+    case CardEstTarget::kDisjunction: {
+      // Each disjunct canonicalized like a table's predicate set; bodies
+      // sorted so the key is independent of disjunct order.
+      std::vector<std::string> bodies;
+      bodies.reserve(request.disjuncts->size());
+      for (const minihouse::Conjunction& d : *request.disjuncts) {
+        std::string body;
+        AppendPredicateSet(d, g, &body);
+        bodies.push_back(std::move(body));
+      }
+      std::sort(bodies.begin(), bodies.end());
+      std::string key = "O";
+      key += g.list_open;
+      key += request.table->name() + ";";
+      for (size_t i = 0; i < bodies.size(); ++i) {
+        if (i > 0) key += "|";
+        key += bodies[i];
+      }
+      key += g.list_close;
+      return key;
+    }
+  }
+  return std::string();
+}
+
+}  // namespace
+
+std::string TableKey(const minihouse::Table& table,
+                     const minihouse::Conjunction& filters) {
+  return RenderTable(table, filters, TokenForm::kFingerprint);
+}
+
+std::string SubplanKey(const minihouse::BoundQuery& query,
+                       const std::vector<int>& subset,
+                       InferenceSession* session) {
+  return RenderJoin(query, subset, TokenForm::kFingerprint, session);
+}
+
+std::string GroupNdvKey(const minihouse::BoundQuery& query,
+                        InferenceSession* session) {
+  return RenderGroup(query, TokenForm::kFingerprint, session);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,69 +311,28 @@ const std::vector<int>& CardEstRequest::ResolveTables(
 }
 
 std::string CardEstRequest::Fingerprint(InferenceSession* session) const {
-  switch (target) {
-    case CardEstTarget::kSelectivity:
-      return TableKey(*table, *filters);
-    case CardEstTarget::kJoinCount: {
-      std::vector<int> scratch;
-      return SubplanKey(*query, ResolveTables(session, &scratch), session);
-    }
-    case CardEstTarget::kGroupNdv:
-      return GroupNdvKey(*query, session);
-    case CardEstTarget::kColumnNdv:
-      return "V[" + TableKey(*table, *filters) + ";" +
-             std::to_string(ndv_column) + "]";
-    case CardEstTarget::kDisjunction: {
-      // Each disjunct canonicalized like a table key body; bodies sorted so
-      // the fingerprint is independent of disjunct order.
-      std::vector<std::string> bodies;
-      bodies.reserve(disjuncts->size());
-      for (const minihouse::Conjunction& d : *disjuncts) {
-        std::vector<std::string> parts;
-        parts.reserve(d.size());
-        for (const minihouse::ColumnPredicate& pred : d) {
-          parts.push_back(PredicateToken(pred));
-        }
-        std::sort(parts.begin(), parts.end());
-        std::string body = "{";
-        for (size_t i = 0; i < parts.size(); ++i) {
-          if (i > 0) body += "&";
-          body += parts[i];
-        }
-        body += "}";
-        bodies.push_back(std::move(body));
-      }
-      std::sort(bodies.begin(), bodies.end());
-      std::string key = "O[" + table->name() + ";";
-      for (size_t i = 0; i < bodies.size(); ++i) {
-        if (i > 0) key += "|";
-        key += bodies[i];
-      }
-      key += "]";
-      return key;
-    }
-  }
-  return std::string();
+  return Render(*this, TokenForm::kFingerprint, session);
+}
+
+std::string CardEstRequest::RouteClass(InferenceSession* session) const {
+  return Render(*this, TokenForm::kRouteClass, session);
 }
 
 // ---------------------------------------------------------------------------
 // InferenceSession
 // ---------------------------------------------------------------------------
 
-bool InferenceSession::LookupScalar(const std::string& key, double* value,
-                                    bool* was_fallback) {
+bool InferenceSession::LookupScalar(const std::string& key, double* value) {
   auto it = scalars_.find(key);
   if (it == scalars_.end()) return false;
   ++stats_.probe_cache_hits;
-  *value = it->second.value;
-  *was_fallback = it->second.was_fallback;
+  *value = it->second;
   return true;
 }
 
-void InferenceSession::StoreScalar(const std::string& key, double value,
-                                   bool was_fallback) {
+void InferenceSession::StoreScalar(const std::string& key, double value) {
   ++stats_.probe_cache_misses;
-  scalars_[key] = ScalarEntry{value, was_fallback};
+  scalars_[key] = value;
 }
 
 const std::vector<double>* InferenceSession::LookupBuckets(
@@ -313,24 +362,14 @@ const std::vector<int>& InferenceSession::AllTables(int n) {
 }
 
 const std::string& InferenceSession::TableToken(
-    const minihouse::BoundQuery& query, int table_idx) {
-  const auto key = std::make_pair(static_cast<const void*>(&query), table_idx);
+    const minihouse::BoundQuery& query, int table_idx, TokenForm form) {
+  const auto key =
+      std::make_tuple(static_cast<const void*>(&query), table_idx, form);
   auto it = table_tokens_.find(key);
   if (it != table_tokens_.end()) return it->second;
   const minihouse::BoundTableRef& ref = query.tables[table_idx];
   return table_tokens_
-      .emplace(key, TableKey(*ref.table, ref.filters))
-      .first->second;
-}
-
-const std::string& InferenceSession::TableShapeToken(
-    const minihouse::BoundQuery& query, int table_idx) {
-  const auto key = std::make_pair(static_cast<const void*>(&query), table_idx);
-  auto it = table_shapes_.find(key);
-  if (it != table_shapes_.end()) return it->second;
-  const minihouse::BoundTableRef& ref = query.tables[table_idx];
-  return table_shapes_
-      .emplace(key, TableShape(*ref.table, ref.filters))
+      .emplace(key, RenderTable(*ref.table, ref.filters, form))
       .first->second;
 }
 

@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "minihouse/query.h"
@@ -20,10 +20,11 @@ class InferenceSession;
 // is one CardEstRequest: a target kind plus non-owning views into the bound
 // query it is asked about (paper §4.2's uniform Featurize→Estimate contract,
 // lifted from per-model to the whole serving path). The request carries the
-// *one* canonical fingerprint implementation in the tree; the optimizer's
-// per-query memos, the runtime feedback cache, and operator stamping all key
-// on Fingerprint(), so the three layers can never disagree about "what
-// subplan is this estimate for".
+// *one* canonical token grammar in the tree; the optimizer's per-query memos,
+// the runtime feedback cache, and operator stamping all key on Fingerprint(),
+// so the three layers can never disagree about "what subplan is this estimate
+// for", and the adaptive router keys on RouteClass(), the same grammar with
+// the literals dropped.
 //
 // Lifetime: a request borrows its query/table/filter referents from the
 // caller. It is a call-scoped value — build it, hand it to
@@ -77,30 +78,41 @@ struct CardEstRequest {
   const std::vector<int>& ResolveTables(InferenceSession* session,
                                         std::vector<int>* scratch) const;
 
-  // The canonical cross-query identity of this request (see the token
-  // grammar below). `session` is optional and only memoizes per-table token
-  // construction — the returned string is byte-identical with or without it.
+  // The canonical cross-query identity of this request, and its template
+  // identity (see the token grammar below). `session` is optional and only
+  // memoizes per-table token construction — the returned strings are
+  // byte-identical with or without it.
   std::string Fingerprint(InferenceSession* session = nullptr) const;
+  std::string RouteClass(InferenceSession* session = nullptr) const;
 };
 
-// --- Canonical fingerprint tokens --------------------------------------------
-// The token grammar (stable across queries; the feedback cache persists these
-// strings between queries):
-//   predicate   "col:op:operand:operand2[:v1,v2,...]"  (IN-list suffix only
-//                when present), order-independent of its siblings
-//   table       "name{p1&p2&...}" with predicate tokens sorted
-//   join        "J[t1,t2,...;e1,e2,...]" with table tokens sorted and each
-//                edge normalized so its lexicographically smaller endpoint
-//                comes first (enumeration-order- and direction-independent);
-//                a one-element subset reduces to the bare table token so scan
-//                and selectivity questions share keys. Self-join refs whose
-//                content tokens collide are suffixed "#<query-table-index>"
-//                so distinct join prefixes keep distinct keys
-//   group NDV   "G[<join-of-all-tables>;tbl.col;...]" group keys sorted
-//   column NDV  "V[<table>;col]"
-//   disjunction "O[name;{d1}|{d2}|...]" with each disjunct's predicate tokens
-//                sorted and the disjunct bodies sorted
-std::string PredicateToken(const minihouse::ColumnPredicate& pred);
+// --- Canonical tokens -------------------------------------------------------
+// One grammar, rendered in two forms. The fingerprint keeps every literal
+// operand: it is the request's cross-query identity, and the feedback cache
+// persists these strings between queries. The route class drops the operands,
+// so queries that differ only in constants share one class (the adaptive
+// router in bytecard/routing learns one estimator family per class), and uses
+// parentheses for every bracket, so a class never collides with a fingerprint.
+//
+//               fingerprint                            route class
+//   predicate   "col:op:operand:operand2[:v1,v2,...]"  "col:op[:in]"
+//   table       "name{p1&p2&...}"                      "name(p1&p2&...)"
+//   join        "J[t1,t2,...;e1,e2,...]"               "J(t1,t2,...;e1,...)"
+//   group NDV   "G[<join-of-all-tables>;tbl.col;...]"  "G(...)"
+//   column NDV  "V[<table>;col]"                       "V(<table>;col)"
+//   disjunction "O[name;{d1}|{d2}|...]"                "O(name;(d1)|(d2)|...)"
+//
+// Predicate tokens are sorted within a table, and the IN-list suffix appears
+// only when the list is non-empty. Table tokens are sorted within a join and
+// each edge is normalized so its lexicographically smaller endpoint comes
+// first (enumeration-order- and direction-independent). A one-element subset
+// reduces to the bare table token, so scan and selectivity questions share
+// keys. Self-join refs whose table tokens collide are suffixed
+// "#<query-table-index>" so distinct join prefixes keep distinct keys. Group
+// keys and disjunct bodies are sorted.
+enum class TokenForm { kFingerprint, kRouteClass };
+
+// Fingerprint-form tokens of a table, a join subset and a query's GROUP BY.
 std::string TableKey(const minihouse::Table& table,
                      const minihouse::Conjunction& filters);
 std::string SubplanKey(const minihouse::BoundQuery& query,
@@ -134,13 +146,10 @@ class InferenceSession {
   InferenceSession(const InferenceSession&) = delete;
   InferenceSession& operator=(const InferenceSession&) = delete;
 
-  // Scalar probe memo (BN selectivities, fallback selectivities).
-  // `was_fallback` round-trips with the value so callers can replay
-  // fallback accounting on hits — counters stay byte-identical to the
-  // memoization-free path.
-  bool LookupScalar(const std::string& key, double* value,
-                    bool* was_fallback);
-  void StoreScalar(const std::string& key, double value, bool was_fallback);
+  // Scalar probe memo: one estimator family's selectivity of one (table,
+  // filters), and FactorJoin's per-table BN counts.
+  bool LookupScalar(const std::string& key, double* value);
+  void StoreScalar(const std::string& key, double value);
 
   // FactorJoin filtered-bucket-count memo. Returns null on a miss; the
   // pointer stays valid until the session dies (values are never evicted).
@@ -152,37 +161,28 @@ class InferenceSession {
   // Cached iota [0, n) for all-tables requests (grown on demand).
   const std::vector<int>& AllTables(int n);
 
-  // Canonical table token of query.tables[table_idx], memoized — subplan
-  // fingerprints during join ordering re-tokenize the same tables for every
-  // candidate subset.
+  // Canonical table token of query.tables[table_idx] in either form,
+  // memoized — subplan fingerprints during join ordering, and route classes
+  // on every estimate while routing is live, re-tokenize the same tables for
+  // every candidate subset.
   const std::string& TableToken(const minihouse::BoundQuery& query,
-                                int table_idx);
-
-  // Operand-free twin of TableToken: the table's *shape* (route_class.h).
-  // Route resolution runs on every estimate when a routing table is live, so
-  // the per-table shape is memoized exactly like the fingerprint token.
-  const std::string& TableShapeToken(const minihouse::BoundQuery& query,
-                                     int table_idx);
+                                int table_idx,
+                                TokenForm form = TokenForm::kFingerprint);
 
   const Stats& stats() const { return stats_; }
 
  private:
-  struct ScalarEntry {
-    double value = 0.0;
-    bool was_fallback = false;
-  };
   struct BucketEntry {
     std::vector<double> counts;
     double total = 0.0;
   };
 
-  std::unordered_map<std::string, ScalarEntry> scalars_;
+  std::unordered_map<std::string, double> scalars_;
   std::unordered_map<std::string, BucketEntry> buckets_;
   std::vector<int> all_tables_;
-  // Keyed by (query identity, table index): sessions are per-query, but the
-  // cheap guard keeps a stray cross-query reuse from serving stale tokens.
-  std::map<std::pair<const void*, int>, std::string> table_tokens_;
-  std::map<std::pair<const void*, int>, std::string> table_shapes_;
+  // Keyed by (query identity, table index, form): sessions are per-query, but
+  // the cheap guard keeps a stray cross-query reuse from serving stale tokens.
+  std::map<std::tuple<const void*, int, TokenForm>, std::string> table_tokens_;
   Stats stats_;
 };
 

@@ -26,10 +26,6 @@ void MergeOperatorStats(const PhysicalOperator* op,
     case OpKind::kScan:
       stats->io += s.io;
       stats->predicate_kernel_blocks += s.kernel_blocks;
-      stats->blocks_pruned += s.io.blocks_pruned;
-      stats->encoded_blocks_scanned += s.io.encoded_blocks;
-      stats->decode_cache_hits += s.io.decode_cache_hits;
-      stats->decode_cache_evictions += s.io.decode_cache_evictions;
       stats->bytes_resident = std::max(stats->bytes_resident,
                                        s.bytes_resident);
       break;

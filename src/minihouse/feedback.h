@@ -18,31 +18,9 @@ namespace bytecard::minihouse {
 // matter how their predicates, tables, or edges are ordered. The runtime
 // feedback cache is keyed by these strings, so an actual cardinality observed
 // while executing one query can answer the optimizer's question in the next.
-// The single-table form doubles as the per-query selectivity memo key.
-//
-// The one canonical implementation lives in cardest/request.h (the
-// CardEstRequest token grammar); these aliases keep the engine-layer call
-// sites readable. The old per-query JoinSubsetKey is gone — the optimizer's
-// join memo, the plan's stamped join-estimate map, and the feedback cache all
-// key on the same SubplanFingerprint string now.
-
-inline std::string PredicateToken(const ColumnPredicate& pred) {
-  return cardest::PredicateToken(pred);
-}
-
-inline std::string TableFingerprint(const Table& table,
-                                    const Conjunction& filters) {
-  return cardest::TableKey(table, filters);
-}
-
-inline std::string SubplanFingerprint(const BoundQuery& query,
-                                      const std::vector<int>& subset) {
-  return cardest::SubplanKey(query, subset);
-}
-
-inline std::string GroupNdvFingerprint(const BoundQuery& query) {
-  return cardest::GroupNdvKey(query);
-}
+// The one canonical implementation is cardest::CardEstRequest (request.h):
+// the optimizer's join memo, the plan's stamped join-estimate map, the
+// operator stamps and the feedback cache all key on its strings.
 
 // Q-Error with both sides floored at 1 (same convention as workload/qerror.h,
 // re-stated here because the engine layer cannot depend on the workload
@@ -128,7 +106,7 @@ struct OperatorFeedback {
   double estimated = -1.0;          // what the plan was built on
   double actual = -1.0;             // what execution produced
   double qerror = 1.0;              // FeedbackQError(estimated, actual)
-  // The operator's route class (operand-free template; cardest/route_class.h)
+  // The operator's route class (operand-free template; cardest/request.h)
   // and the replayable statement of its estimation question. The miner groups
   // observations by the *recorded* class string — never recomputed from the
   // replay, whose local table indices would perturb self-join "#<idx>"

@@ -5,7 +5,7 @@
 #include <set>
 #include <utility>
 
-#include "cardest/route_class.h"
+#include "cardest/request.h"
 #include "common/logging.h"
 
 namespace bytecard::minihouse {
@@ -298,14 +298,16 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
     if (!capture) return;
     const BoundTableRef& ref = query.tables[t];
     if (ref.filters.empty()) return;
+    const auto request =
+        cardest::CardEstRequest::Selectivity(*ref.table, ref.filters);
     FeedbackStamp fs;
     fs.stamped = true;
     fs.kind = FeedbackKind::kScan;
-    fs.fingerprint = TableFingerprint(*ref.table, ref.filters);
+    fs.fingerprint = request.Fingerprint();
     fs.estimated = plan.scans[t].estimated_selectivity *
                    static_cast<double>(ref.table->num_rows());
     fs.tables = {ref.table->name()};
-    fs.route_class = cardest::TableShape(*ref.table, ref.filters);
+    fs.route_class = request.RouteClass();
     fs.replay = MakeReplaySpec(query, {t}, FeedbackKind::kScan);
     scan_op->SetFeedbackStamp(std::move(fs));
   };
@@ -381,7 +383,8 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
                               order.begin() + static_cast<long>(step) + 1);
       // The canonical fingerprint is both the join_estimates key (the
       // optimizer memoed under it) and the stamp the executor reports under.
-      const std::string fingerprint = SubplanFingerprint(query, subset);
+      const auto request = cardest::CardEstRequest::JoinCount(query, subset);
+      const std::string fingerprint = request.Fingerprint();
       auto est = plan.join_estimates.find(fingerprint);
       // Unpriced prefixes (join ordering off, fallback orders) carry no
       // estimate and produce no observation.
@@ -395,7 +398,7 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
         for (int q : subset) {
           fs.tables.push_back(query.tables[q].table->name());
         }
-        fs.route_class = cardest::SubplanShape(query, subset);
+        fs.route_class = request.RouteClass();
         fs.replay = MakeReplaySpec(query, subset, FeedbackKind::kJoin);
         join->SetFeedbackStamp(std::move(fs));
       }
@@ -407,7 +410,7 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
     if (plan.features.specialize_ops && num_key_pairs == 1) {
       std::vector<int> subset(order.begin(),
                               order.begin() + static_cast<long>(step) + 1);
-      if (!vetoed(SubplanFingerprint(query, subset))) {
+      if (!vetoed(cardest::SubplanKey(query, subset))) {
         const ColumnDomain& left_dom =
             query.tables[first_prefix_table].table->domain(first_prefix_col);
         const ColumnDomain& right_dom =
@@ -487,7 +490,7 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
     const int64_t hint = plan.group_ndv_hint;
     const bool sparse = hint > 0 && width > 1024 && width > 32 * hint;
     if (dom.valid && width > 0 && width <= kDenseAggBudget && !sparse &&
-        !vetoed(GroupNdvFingerprint(query))) {
+        !vetoed(cardest::GroupNdvKey(query))) {
       DenseAggSpec spec;
       spec.enabled = true;
       spec.domain_min = dom.min;
@@ -498,16 +501,17 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
   // Group-NDV observation: only when the optimizer actually priced the NDV
   // question (hint > 0 means EstimateGroupNdv ran and sized the hash table).
   if (capture && !query.group_by.empty() && plan.group_ndv_hint > 0) {
+    const auto request = cardest::CardEstRequest::GroupNdv(query);
     FeedbackStamp fs;
     fs.stamped = true;
     fs.kind = FeedbackKind::kGroupNdv;
-    fs.fingerprint = GroupNdvFingerprint(query);
+    fs.fingerprint = request.Fingerprint();
     fs.estimated = static_cast<double>(plan.group_ndv_hint);
     fs.tables.reserve(query.tables.size());
     for (const BoundTableRef& ref : query.tables) {
       fs.tables.push_back(ref.table->name());
     }
-    fs.route_class = cardest::GroupShape(query);
+    fs.route_class = request.RouteClass();
     std::vector<int> all_tables(query.tables.size());
     std::iota(all_tables.begin(), all_tables.end(), 0);
     fs.replay = MakeReplaySpec(query, all_tables, FeedbackKind::kGroupNdv);

@@ -60,7 +60,7 @@ struct FeedbackStamp {
   std::string fingerprint;          // canonical cross-query subplan key
   double estimated = -1.0;          // cardinality the plan was built on
   std::vector<std::string> tables;  // base tables (cache invalidation scope)
-  std::string route_class;          // operand-free template (route_class.h)
+  std::string route_class;          // operand-free template (request.h)
   ReplaySpec replay;                // replayable estimation question (miner)
 };
 

@@ -74,16 +74,10 @@ struct ExecStats {
   int64_t array_join_ops = 0;
   // (predicate, block) evaluations that ran the tight-loop kernels.
   int64_t predicate_kernel_blocks = 0;
-  // Encoded storage (DESIGN.md §12). blocks_pruned: whole blocks skipped via
-  // zone maps before any I/O; encoded_blocks_scanned: block reads served
-  // from encoded (sealed) storage; decode_cache_hits/evictions: this query's
-  // traffic through the shared bounded decode cache; bytes_resident: max
-  // over scans of stored table bytes + decode-cache residency — the
-  // footprint the scale bench bounds.
-  int64_t blocks_pruned = 0;
-  int64_t encoded_blocks_scanned = 0;
-  int64_t decode_cache_hits = 0;
-  int64_t decode_cache_evictions = 0;
+  // Encoded storage (DESIGN.md §12; pruned blocks, encoded reads and
+  // decode-cache traffic are in `io`). bytes_resident: max over scans of
+  // stored table bytes + decode-cache residency — the footprint the scale
+  // bench bounds.
   int64_t bytes_resident = 0;
 };
 

@@ -14,6 +14,9 @@ using minihouse::CompareOp;
 using minihouse::DataType;
 using minihouse::Database;
 
+// The code a string literal absent from the column's dictionary converts to.
+constexpr int64_t kUnknownStringCode = -2;
+
 struct ResolvedColumn {
   int table = -1;   // index into BoundQuery::tables
   int column = -1;  // index into the table's schema
@@ -81,9 +84,9 @@ Result<int64_t> LiteralToNumeric(const Literal& lit,
       const auto& dict = column.dictionary();
       auto it = std::find(dict.begin(), dict.end(), lit.string_value);
       if (it == dict.end()) {
-        // Unknown value: code -2 matches no stored code, which gives the
-        // correct semantics for =, IN (empty) and != (all rows).
-        return static_cast<int64_t>(-2);
+        // Unknown value: the sentinel matches no stored code, which gives
+        // the correct semantics for =, IN (empty) and != (all rows).
+        return kUnknownStringCode;
       }
       return static_cast<int64_t>(it - dict.begin());
     }
@@ -132,7 +135,12 @@ Result<BoundQuery> Analyze(const SelectStatement& stmt, const Database& db) {
     if (filter.op == CompareOp::kIn) {
       for (const Literal& lit : filter.operands) {
         BC_ASSIGN_OR_RETURN(int64_t v, LiteralToNumeric(lit, col, filter.op));
-        if (v != -2) pred.in_list.push_back(v);
+        // An unknown string matches nothing, so it leaves the list; on a
+        // numeric column the sentinel's value is an ordinary literal.
+        if (v == kUnknownStringCode && col.type() == DataType::kString) {
+          continue;
+        }
+        pred.in_list.push_back(v);
       }
     } else if (filter.op == CompareOp::kBetween) {
       if (filter.operands.size() != 2) {

@@ -13,7 +13,8 @@ using minihouse::CompareOp;
 // Recursive-descent parser over the token stream.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(std::vector<Token> tokens, const std::string& sql)
+      : tokens_(std::move(tokens)), sql_(sql) {}
 
   Result<SelectStatement> Parse() {
     SelectStatement stmt;
@@ -83,7 +84,14 @@ class Parser {
     BC_ASSIGN_OR_RETURN(std::string first, ExpectIdentifier());
     if (AcceptSymbol(".")) {
       ref.table = first;
-      BC_ASSIGN_OR_RETURN(ref.column, ExpectIdentifier());
+      // After the dot only a column can follow, so a keyword-spelled name
+      // (tags.count) is that column, taken as written in the source.
+      if (Peek().type == TokenType::kKeyword) {
+        const Token& tok = Advance();
+        ref.column = sql_.substr(tok.position, tok.text.size());
+      } else {
+        BC_ASSIGN_OR_RETURN(ref.column, ExpectIdentifier());
+      }
     } else {
       ref.column = first;
     }
@@ -240,6 +248,7 @@ class Parser {
   }
 
   std::vector<Token> tokens_;
+  const std::string& sql_;  // the tokenized source
   size_t pos_ = 0;
 };
 
@@ -262,7 +271,7 @@ std::string LiteralToSql(const Literal& lit) {
 
 Result<SelectStatement> ParseSelect(const std::string& sql) {
   BC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  Parser parser(std::move(tokens));
+  Parser parser(std::move(tokens), sql);
   BC_ASSIGN_OR_RETURN(SelectStatement stmt, parser.Parse());
   stmt.text = sql;
   return stmt;

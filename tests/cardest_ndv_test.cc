@@ -308,13 +308,14 @@ TEST(RbxTrainTest, EmptyExamplesRejected) {
 
 // --- HyperLogLog NDV sketches ---------------------------------------------------
 
-NdvSketch SketchOf(const std::vector<int64_t>& values, int precision = 12) {
-  NdvSketch sketch(precision);
+stats::HyperLogLog SketchOf(const std::vector<int64_t>& values,
+                            int precision = 12) {
+  stats::HyperLogLog sketch(precision);
   for (int64_t v : values) sketch.Add(v);
   return sketch;
 }
 
-std::string Bytes(const NdvSketch& sketch) {
+std::string Bytes(const stats::HyperLogLog& sketch) {
   BufferWriter writer;
   sketch.Serialize(&writer);
   return writer.buffer();
@@ -323,9 +324,9 @@ std::string Bytes(const NdvSketch& sketch) {
 TEST(HllSketchTest, MergeIsCommutative) {
   std::vector<int64_t> lo, hi;
   for (int64_t v = 0; v < 3000; ++v) (v % 3 == 0 ? lo : hi).push_back(v * 17);
-  NdvSketch ab = SketchOf(lo);
+  stats::HyperLogLog ab = SketchOf(lo);
   ab.Merge(SketchOf(hi));
-  NdvSketch ba = SketchOf(hi);
+  stats::HyperLogLog ba = SketchOf(hi);
   ba.Merge(SketchOf(lo));
   // Register-wise max is order-independent, so the merged states are
   // byte-identical, not just close.
@@ -338,16 +339,16 @@ TEST(HllSketchTest, MergeIsAssociative) {
   Rng rng(1234);
   for (int i = 0; i < 5000; ++i)
     parts[i % 3].push_back(static_cast<int64_t>(rng.Uniform(100000)));
-  const NdvSketch a = SketchOf(parts[0]);
-  const NdvSketch b = SketchOf(parts[1]);
-  const NdvSketch c = SketchOf(parts[2]);
+  const stats::HyperLogLog a = SketchOf(parts[0]);
+  const stats::HyperLogLog b = SketchOf(parts[1]);
+  const stats::HyperLogLog c = SketchOf(parts[2]);
 
-  NdvSketch left = a;   // (a + b) + c
+  stats::HyperLogLog left = a;   // (a + b) + c
   left.Merge(b);
   left.Merge(c);
-  NdvSketch bc = b;     // a + (b + c)
+  stats::HyperLogLog bc = b;     // a + (b + c)
   bc.Merge(c);
-  NdvSketch right = a;
+  stats::HyperLogLog right = a;
   right.Merge(bc);
   EXPECT_EQ(Bytes(left), Bytes(right));
 }
@@ -355,7 +356,7 @@ TEST(HllSketchTest, MergeIsAssociative) {
 TEST(HllSketchTest, MergeIsIdempotent) {
   std::vector<int64_t> values;
   for (int64_t v = 0; v < 2000; ++v) values.push_back(v * v);
-  NdvSketch sketch = SketchOf(values);
+  stats::HyperLogLog sketch = SketchOf(values);
   const std::string before = Bytes(sketch);
   sketch.Merge(sketch);
   EXPECT_EQ(Bytes(sketch), before);
@@ -363,7 +364,7 @@ TEST(HllSketchTest, MergeIsIdempotent) {
 
 TEST(HllSketchTest, ErrorBoundOnUniformColumn) {
   // p=12 -> 4096 registers -> ~1.6% standard error; 5% is > 3 sigma.
-  NdvSketch sketch(12);
+  stats::HyperLogLog sketch(12);
   constexpr int64_t kDistinct = 20000;
   for (int64_t v = 0; v < kDistinct; ++v)
     for (int rep = 0; rep < 3; ++rep) sketch.Add(v);
@@ -375,7 +376,7 @@ TEST(HllSketchTest, ErrorBoundOnSkewedColumn) {
   // Heavy-hitter zipf-ish draw: estimate must track the exact distinct set,
   // not the row count.
   Rng rng(99);
-  NdvSketch sketch(12);
+  stats::HyperLogLog sketch(12);
   std::set<int64_t> exact;
   for (int i = 0; i < 50000; ++i) {
     const int64_t v = static_cast<int64_t>(
@@ -390,11 +391,11 @@ TEST(HllSketchTest, ErrorBoundOnSkewedColumn) {
 TEST(HllSketchTest, SerializationRoundTripPreservesStateAndMerges) {
   std::vector<int64_t> values;
   for (int64_t v = 0; v < 4000; ++v) values.push_back(v * 31 + 7);
-  const NdvSketch original = SketchOf(values, 10);
+  const stats::HyperLogLog original = SketchOf(values, 10);
 
   const std::string bytes = Bytes(original);
   BufferReader reader(bytes);
-  auto restored = NdvSketch::Deserialize(&reader);
+  auto restored = stats::HyperLogLog::Deserialize(&reader);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().precision(), 10);
   EXPECT_DOUBLE_EQ(restored.value().Estimate(), original.Estimate());
@@ -402,9 +403,9 @@ TEST(HllSketchTest, SerializationRoundTripPreservesStateAndMerges) {
   // The revived sketch keeps merging like the original.
   std::vector<int64_t> more;
   for (int64_t v = 0; v < 4000; ++v) more.push_back(-v * 13 - 1);
-  NdvSketch via_restore = std::move(restored).value();
+  stats::HyperLogLog via_restore = std::move(restored).value();
   via_restore.Merge(SketchOf(more, 10));
-  NdvSketch direct = original;
+  stats::HyperLogLog direct = original;
   direct.Merge(SketchOf(more, 10));
   EXPECT_EQ(Bytes(via_restore), Bytes(direct));
 }

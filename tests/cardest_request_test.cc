@@ -254,6 +254,78 @@ TEST(RequestFingerprintTest, DisjunctionAndNdvTargets) {
             CardEstRequest::GroupNdv(q_swapped).Fingerprint());
 }
 
+// --- Golden grammar -----------------------------------------------------------
+
+// The exact bytes of both forms. Feedback-cache keys, operator stamps and
+// routing-table keys are these strings, kept across queries and snapshots, so
+// a change here is a format change, not a refactor.
+TEST(RequestFingerprintTest, GoldenFingerprintAndRouteClassStrings) {
+  auto db = testutil::BuildToyDatabase(500);
+  const minihouse::Table* fact = db->FindTable("fact").value();
+  const minihouse::Table* dim = db->FindTable("dim").value();
+
+  // Both forms, each with and without a session memo.
+  auto expect_forms = [](const CardEstRequest& request,
+                         const std::string& fingerprint,
+                         const std::string& route_class) {
+    InferenceSession session;
+    EXPECT_EQ(request.Fingerprint(), fingerprint);
+    EXPECT_EQ(request.RouteClass(), route_class);
+    EXPECT_EQ(request.Fingerprint(&session), fingerprint);
+    EXPECT_EQ(request.RouteClass(&session), route_class);
+  };
+
+  // One table under an IN list (with a negative member) and a range.
+  ColumnPredicate in = Pred(2, CompareOp::kIn, 0);
+  in.in_list = {4, -2, 3};
+  const Conjunction filters = {in, Pred(1, CompareOp::kBetween, 10, 20)};
+  expect_forms(CardEstRequest::Selectivity(*fact, filters),
+               "fact{1:7:10:20&2:6:0:0:4,-2,3}", "fact(1:7&2:6:in)");
+
+  // fact0 JOIN dim JOIN fact2: refs 0 and 2 are the same (table, filters),
+  // so their tokens carry "#<idx>"; the second edge is written dim-first.
+  BoundQuery query;
+  for (int t = 0; t < 3; ++t) {
+    BoundTableRef ref;
+    ref.table = (t == 1) ? dim : fact;
+    ref.alias = (t == 1) ? "dim" : ("fact" + std::to_string(t));
+    ref.filters = {t == 1 ? Pred(2, CompareOp::kEq, 1)
+                          : Pred(1, CompareOp::kLt, 25)};
+    query.tables.push_back(std::move(ref));
+  }
+  query.joins = {JoinEdge{0, 0, 1, 0}, JoinEdge{1, 0, 2, 0}};
+  query.group_by = {{1, 1}, {0, 2}};
+  const std::string join3 =
+      "J[dim{2:0:1:0},fact{1:2:25:0}#0,fact{1:2:25:0}#2;"
+      "dim{2:0:1:0}.0=fact{1:2:25:0}#0.0,dim{2:0:1:0}.0=fact{1:2:25:0}#2.0]";
+  const std::string join3_class =
+      "J(dim(2:0),fact(1:2)#0,fact(1:2)#2;"
+      "dim(2:0).0=fact(1:2)#0.0,dim(2:0).0=fact(1:2)#2.0)";
+  expect_forms(CardEstRequest::Count(query), join3, join3_class);
+  const std::vector<int> prefix = {1, 0};
+  expect_forms(CardEstRequest::JoinCount(query, prefix),
+               "J[dim{2:0:1:0},fact{1:2:25:0}#0;"
+               "dim{2:0:1:0}.0=fact{1:2:25:0}#0.0]",
+               "J(dim(2:0),fact(1:2)#0;dim(2:0).0=fact(1:2)#0.0)");
+
+  // A one-table subset is the bare table token.
+  const std::vector<int> one = {1};
+  expect_forms(CardEstRequest::JoinCount(query, one), "dim{2:0:1:0}",
+               "dim(2:0)");
+
+  // Group NDV, column NDV and a disjunction.
+  expect_forms(CardEstRequest::GroupNdv(query), "G[" + join3 + ";dim.1;fact.2]",
+               "G(" + join3_class + ";dim.1;fact.2)");
+  expect_forms(CardEstRequest::ColumnNdv(*fact, 2, filters),
+               "V[fact{1:7:10:20&2:6:0:0:4,-2,3};2]",
+               "V(fact(1:7&2:6:in);2)");
+  const std::vector<Conjunction> disjuncts = {
+      {Pred(1, CompareOp::kGe, 40), Pred(0, CompareOp::kNe, 7)}, {in}};
+  expect_forms(CardEstRequest::Disjunction(*fact, disjuncts),
+               "O[fact;{0:1:7:0&1:5:40:0}|{2:6:0:0:4,-2,3}]",
+               "O(fact;(0:1&1:5)|(2:6:in))");
+}
+
 // --- Cross-layer key agreement ------------------------------------------------
 
 // Records every fingerprint the optimizer asks the feedback cache about.
@@ -362,12 +434,10 @@ TEST(RequestFingerprintTest, MemoFeedbackAndStampKeysAgree) {
 TEST(RequestFingerprintTest, SessionMemoRoundTrips) {
   InferenceSession session;
   double value = 0.0;
-  bool was_fallback = false;
-  EXPECT_FALSE(session.LookupScalar("sel:k", &value, &was_fallback));
-  session.StoreScalar("sel:k", 0.25, true);
-  ASSERT_TRUE(session.LookupScalar("sel:k", &value, &was_fallback));
+  EXPECT_FALSE(session.LookupScalar("sel:k", &value));
+  session.StoreScalar("sel:k", 0.25);
+  ASSERT_TRUE(session.LookupScalar("sel:k", &value));
   EXPECT_EQ(value, 0.25);
-  EXPECT_TRUE(was_fallback);  // fallback accounting replays on hits
 
   double total = 0.0;
   EXPECT_EQ(session.LookupBuckets("fjb:k", &total), nullptr);

@@ -132,16 +132,14 @@ TEST(FeedbackFingerprintTest, TableFingerprintIsOrderInsensitive) {
 
   const auto p1 = Pred(1, CompareOp::kLt, 10);
   const auto p2 = Pred(2, CompareOp::kEq, 0);
-  EXPECT_EQ(minihouse::TableFingerprint(*fact, {p1, p2}),
-            minihouse::TableFingerprint(*fact, {p2, p1}));
+  EXPECT_EQ(cardest::TableKey(*fact, {p1, p2}),
+            cardest::TableKey(*fact, {p2, p1}));
   // Different operand, different identity.
-  EXPECT_NE(minihouse::TableFingerprint(*fact, {p1}),
-            minihouse::TableFingerprint(
-                *fact, {Pred(1, CompareOp::kLt, 11)}));
+  EXPECT_NE(cardest::TableKey(*fact, {p1}),
+            cardest::TableKey(*fact, {Pred(1, CompareOp::kLt, 11)}));
   // Different table, different identity even for the same predicate shape.
   const minihouse::Table* dim = db->FindTable("dim").value();
-  EXPECT_NE(minihouse::TableFingerprint(*fact, {p1}),
-            minihouse::TableFingerprint(*dim, {p1}));
+  EXPECT_NE(cardest::TableKey(*fact, {p1}), cardest::TableKey(*dim, {p1}));
 }
 
 TEST(FeedbackFingerprintTest, SubplanFingerprintCanonicalizesTablesAndEdges) {
@@ -150,28 +148,24 @@ TEST(FeedbackFingerprintTest, SubplanFingerprintCanonicalizesTablesAndEdges) {
   a.tables[0].filters = {Pred(1, CompareOp::kLt, 10)};
 
   // Subset enumeration order does not matter.
-  EXPECT_EQ(minihouse::SubplanFingerprint(a, {0, 1}),
-            minihouse::SubplanFingerprint(a, {1, 0}));
+  EXPECT_EQ(cardest::SubplanKey(a, {0, 1}), cardest::SubplanKey(a, {1, 0}));
 
   // Edge direction does not matter: dim.id = fact.dim_id is the same join.
   BoundQuery b = a;
   b.joins = {{1, 0, 0, 0}};
-  EXPECT_EQ(minihouse::SubplanFingerprint(a, {0, 1}),
-            minihouse::SubplanFingerprint(b, {0, 1}));
+  EXPECT_EQ(cardest::SubplanKey(a, {0, 1}), cardest::SubplanKey(b, {0, 1}));
 
   // Table position in the query does not matter either.
   BoundQuery c;
   c.tables = {a.tables[1], a.tables[0]};  // dim first, fact second
   c.joins = {{1, 0, 0, 0}};               // fact.dim_id = dim.id
   c.aggs = a.aggs;
-  EXPECT_EQ(minihouse::SubplanFingerprint(a, {0, 1}),
-            minihouse::SubplanFingerprint(c, {0, 1}));
+  EXPECT_EQ(cardest::SubplanKey(a, {0, 1}), cardest::SubplanKey(c, {0, 1}));
 
   // A one-element subset reduces to the table fingerprint, so scan and
   // selectivity questions share cache keys.
-  EXPECT_EQ(minihouse::SubplanFingerprint(a, {0}),
-            minihouse::TableFingerprint(*a.tables[0].table,
-                                        a.tables[0].filters));
+  EXPECT_EQ(cardest::SubplanKey(a, {0}),
+            cardest::TableKey(*a.tables[0].table, a.tables[0].filters));
 }
 
 TEST(FeedbackFingerprintTest, GroupNdvFingerprintSortsKeys) {
@@ -180,12 +174,10 @@ TEST(FeedbackFingerprintTest, GroupNdvFingerprintSortsKeys) {
   a.group_by = {{1, 1}, {0, 2}};
   BoundQuery b = a;
   b.group_by = {{0, 2}, {1, 1}};
-  EXPECT_EQ(minihouse::GroupNdvFingerprint(a),
-            minihouse::GroupNdvFingerprint(b));
+  EXPECT_EQ(cardest::GroupNdvKey(a), cardest::GroupNdvKey(b));
   BoundQuery c = a;
   c.group_by = {{1, 1}};
-  EXPECT_NE(minihouse::GroupNdvFingerprint(a),
-            minihouse::GroupNdvFingerprint(c));
+  EXPECT_NE(cardest::GroupNdvKey(a), cardest::GroupNdvKey(c));
 }
 
 TEST(FeedbackFingerprintTest, QError) {
@@ -586,7 +578,6 @@ class FeedbackByteCardTest : public ::testing::Test {
     // The acceptance bar: health verdicts come from runtime feedback alone —
     // synthetic monitor probing stays off for the whole test.
     options.run_monitor = false;
-    options.enable_feedback = true;
     options.feedback.drift.window = 32;
     options.feedback.drift.min_samples = 6;
     options.feedback.drift.qerror_threshold = 5.0;
@@ -594,6 +585,7 @@ class FeedbackByteCardTest : public ::testing::Test {
                                   dir_.str(), options);
     ASSERT_TRUE(bc.ok()) << bc.status().ToString();
     bytecard_ = std::move(bc).value();
+    bytecard_->EnableFeedback();
   }
 
   Result<minihouse::ExecResult> RunFactQuery(ColumnPredicate pred) {

@@ -278,7 +278,6 @@ class IncrementalMaintainerTest : public ::testing::Test {
     db_ = testutil::BuildToyDatabase(8000, 113).release();
 
     ByteCard::Options options;
-    options.enable_feedback = true;
     options.rbx.population_sizes = {8000};
     options.rbx.sample_rates = {0.02, 0.05};
     options.rbx.replicas = 2;
@@ -287,6 +286,7 @@ class IncrementalMaintainerTest : public ::testing::Test {
         *db_, {testutil::ToyJoinQuery(*db_)}, dir_->str(), options);
     BC_CHECK_OK(bc.status());
     bytecard_ = std::move(bc).value().release();
+    bytecard_->EnableFeedback();
     BC_CHECK_OK(bytecard_->EnableIncrementalMaintenance(*db_));
 
     ingestor_ = new DataIngestor(db_);
@@ -458,7 +458,6 @@ TEST(IncrementalConcurrencyTest, IngestRacesQueriesAndLifecycle) {
   auto db = testutil::BuildToyDatabase(4000, 211);
 
   ByteCard::Options options;
-  options.enable_feedback = true;
   options.rbx.population_sizes = {4000};
   options.rbx.sample_rates = {0.02, 0.05};
   options.rbx.replicas = 2;
@@ -467,6 +466,7 @@ TEST(IncrementalConcurrencyTest, IngestRacesQueriesAndLifecycle) {
       ByteCard::Bootstrap(*db, {testutil::ToyJoinQuery(*db)}, dir, options);
   ASSERT_TRUE(bc_result.ok());
   std::unique_ptr<ByteCard> bc = std::move(bc_result).value();
+  bc->EnableFeedback();
   ASSERT_TRUE(bc->EnableIncrementalMaintenance(*db).ok());
 
   DataIngestor ingestor(db.get());

@@ -413,8 +413,8 @@ TEST(EncodedScanTest, PruningSkipsBlocksAndPreservesResults) {
             planned_off.value().agg.group_keys);
   EXPECT_EQ(planned_on.value().agg.agg_values,
             planned_off.value().agg.agg_values);
-  EXPECT_EQ(planned_off.value().stats.blocks_pruned, 0);
-  EXPECT_GT(planned_on.value().stats.blocks_pruned, 0);
+  EXPECT_EQ(planned_off.value().stats.io.blocks_pruned, 0);
+  EXPECT_GT(planned_on.value().stats.io.blocks_pruned, 0);
 }
 
 TEST(EncodedScanTest, AllBlocksPrunedReadsNothing) {

@@ -540,7 +540,7 @@ TEST(MisSpecializationTest, GuardFiresFallsBackAndVetoesNextPlan) {
   EXPECT_EQ(total, 3000.0);
 
   // The guard firing reached the feedback log and became a veto.
-  const std::string fingerprint = minihouse::GroupNdvFingerprint(query);
+  const std::string fingerprint = cardest::GroupNdvKey(query);
   EXPECT_TRUE(manager.SpecializationVetoed(fingerprint));
   bool logged = false;
   for (const minihouse::QueryFeedback& fb : manager.log().Snapshot()) {

@@ -17,7 +17,7 @@
 #include "bytecard/bytecard.h"
 #include "bytecard/routing/route_miner.h"
 #include "bytecard/routing/routing_table.h"
-#include "cardest/route_class.h"
+#include "cardest/request.h"
 #include "common/serde.h"
 #include "minihouse/executor.h"
 #include "minihouse/optimizer.h"
@@ -45,6 +45,12 @@ ColumnPredicate Pred(int column, CompareOp op, int64_t operand,
   return pred;
 }
 
+// The route class of a scan of `table` under `filters`.
+std::string TableClass(const minihouse::Table& table,
+                       const minihouse::Conjunction& filters) {
+  return cardest::CardEstRequest::Selectivity(table, filters).RouteClass();
+}
+
 // COUNT(*) over fact under one filter.
 BoundQuery FactCountQuery(const minihouse::Database& db, ColumnPredicate pred) {
   BoundQuery query;
@@ -64,23 +70,21 @@ TEST(RoutingClassTest, ShapesDropOperandsKeepStructure) {
   const minihouse::Table& fact = *db->FindTable("fact").value();
 
   // Same template, different constants: one class.
-  const std::string a =
-      cardest::TableShape(fact, {Pred(1, CompareOp::kLt, 10)});
-  const std::string b =
-      cardest::TableShape(fact, {Pred(1, CompareOp::kLt, 40)});
+  const std::string a = TableClass(fact, {Pred(1, CompareOp::kLt, 10)});
+  const std::string b = TableClass(fact, {Pred(1, CompareOp::kLt, 40)});
   EXPECT_EQ(a, b);
   // The operand is really gone from the token.
   EXPECT_EQ(a.find("10"), std::string::npos) << a;
 
   // Different operator or column: different class.
-  EXPECT_NE(a, cardest::TableShape(fact, {Pred(1, CompareOp::kGe, 10)}));
-  EXPECT_NE(a, cardest::TableShape(fact, {Pred(2, CompareOp::kLt, 10)}));
+  EXPECT_NE(a, TableClass(fact, {Pred(1, CompareOp::kGe, 10)}));
+  EXPECT_NE(a, TableClass(fact, {Pred(2, CompareOp::kLt, 10)}));
 
   // Predicate order is canonicalized away.
-  EXPECT_EQ(cardest::TableShape(
-                fact, {Pred(1, CompareOp::kLt, 10), Pred(2, CompareOp::kEq, 1)}),
-            cardest::TableShape(fact, {Pred(2, CompareOp::kEq, 7),
-                                       Pred(1, CompareOp::kLt, 3)}));
+  EXPECT_EQ(TableClass(fact, {Pred(1, CompareOp::kLt, 10),
+                              Pred(2, CompareOp::kEq, 1)}),
+            TableClass(fact, {Pred(2, CompareOp::kEq, 7),
+                              Pred(1, CompareOp::kLt, 3)}));
 }
 
 TEST(RoutingClassTest, RouteClassOfMatchesShapeHelpers) {
@@ -89,25 +93,28 @@ TEST(RoutingClassTest, RouteClassOfMatchesShapeHelpers) {
   join.tables[0].filters = {Pred(1, CompareOp::kLt, 25)};
 
   // The join request's class is the full-subset subplan shape.
+  const std::vector<int> both = {0, 1};
+  const std::vector<int> first = {0};
   const std::string join_cls =
-      cardest::RouteClassOf(cardest::CardEstRequest::Count(join));
-  EXPECT_EQ(join_cls, cardest::SubplanShape(join, {0, 1}));
+      cardest::CardEstRequest::Count(join).RouteClass();
+  EXPECT_EQ(join_cls,
+            cardest::CardEstRequest::JoinCount(join, both).RouteClass());
 
   // A single-table join subset reduces to the bare table shape, exactly like
   // SubplanKey reduces to TableKey.
-  EXPECT_EQ(cardest::SubplanShape(join, {0}),
-            cardest::TableShape(*join.tables[0].table, join.tables[0].filters));
+  EXPECT_EQ(cardest::CardEstRequest::JoinCount(join, first).RouteClass(),
+            TableClass(*join.tables[0].table, join.tables[0].filters));
 
   // Session-memoized and session-free classes are byte-identical.
   cardest::InferenceSession session;
-  EXPECT_EQ(cardest::RouteClassOf(cardest::CardEstRequest::Count(join),
-                                  &session),
+  EXPECT_EQ(cardest::CardEstRequest::Count(join).RouteClass(&session),
             join_cls);
 
-  // Group-NDV requests class under the group shape.
+  // Group-NDV requests class under the group shape: "G(" around the
+  // all-tables join shape and the group keys.
   join.group_by = {{1, 1}};
-  EXPECT_EQ(cardest::RouteClassOf(cardest::CardEstRequest::GroupNdv(join)),
-            cardest::GroupShape(join));
+  EXPECT_EQ(cardest::CardEstRequest::GroupNdv(join).RouteClass(),
+            "G(" + join_cls + ";dim.1)");
 }
 
 // --- RoutingTable -------------------------------------------------------------
@@ -251,11 +258,11 @@ class RoutingByteCardTest : public ::testing::Test {
     options.rbx.replicas = 1;
     options.rbx.epochs = 10;
     options.run_monitor = false;
-    options.enable_feedback = true;
     auto bc = ByteCard::Bootstrap(*db_, {testutil::ToyJoinQuery(*db_)},
                                   dir_.str(), options);
     ASSERT_TRUE(bc.ok()) << bc.status().ToString();
     bytecard_ = std::move(bc).value();
+    bytecard_->EnableFeedback();
   }
 
   Result<minihouse::ExecResult> Run(const BoundQuery& query) {
@@ -329,9 +336,11 @@ TEST_F(RoutingIdentityTest, GeneralPathAndRoutedProbesShareNoMemoState) {
   const cardest::CardEstRequest request =
       cardest::CardEstRequest::Selectivity(fact, filters);
 
-  // Estimate() with no live routing is EstimateGeneral, verbatim.
-  EXPECT_EQ(snap->Estimate(request, nullptr),
-            snap->EstimateGeneral(request, nullptr, nullptr));
+  // Estimate() with no live routing is the general chain, verbatim.
+  double general = 0.0;
+  ASSERT_TRUE(snap->EstimateWithFamily(RouteFamily::kGeneral, request, nullptr,
+                                       &general));
+  EXPECT_EQ(snap->Estimate(request, nullptr), general);
 
   // A routed family probe through a session must not perturb the general
   // path's memo: the general answer after a mixed probe equals the fresh one.
@@ -385,8 +394,7 @@ TEST_F(RouteMinerTest, MinesDecisionsFromFeedbackTrace) {
 
   // Every published decision carries its evidence.
   const minihouse::Table& fact = *db_->FindTable("fact").value();
-  const std::string scan_cls =
-      cardest::TableShape(fact, {Pred(1, CompareOp::kLt, 0)});
+  const std::string scan_cls = TableClass(fact, {Pred(1, CompareOp::kLt, 0)});
   const RouteDecision* scan = routes->Find(scan_cls);
   ASSERT_NE(scan, nullptr) << "scan template should be well-sampled";
   EXPECT_GE(scan->samples, 6);
@@ -441,8 +449,7 @@ TEST_F(RouteMinerTest, HealthDemotionRetiresRoutesOverTable) {
       bytecard_->routing_table();
   ASSERT_NE(routes, nullptr);
   const minihouse::Table& fact = *db_->FindTable("fact").value();
-  EXPECT_EQ(routes->Find(cardest::TableShape(
-                fact, {Pred(1, CompareOp::kLt, 0)})),
+  EXPECT_EQ(routes->Find(TableClass(fact, {Pred(1, CompareOp::kLt, 0)})),
             nullptr);
 }
 
@@ -459,12 +466,12 @@ TEST(RoutingConcurrencyTest, ReminingRacesEstimationStreams) {
   options.rbx.replicas = 1;
   options.rbx.epochs = 5;
   options.run_monitor = false;
-  options.enable_feedback = true;
   auto bc = ByteCard::Bootstrap(*db, {testutil::ToyJoinQuery(*db)}, dir,
                                 options);
   ASSERT_TRUE(bc.ok()) << bc.status().ToString();
   std::unique_ptr<ByteCard> owner = std::move(bc).value();
   ByteCard* bytecard = owner.get();
+  bytecard->EnableFeedback();
 
   constexpr int kStreams = 8;
   constexpr int kQueriesPerStream = 24;

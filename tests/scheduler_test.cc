@@ -307,11 +307,11 @@ TEST(SchedulerConcurrencyTest, LifecyclePublishesRaceSubmittingStreams) {
   options.rbx.replicas = 1;
   options.rbx.epochs = 5;
   options.run_monitor = false;
-  options.enable_feedback = true;
   auto bc = ByteCard::Bootstrap(*db, {testutil::ToyJoinQuery(*db)}, dir,
                                 options);
   ASSERT_TRUE(bc.ok()) << bc.status().ToString();
   ByteCard* bytecard = bc.value().get();
+  bytecard->EnableFeedback();
   const minihouse::Table& fact = *db->FindTable("fact").value();
   const uint64_t version_at_start = bytecard->SnapshotVersion();
 

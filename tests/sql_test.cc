@@ -250,5 +250,62 @@ TEST_F(AnalyzerTest, AmbiguousColumnIsInvalidArgument) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+// --- Regressions -------------------------------------------------------------
+
+// tags(id, count, label): a keyword-named column and a string column.
+std::unique_ptr<minihouse::Database> TagsDatabase() {
+  using minihouse::DataType;
+  auto db = std::make_unique<minihouse::Database>();
+  minihouse::TableSchema schema({{"id", DataType::kInt64},
+                                 {"count", DataType::kInt64},
+                                 {"label", DataType::kString}});
+  auto tags = std::make_unique<minihouse::Table>("tags", schema);
+  for (int64_t i = 0; i < 10; ++i) {
+    tags->mutable_column(0)->AppendInt(i);
+    tags->mutable_column(1)->AppendInt(i - 5);
+    tags->mutable_column(2)->AppendString(i % 2 == 0 ? "even" : "odd");
+  }
+  BC_CHECK_OK(tags->Seal());
+  BC_CHECK_OK(db->AddTable(std::move(tags)));
+  return db;
+}
+
+TEST(SqlRegressionTest, KeywordNamedColumnAfterDot) {
+  auto stmt =
+      ParseSelect("SELECT COUNT(t.count) FROM tags t WHERE t.count > 1");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  EXPECT_EQ(stmt.value().items[0].column.ToString(), "t.count");
+  ASSERT_EQ(stmt.value().filters.size(), 1u);
+  EXPECT_EQ(stmt.value().filters[0].column.column, "count");
+
+  auto db = TagsDatabase();
+  auto query = AnalyzeSql(
+      "SELECT COUNT(*) FROM tags WHERE tags.count >= 2 GROUP BY tags.count",
+      *db);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  ASSERT_EQ(query.value().tables[0].filters.size(), 1u);
+  EXPECT_EQ(query.value().tables[0].filters[0].column, 1);
+  ASSERT_EQ(query.value().group_by.size(), 1u);
+  EXPECT_EQ(query.value().group_by[0].column, 1);
+}
+
+TEST(SqlRegressionTest, IntegerInListKeepsMinusTwo) {
+  auto db = TagsDatabase();
+  auto query = AnalyzeSql(
+      "SELECT COUNT(*) FROM tags WHERE tags.count IN (-2, 3)", *db);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  ASSERT_EQ(query.value().tables[0].filters.size(), 1u);
+  EXPECT_EQ(query.value().tables[0].filters[0].in_list,
+            (std::vector<int64_t>{-2, 3}));
+
+  // An unknown string still leaves a string column's list: it matches
+  // nothing.
+  auto strings = AnalyzeSql(
+      "SELECT COUNT(*) FROM tags WHERE label IN ('odd', 'absent')", *db);
+  ASSERT_TRUE(strings.ok()) << strings.status().ToString();
+  ASSERT_EQ(strings.value().tables[0].filters.size(), 1u);
+  EXPECT_EQ(strings.value().tables[0].filters[0].in_list.size(), 1u);
+}
+
 }  // namespace
 }  // namespace bytecard::sql

@@ -5,8 +5,10 @@
 # races), the robustness tests (loader/deserializer abuse), the
 # parallel-execution tests (thread pool, morsel-parallel
 # scans/joins/aggregation), the runtime-feedback tests (query threads racing
-# cache invalidation and drift aggregation), and the incremental-maintenance
-# tests (ingest batches racing query streams and snapshot publishes).
+# cache invalidation and drift aggregation), the incremental-maintenance
+# tests (ingest batches racing query streams and snapshot publishes), and the
+# model-lifecycle tests (bootstrap, loader/validator admission, monitor
+# probes, and the demotion publish path).
 #
 # Usage: ci/sanitize.sh [thread|address|undefined] [build-dir]
 # BYTECARD_THREADS overrides the worker-pool sizing (default 4 here, so the
@@ -33,7 +35,8 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
            thread_pool_test minihouse_parallel_test minihouse_operator_test \
            cardest_request_test inference_session_test scheduler_test \
            minihouse_specialize_test minihouse_encoding_test \
-           incremental_test cardest_ndv_test routing_test
+           incremental_test cardest_ndv_test routing_test \
+           bytecard_facade_test bytecard_lifecycle_test bytecard_services_test
 
 # halt_on_error makes a race fail the ctest run instead of just logging;
 # tsan.supp documents the known libstdc++ instrumentation gaps we ignore.
@@ -43,6 +46,6 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 export BYTECARD_THREADS="${BYTECARD_THREADS:-4}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-  -R "ConcurrencyTest|RobustnessTest|ThreadPoolTest|ParallelMorselsTest|ParallelScanTest|ParallelJoinTest|ParallelAggregateTest|ParallelExecutorTest|ParallelOptimizerTest|OperatorDagTest|FeedbackFingerprintTest|FeedbackLogTest|FeedbackCacheTest|DriftDetectorTest|FeedbackCaptureTest|FeedbackConcurrencyTest|FeedbackByteCardTest|RequestFingerprintTest|InferenceSessionTest|SessionConcurrencyTest|SchedulerTest|SchedulerConcurrencyTest|ColumnDomainTest|DenseKeyIndexTest|AggSizingTest|PredicateKernelTest|DenseAggTest|ArrayJoinTest|SpecializationIdentityTest|MisSpecializationTest|EncodedBlockTest|EncodingPropertyTest|ZoneMapTest|DecodeCacheTest|DictionarySealTest|DomainFromZoneMapTest|EncodedScanTest|IngestDeltaTest|BnDeltaTest|FjDeltaTest|IncrementalMaintainerTest|IncrementalConcurrencyTest|HllSketchTest|RoutingClassTest|RoutingTableTest|RoutingIdentityTest|RouteMinerTest|RoutingConcurrencyTest|SchedulerSqlTest"
+  -R "ConcurrencyTest|RobustnessTest|ThreadPoolTest|ParallelMorselsTest|ParallelScanTest|ParallelJoinTest|ParallelAggregateTest|ParallelExecutorTest|ParallelOptimizerTest|OperatorDagTest|FeedbackFingerprintTest|FeedbackLogTest|FeedbackCacheTest|DriftDetectorTest|FeedbackCaptureTest|FeedbackConcurrencyTest|FeedbackByteCardTest|RequestFingerprintTest|InferenceSessionTest|SessionConcurrencyTest|SchedulerTest|SchedulerConcurrencyTest|ColumnDomainTest|DenseKeyIndexTest|AggSizingTest|PredicateKernelTest|DenseAggTest|ArrayJoinTest|SpecializationIdentityTest|MisSpecializationTest|EncodedBlockTest|EncodingPropertyTest|ZoneMapTest|DecodeCacheTest|DictionarySealTest|DomainFromZoneMapTest|EncodedScanTest|IngestDeltaTest|BnDeltaTest|FjDeltaTest|IncrementalMaintainerTest|IncrementalConcurrencyTest|HllSketchTest|RoutingClassTest|RoutingTableTest|RoutingIdentityTest|RouteMinerTest|RoutingConcurrencyTest|SchedulerSqlTest|ByteCardFacadeTest|ByteCardBootstrapTest|LifecycleTest|ModelForgeTest|ModelLoaderTest|ModelMonitorTest|ModelPreprocessorTest|ModelValidatorTest"
 
 echo "sanitize(${SANITIZER}): OK"

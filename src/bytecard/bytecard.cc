@@ -7,14 +7,10 @@
 #include "bytecard/model_loader.h"
 #include "bytecard/model_preprocessor.h"
 #include "common/logging.h"
-#include "common/serde.h"
 #include "common/stopwatch.h"
 #include "sql/analyzer.h"
 
 namespace bytecard {
-
-ByteCard::ByteCard(Options options)
-    : options_(std::move(options)), monitor_(options_.monitor) {}
 
 void ByteCard::EnableFeedback() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
@@ -76,10 +72,11 @@ Result<std::unique_ptr<ByteCard>> ByteCard::Bootstrap(
       ModelPreprocessor::CollectJoinPatterns(workload_hint);
 
   // 2. FactorJoin bucket construction first — BN training needs its
-  // boundaries so join-column bins coincide with join buckets.
-  BC_ASSIGN_OR_RETURN(
-      ModelArtifact fj_artifact,
-      forge.TrainFactorJoin(db, join_patterns, options.join_buckets));
+  // boundaries so join-column bins coincide with join buckets. The paper's
+  // setup uses 200 equi-height buckets per join key group.
+  constexpr int kJoinBuckets = 200;
+  BC_ASSIGN_OR_RETURN(ModelArtifact fj_artifact,
+                      forge.TrainFactorJoin(db, join_patterns, kJoinBuckets));
   bc->training_stats_.factorjoin_seconds = fj_artifact.train_seconds;
   bc->training_stats_.factorjoin_bytes = fj_artifact.size_bytes;
   bc->training_stats_.artifacts.push_back(fj_artifact);
@@ -132,27 +129,28 @@ Result<std::unique_ptr<ByteCard>> ByteCard::Bootstrap(
     BC_RETURN_IF_ERROR(builder.LoadBn(model.name, model.bytes));
   }
 
-  // 6. Per-table samples for RBX featurization (§5.2.1).
+  // 6. Per-table samples for RBX featurization (§5.2.1): 5% of each table,
+  // at most 50k rows.
   {
+    constexpr double kSampleRate = 0.05;
+    constexpr int64_t kSampleMaxRows = 50000;
     auto samples =
         std::make_shared<std::map<std::string, stats::TableSample>>();
     Rng rng(options.seed ^ 0x9e3779b9);
     for (const std::string& name : db.TableNames()) {
       const minihouse::Table* table = db.FindTable(name).value();
-      (*samples)[name] = stats::TableSample::Build(
-          *table, options.sample_rate, options.sample_max_rows, &rng);
+      (*samples)[name] = stats::TableSample::Build(*table, kSampleRate,
+                                                   kSampleMaxRows, &rng);
     }
     bc->samples_ = std::move(samples);
     builder.SetSamples(bc->samples_);
   }
 
   // 7. Traditional fallback sketches (ByteHouse keeps these regardless).
-  if (options.build_fallback_sketches) {
-    bc->fallback_statistics_ = stats::SketchStatistics::Build(db, 64);
-    bc->fallback_ = std::make_shared<stats::SketchEstimator>(
-        bc->fallback_statistics_.get());
-    builder.SetFallback(bc->fallback_);
-  }
+  bc->fallback_statistics_ = stats::SketchStatistics::Build(db, 64);
+  bc->fallback_ =
+      std::make_shared<stats::SketchEstimator>(bc->fallback_statistics_.get());
+  builder.SetFallback(bc->fallback_);
 
   // 8. Model Monitor probing of each single-table model; verdicts are baked
   // into the snapshot.
@@ -184,8 +182,6 @@ cardest::BnTrainOptions ByteCard::DeriveBnOptions(
     const cardest::FactorJoinModel* fj_model) const {
   cardest::BnTrainOptions bn_options;
   bn_options.columns = ModelPreprocessor::SelectedColumns(table);
-  bn_options.max_bins = options_.bn_max_bins;
-  bn_options.max_train_rows = options_.bn_max_train_rows;
   bn_options.seed = options_.seed;
   if (fj_model != nullptr) {
     for (int c : bn_options.columns) {
@@ -303,8 +299,7 @@ Status ByteCard::RetrainTable(const minihouse::Table& table) {
   return Status::Ok();
 }
 
-Status ByteCard::EnableIncrementalMaintenance(
-    const minihouse::Database& db, incremental::IncrementalOptions options) {
+Status ByteCard::EnableIncrementalMaintenance(const minihouse::Database& db) {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (incremental_ != nullptr) return Status::Ok();
   std::shared_ptr<const EstimatorSnapshot> current = snapshot_.Acquire();
@@ -312,8 +307,7 @@ Status ByteCard::EnableIncrementalMaintenance(
     return Status::Internal(
         "EnableIncrementalMaintenance requires a published snapshot");
   }
-  auto maintainer =
-      std::make_unique<incremental::IncrementalMaintainer>(this, options);
+  auto maintainer = std::make_unique<incremental::IncrementalMaintainer>(this);
   {
     // Seeding scans every table once; shared latches (sorted, like
     // TableReadGuard) keep concurrent ingest appends from racing the scans.
@@ -346,19 +340,8 @@ Result<uint64_t> ByteCard::ApplyIngestDelta(
                       incremental_->ComputeUpdates(delta, *current));
 
   // Delta-updated models enter through the same validated admission paths a
-  // trained artifact takes; a failure leaves the incumbent serving. BN bytes
-  // are only materialized when the artifact store needs them — the in-memory
-  // AdoptBn path keeps the per-batch publish flat.
-  const bool persist_artifacts =
-      incremental_->options().publish_artifacts && !storage_dir_.empty();
-  std::vector<std::pair<std::string, std::string>> bn_artifact_bytes;
-  if (persist_artifacts) {
-    for (const auto& [table, model] : updates.bn) {
-      BufferWriter writer;
-      model.Serialize(&writer);
-      bn_artifact_bytes.emplace_back(table, writer.Release());
-    }
-  }
+  // trained artifact takes; a failure leaves the incumbent serving. BN models
+  // ride in memory (AdoptBn), which keeps the per-batch publish flat.
   SnapshotBuilder builder(current, &validator_);
   for (auto& [table, model] : updates.bn) {
     BC_RETURN_IF_ERROR(builder.AdoptBn(table, std::move(model)));
@@ -372,27 +355,6 @@ Result<uint64_t> ByteCard::ApplyIngestDelta(
                       builder.Finish());
   const uint64_t version = snapshot->version();
   snapshot_.Publish(std::move(snapshot));
-
-  // Optionally persist the delta state to the artifact store, committing
-  // loader marks so RefreshModels does not re-offer what is already live.
-  if (persist_artifacts) {
-    ModelForgeService forge(storage_dir_);
-    for (const auto& [table, bytes] : bn_artifact_bytes) {
-      Result<ModelArtifact> artifact =
-          forge.PublishArtifact("bn", table, bytes);
-      if (artifact.ok() && loader_ != nullptr) {
-        loader_->CommitLoaded("bn", table, artifact.value().timestamp);
-      }
-    }
-    if (updates.has_fj) {
-      Result<ModelArtifact> artifact =
-          forge.PublishArtifact("factorjoin", "global", updates.fj_bytes);
-      if (artifact.ok() && loader_ != nullptr) {
-        loader_->CommitLoaded("factorjoin", "global",
-                              artifact.value().timestamp);
-      }
-    }
-  }
 
   // Only the grown table's cached actuals go stale; drift windows keep
   // accumulating across delta publishes (OnIncrementalPublish, not
@@ -414,64 +376,47 @@ Result<MonitorReport> ByteCard::ProbeTable(const minihouse::Table& table) {
   }
   BC_ASSIGN_OR_RETURN(MonitorReport report,
                       monitor_.EvaluateBnModel(table, *context));
-  // Demotion/promotion path: publish a successor only when the verdict
-  // differs from what the live snapshot serves.
-  if (current->IsHealthy(table.name()) != report.healthy) {
-    SnapshotBuilder builder(current, &validator_);
-    builder.SetHealth(table.name(), report.healthy);
-    // Demotion also retires every mined route that touches the drifted
-    // table — those scores were measured against the now-distrusted model.
-    if (!report.healthy && current->routing_table() != nullptr) {
-      BC_RETURN_IF_ERROR(builder.SetRoutingTable(
-          current->routing_table()->WithoutTable(table.name())));
-    }
-    BC_ASSIGN_OR_RETURN(std::shared_ptr<const EstimatorSnapshot> snapshot,
-                        builder.Finish());
-    const uint64_t version = snapshot->version();
-    snapshot_.Publish(std::move(snapshot));
-    if (feedback_owned_ != nullptr) {
-      feedback_owned_->OnSnapshotPublished(version);
-      feedback_owned_->OnTableHealthChanged(table.name());
-    }
-  }
+  BC_RETURN_IF_ERROR(PublishTableHealth(table.name(), report.healthy));
   return report;
 }
 
 void ByteCard::SetTableHealth(const std::string& table, bool healthy) {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   monitor_.SetHealth(table, healthy);
+  const Status published = PublishTableHealth(table, healthy);
+  if (!published.ok()) {
+    BC_LOG(Warning) << "health publish for '" << table
+                    << "' failed: " << published.ToString();
+  }
+}
+
+Status ByteCard::PublishTableHealth(const std::string& table, bool healthy) {
   std::shared_ptr<const EstimatorSnapshot> current = snapshot_.Acquire();
-  if (current != nullptr && current->IsHealthy(table) == healthy) return;
+  if (current != nullptr && current->IsHealthy(table) == healthy) {
+    return Status::Ok();
+  }
   SnapshotBuilder builder(current, &validator_);
   builder.SetHealth(table, healthy);
-  // Health demotion retires mined routes over the demoted table (their
-  // scores trusted the model being pulled); promotions keep routes as-is.
-  if (!healthy && current != nullptr &&
-      current->routing_table() != nullptr) {
-    Status routed = builder.SetRoutingTable(
-        current->routing_table()->WithoutTable(table));
-    if (!routed.ok()) {
-      BC_LOG(Warning) << "route retirement for '" << table
-                      << "' failed: " << routed.ToString();
-    }
+  // Demotion also retires every mined route that touches the table — those
+  // scores were measured against the now-distrusted model. Promotions keep
+  // routes as-is.
+  if (!healthy && current != nullptr && current->routing_table() != nullptr) {
+    BC_RETURN_IF_ERROR(builder.SetRoutingTable(
+        current->routing_table()->WithoutTable(table)));
   }
-  Result<std::shared_ptr<const EstimatorSnapshot>> snapshot =
-      builder.Finish();
-  if (!snapshot.ok()) {
-    BC_LOG(Warning) << "health publish for '" << table
-                    << "' failed: " << snapshot.status().ToString();
-    return;
-  }
-  const uint64_t version = snapshot.value()->version();
-  snapshot_.Publish(std::move(snapshot).value());
+  BC_ASSIGN_OR_RETURN(std::shared_ptr<const EstimatorSnapshot> snapshot,
+                      builder.Finish());
+  const uint64_t version = snapshot->version();
+  snapshot_.Publish(std::move(snapshot));
   if (feedback_owned_ != nullptr) {
     feedback_owned_->OnSnapshotPublished(version);
     feedback_owned_->OnTableHealthChanged(table);
   }
+  return Status::Ok();
 }
 
 Result<routing::RouteMinerReport> ByteCard::MineRoutes(
-    const minihouse::Database& db, routing::RouteMinerOptions options) {
+    const minihouse::Database& db) {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   feedback::FeedbackManager* manager =
       feedback_.load(std::memory_order_acquire);
@@ -489,7 +434,7 @@ Result<routing::RouteMinerReport> ByteCard::MineRoutes(
   routing::RouteMinerReport report;
   BC_ASSIGN_OR_RETURN(
       std::shared_ptr<const routing::RoutingTable> mined,
-      routing::RouteMiner(options).Mine(trace, *current, db, &report));
+      routing::MineRoutes(trace, *current, db, &report));
 
   SnapshotBuilder builder(current, &validator_);
   BC_RETURN_IF_ERROR(builder.SetRoutingTable(std::move(mined)));
@@ -556,26 +501,6 @@ double ByteCard::EstimateCountDisjunction(
     const std::vector<minihouse::Conjunction>& disjuncts) {
   return Estimate(cardest::CardEstRequest::Disjunction(table, disjuncts),
                   nullptr);
-}
-
-const cardest::BnInferenceContext* ByteCard::bn_context(
-    const std::string& table) const {
-  std::shared_ptr<const EstimatorSnapshot> snap = snapshot_.Acquire();
-  return snap == nullptr ? nullptr : snap->bn_context(table);
-}
-
-const cardest::FactorJoinModel& ByteCard::factorjoin_model() const {
-  std::shared_ptr<const EstimatorSnapshot> snap = snapshot_.Acquire();
-  BC_CHECK(snap != nullptr && snap->fj_engine() != nullptr)
-      << "no FactorJoin model published";
-  return snap->fj_engine()->model();
-}
-
-const RbxNdvEngine& ByteCard::rbx_engine() const {
-  std::shared_ptr<const EstimatorSnapshot> snap = snapshot_.Acquire();
-  BC_CHECK(snap != nullptr && snap->rbx_engine() != nullptr)
-      << "no RBX model published";
-  return *snap->rbx_engine();
 }
 
 double ByteCard::EstimateSelectivity(const minihouse::Table& table,

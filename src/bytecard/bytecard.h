@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bytecard/feedback/feedback_manager.h"
@@ -65,15 +66,8 @@ struct ByteCardTrainingStats {
 class ByteCard : public minihouse::CardinalityEstimator {
  public:
   struct Options {
-    int bn_max_bins = 64;
-    int64_t bn_max_train_rows = 200000;
-    int join_buckets = 200;         // the paper setup: 200 equi-height buckets
-    double sample_rate = 0.05;      // RBX featurization sample
-    int64_t sample_max_rows = 50000;
     cardest::RbxTrainOptions rbx;
-    ModelMonitor::Options monitor;
     bool run_monitor = true;
-    bool build_fallback_sketches = true;
     // Runtime-feedback subsystem settings, used once EnableFeedback() turns
     // it on.
     feedback::FeedbackOptions feedback;
@@ -186,8 +180,7 @@ class ByteCard : public minihouse::CardinalityEstimator {
   // Cached actuals stay valid across this publish — only the dispatch
   // policy changes, not the models — so the feedback cache is NOT flushed.
   // Thread-safe (lifecycle mutex); safe under concurrent estimation.
-  Result<routing::RouteMinerReport> MineRoutes(
-      const minihouse::Database& db, routing::RouteMinerOptions options = {});
+  Result<routing::RouteMinerReport> MineRoutes(const minihouse::Database& db);
 
   // The live snapshot's routing table (null before MineRoutes / after the
   // table is cleared). The epoch-staleness rule lives in
@@ -205,9 +198,7 @@ class ByteCard : public minihouse::CardinalityEstimator {
   // From then on every ingested batch delta-updates the BN/FactorJoin/NDV
   // models and publishes a successor snapshot stamped with the batch's
   // ingest epoch. Requires a published snapshot (Bootstrap first).
-  Status EnableIncrementalMaintenance(const minihouse::Database& db,
-                                      incremental::IncrementalOptions options =
-                                          {});
+  Status EnableIncrementalMaintenance(const minihouse::Database& db);
 
   // Applies one ingest delta: computes the per-family model updates, builds
   // a successor snapshot through the same validated Load* paths a trained
@@ -283,15 +274,16 @@ class ByteCard : public minihouse::CardinalityEstimator {
   // or ProbeTable to demote/promote a live model).
   ModelMonitor* mutable_monitor() { return &monitor_; }
   const ModelValidator& validator() const { return validator_; }
-  // Convenience views into the *current* snapshot; the references stay valid
-  // until the next publish.
-  const cardest::FactorJoinModel& factorjoin_model() const;
-  const cardest::BnInferenceContext* bn_context(
-      const std::string& table) const;
-  const RbxNdvEngine& rbx_engine() const;
 
  private:
-  explicit ByteCard(Options options);
+  explicit ByteCard(Options options) : options_(std::move(options)) {}
+
+  // The one demotion/promotion path behind ProbeTable and SetTableHealth;
+  // the caller holds lifecycle_mu_. Publishes a successor carrying `table`'s
+  // new health flag unless the live snapshot already serves it. A demotion
+  // also retires every mined route over `table` in that same successor:
+  // the flag and the retirement land together or not at all.
+  Status PublishTableHealth(const std::string& table, bool healthy);
 
   // Per-table training options as Bootstrap derives them (column selection +
   // join-bucket boundaries from `fj_model`), reused verbatim by

@@ -8,8 +8,7 @@ namespace bytecard::feedback {
 FeedbackManager::FeedbackManager(FeedbackOptions options)
     : log_(options.log),
       cache_(options.cache),
-      drift_(options.drift),
-      serve_from_cache_(options.serve_from_cache) {}
+      drift_(options.drift) {}
 
 bool FeedbackManager::LookupActual(const std::string& fingerprint,
                                    double* actual_rows) {

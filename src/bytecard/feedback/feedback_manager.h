@@ -20,10 +20,6 @@ struct FeedbackOptions {
   FeedbackLog::Options log;
   FeedbackCache::Options cache;
   OnlineDriftDetector::Options drift;
-  // Serve cached actuals to the optimizer. Off leaves capture, the log, and
-  // drift detection running but answers every estimate from the model —
-  // the cache-ablation configuration.
-  bool serve_from_cache = true;
 };
 
 // The runtime-feedback subsystem behind the engine's QueryFeedbackHook: wires
@@ -66,7 +62,9 @@ class FeedbackManager : public minihouse::QueryFeedbackHook,
   // previous regime — reset so the verdict restarts clean.
   void OnTableHealthChanged(const std::string& table);
 
-  // Toggles cache serving (capture continues either way).
+  // Toggles serving cached actuals to the optimizer (on at construction).
+  // Off leaves capture, the log, and drift detection running but answers
+  // every estimate from the model — the cache-ablation configuration.
   void set_serve_from_cache(bool serve) {
     serve_from_cache_.store(serve, std::memory_order_relaxed);
   }
@@ -86,7 +84,7 @@ class FeedbackManager : public minihouse::QueryFeedbackHook,
   FeedbackLog log_;
   FeedbackCache cache_;
   OnlineDriftDetector drift_;
-  std::atomic<bool> serve_from_cache_;
+  std::atomic<bool> serve_from_cache_{true};
   std::atomic<uint64_t> last_published_version_{0};
   // Specialization vetoes: fingerprint → base tables the subplan touches
   // (the ingest-invalidation scope, same idea as the cache's table index).

@@ -8,9 +8,8 @@
 
 namespace bytecard::incremental {
 
-IncrementalMaintainer::IncrementalMaintainer(ByteCard* bytecard,
-                                             IncrementalOptions options)
-    : bytecard_(bytecard), options_(options) {}
+IncrementalMaintainer::IncrementalMaintainer(ByteCard* bytecard)
+    : bytecard_(bytecard) {}
 
 Status IncrementalMaintainer::Seed(const minihouse::Database& db,
                                    const EstimatorSnapshot& snapshot) {

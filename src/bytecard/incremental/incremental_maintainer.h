@@ -24,17 +24,6 @@ class ByteCard;
 
 namespace bytecard::incremental {
 
-// Every model family is maintained. BN count pages renormalize with
-// cardest::kBnLaplaceAlpha and the NDV sketches use stats::kHllPrecision, the
-// values training and the ingestor use.
-struct IncrementalOptions {
-  // Also publish each delta-updated model through the ModelForge artifact
-  // store (and commit the loader's mark), so a restart reloads the delta
-  // state instead of the stale trained artifact. Off by default: the common
-  // path publishes successor snapshots in memory only.
-  bool publish_artifacts = false;
-};
-
 struct IncrementalStats {
   int64_t batches_applied = 0;
   int64_t rows_absorbed = 0;
@@ -68,9 +57,11 @@ struct IncrementalUpdates {
 //   * the FactorJoin model via per-bucket histogram merges
 //     (FjMaintenanceState),
 //   * unfiltered column NDV via mergeable HyperLogLog sketches.
-// Each absorbed batch becomes a cheap successor snapshot stamped with the
-// batch's ingest epoch, published through the exact SnapshotBuilder path full
-// retrains use. The maintainer never decides model quality: the
+// BN count pages renormalize with cardest::kBnLaplaceAlpha and the NDV
+// sketches use stats::kHllPrecision, the values training and the ingestor
+// use. Each absorbed batch becomes a cheap successor snapshot stamped with
+// the batch's ingest epoch, published through the exact SnapshotBuilder path
+// full retrains use. The maintainer never decides model quality: the
 // OnlineDriftDetector demotes a table whose delta-updated model degrades, and
 // the normal demote -> retrain -> RefreshModels loop resets this state
 // (OnModelReplaced).
@@ -83,7 +74,7 @@ struct IncrementalUpdates {
 class IncrementalMaintainer : public IngestObserver {
  public:
   // `bytecard` is not owned and must outlive the maintainer.
-  IncrementalMaintainer(ByteCard* bytecard, IncrementalOptions options);
+  explicit IncrementalMaintainer(ByteCard* bytecard);
 
   // Seeds the FactorJoin maintenance copy and the per-column NDV sketches
   // with one pass over `db` (enable-time cost; batches merge from then on).
@@ -113,11 +104,9 @@ class IncrementalMaintainer : public IngestObserver {
   void RecordPublish(double seconds, const IngestDelta& delta);
 
   IncrementalStats stats() const;
-  const IncrementalOptions& options() const { return options_; }
 
  private:
   ByteCard* bytecard_;
-  const IncrementalOptions options_;
 
   mutable std::mutex mu_;
   std::map<std::string, BnCountPage> pages_;

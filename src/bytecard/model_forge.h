@@ -65,16 +65,6 @@ class ModelForgeService {
       const std::vector<cardest::NdvTrainingExample>& problematic,
       uint64_t seed);
 
-  // Publishes pre-serialized model bytes as a timestamped artifact — the
-  // incremental maintainer's path for delta-updated models, so a restarted
-  // loader reloads the delta state instead of the stale trained artifact.
-  Result<ModelArtifact> PublishArtifact(const std::string& kind,
-                                        const std::string& name,
-                                        const std::string& bytes,
-                                        double train_seconds = 0.0) {
-    return Publish(kind, name, bytes, train_seconds);
-  }
-
   // Artifacts currently in the store, newest first within each (kind, name).
   Result<std::vector<ModelArtifact>> ListArtifacts() const;
 

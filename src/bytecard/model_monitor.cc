@@ -4,17 +4,17 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "minihouse/feedback.h"
 #include "minihouse/predicate.h"
 
 namespace bytecard {
 
 namespace {
 
-double QError(double estimate, double truth) {
-  const double e = std::max(estimate, 1.0);
-  const double t = std::max(truth, 1.0);
-  return std::max(e / t, t / e);
-}
+// Every probe conjunction has 1..kMaxProbePredicates predicates, and each
+// evaluation replays the same probe sequence from kProbeSeed.
+constexpr int kMaxProbePredicates = 3;
+constexpr uint64_t kProbeSeed = 99;
 
 }  // namespace
 
@@ -33,7 +33,7 @@ minihouse::Conjunction ModelMonitor::GenerateProbe(
   if (candidates.empty()) return conjuncts;
 
   const int want = 1 + static_cast<int>(rng->Uniform(
-                           std::min<size_t>(options_.max_predicates,
+                           std::min<size_t>(kMaxProbePredicates,
                                             candidates.size())));
   rng->Shuffle(&candidates);
 
@@ -80,7 +80,7 @@ Result<MonitorReport> ModelMonitor::EvaluateBnModel(
     const minihouse::Table& table,
     const cardest::BnInferenceContext& context) {
   MonitorReport report;
-  Rng rng(options_.seed);
+  Rng rng(kProbeSeed);
   std::vector<double> qerrors;
 
   for (int p = 0; p < options_.probes; ++p) {
@@ -94,7 +94,8 @@ Result<MonitorReport> ModelMonitor::EvaluateBnModel(
     for (uint8_t s : selection) truth += s;
 
     const double estimate = context.EstimateCount(probe);
-    qerrors.push_back(QError(estimate, static_cast<double>(truth)));
+    qerrors.push_back(
+        minihouse::FeedbackQError(estimate, static_cast<double>(truth)));
   }
   if (qerrors.empty()) {
     return Status::InvalidArgument("no probes could be generated for '" +

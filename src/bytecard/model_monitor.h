@@ -31,9 +31,7 @@ class ModelMonitor {
  public:
   struct Options {
     int probes = 24;
-    int max_predicates = 3;
     double qerror_threshold = 100.0;  // P90 above this marks unhealthy
-    uint64_t seed = 99;
   };
 
   ModelMonitor() {}

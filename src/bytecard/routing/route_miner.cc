@@ -79,10 +79,10 @@ bool RebuildQuery(const minihouse::ReplaySpec& replay,
 
 }  // namespace
 
-Result<std::shared_ptr<const RoutingTable>> RouteMiner::Mine(
+Result<std::shared_ptr<const RoutingTable>> MineRoutes(
     const std::vector<minihouse::QueryFeedback>& trace,
     const EstimatorSnapshot& snapshot, const minihouse::Database& db,
-    RouteMinerReport* report) const {
+    RouteMinerReport* report) {
   RouteMinerReport local_report;
 
   // Flatten the trace (oldest-first) and keep the newest window. The
@@ -96,9 +96,9 @@ Result<std::shared_ptr<const RoutingTable>> RouteMiner::Mine(
       records.push_back(&op);
     }
   }
-  if (records.size() > options_.max_replay_records) {
+  if (records.size() > kMaxReplayRecords) {
     records.erase(records.begin(),
-                  records.end() - static_cast<long>(options_.max_replay_records));
+                  records.end() - static_cast<long>(kMaxReplayRecords));
   }
 
   std::map<std::string, ClassStats> classes;
@@ -183,7 +183,7 @@ Result<std::shared_ptr<const RoutingTable>> RouteMiner::Mine(
   for (auto& [cls, stats] : classes) {
     const FamilyScore& general = stats.families[0];
     const int64_t samples = static_cast<int64_t>(general.qerrors.size());
-    if (samples < options_.min_samples_per_class) continue;
+    if (samples < kMinSamplesPerClass) continue;
     const double n = static_cast<double>(samples);
     const double general_med = Median(general.qerrors);
     const double general_lat = general.total_latency_nanos / n;
@@ -226,7 +226,7 @@ Result<std::shared_ptr<const RoutingTable>> RouteMiner::Mine(
       // the best median, the cheapest one wins.
       const Challenger* winner = nullptr;
       for (const Challenger& c : eligible) {
-        if (c.median > best_med * (1.0 + options_.accuracy_slack)) continue;
+        if (c.median > best_med * (1.0 + kAccuracySlack)) continue;
         if (winner == nullptr || c.mean_latency < winner->mean_latency) {
           winner = &c;
         }

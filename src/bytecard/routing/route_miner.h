@@ -12,16 +12,14 @@
 
 namespace bytecard::routing {
 
-struct RouteMinerOptions {
-  // A class needs at least this many replayable observations before a route
-  // decision is mined for it (thin evidence keeps the general default).
-  int min_samples_per_class = 3;
-  // Newest-first cap on trace records replayed (bounds one mining pass).
-  size_t max_replay_records = 4096;
-  // Accuracy tie-band: among families whose median q-error beats the general
-  // router, any within (1 + slack) of the best median competes on latency.
-  double accuracy_slack = 0.10;
-};
+// A class needs at least this many replayable observations before a route
+// decision is mined for it (thin evidence keeps the general default).
+inline constexpr int kMinSamplesPerClass = 3;
+// Newest-first cap on trace records replayed (bounds one mining pass).
+inline constexpr size_t kMaxReplayRecords = 4096;
+// Accuracy tie-band: among families whose median q-error beats the general
+// router, any within (1 + slack) of the best median competes on latency.
+inline constexpr double kAccuracySlack = 0.10;
 
 // What one mining pass did (surfaced through ByteCard::MineRoutes).
 struct RouteMinerReport {
@@ -34,29 +32,24 @@ struct RouteMinerReport {
 // Mines a RoutingTable from a recorded feedback trace: replays each
 // observation's estimation question against `snapshot` through every
 // applicable estimator family, scores families on q-error against the
-// recorded actuals plus estimation latency, and emits the empirically-best
-// family per route class. Classes without enough evidence — and classes
-// where no family strictly beats the general router — get no entry, so the
-// general path remains the default for everything unseen.
+// recorded actuals plus estimation latency, and emits one decision per
+// route class with at least kMinSamplesPerClass observations: the
+// empirically-best family, or an explicit kGeneral entry when no family
+// strictly beats the general router (the decision is recorded, estimates
+// are unchanged). Thinner classes get no entry, so the general path remains
+// the default for everything unseen.
 //
 // Grouping uses the *recorded* route-class strings (stamped at execution
 // time), never classes recomputed from replays: replay specs renumber
 // tables locally, which would perturb the self-join "#<idx>" suffixes.
-class RouteMiner {
- public:
-  explicit RouteMiner(RouteMinerOptions options = {}) : options_(options) {}
-
-  // `trace` is oldest-first (FeedbackLog::Snapshot order). The result is
-  // stamped with the snapshot's ingest epoch and version; publish it via
-  // SnapshotBuilder::SetRoutingTable.
-  Result<std::shared_ptr<const RoutingTable>> Mine(
-      const std::vector<minihouse::QueryFeedback>& trace,
-      const EstimatorSnapshot& snapshot, const minihouse::Database& db,
-      RouteMinerReport* report = nullptr) const;
-
- private:
-  RouteMinerOptions options_;
-};
+//
+// `trace` is oldest-first (FeedbackLog::Snapshot order). The result is
+// stamped with the snapshot's ingest epoch and version; publish it via
+// SnapshotBuilder::SetRoutingTable.
+Result<std::shared_ptr<const RoutingTable>> MineRoutes(
+    const std::vector<minihouse::QueryFeedback>& trace,
+    const EstimatorSnapshot& snapshot, const minihouse::Database& db,
+    RouteMinerReport* report = nullptr);
 
 }  // namespace bytecard::routing
 

@@ -46,7 +46,7 @@ struct RouteDecision {
   std::vector<std::string> tables;   // base tables the class touches
 };
 
-// The per-class routing decisions one RouteMiner run produced. Immutable
+// The per-class routing decisions one MineRoutes pass produced. Immutable
 // once published inside an EstimatorSnapshot (lifecycle writers build a new
 // one — or filter a copy — and publish a successor snapshot; see
 // SnapshotBuilder::SetRoutingTable). Stamped with the ingest epoch of the

@@ -316,28 +316,13 @@ double EstimatorSnapshot::DisjunctionImpl(
     const minihouse::Table& table,
     const std::vector<minihouse::Conjunction>& disjuncts,
     cardest::InferenceSession* session, SnapshotCounters* counters) const {
-  // Inclusion-exclusion over all non-empty disjunct subsets. |D| is small in
-  // practice (OR lists in analytical filters); cap keeps this bounded.
-  const int n = static_cast<int>(disjuncts.size());
-  if (n == 0) return 0.0;
-  BC_CHECK(n <= 16) << "inclusion-exclusion over too many disjuncts";
-
-  double selectivity = 0.0;
-  for (uint32_t mask = 1; mask < (1u << n); ++mask) {
-    minihouse::Conjunction merged;
-    for (int i = 0; i < n; ++i) {
-      if (mask & (1u << i)) {
-        merged.insert(merged.end(), disjuncts[i].begin(),
-                      disjuncts[i].end());
-      }
-    }
-    double term = 1.0;
-    Selectivity(RouteFamily::kGeneral, table, merged, session, counters,
-                &term);
-    selectivity += (__builtin_popcount(mask) % 2 == 1) ? term : -term;
-  }
-  selectivity = std::clamp(selectivity, 0.0, 1.0);
-  return selectivity * static_cast<double>(table.num_rows());
+  return cardest::InclusionExclusionCount(
+      table, disjuncts, [&](const minihouse::Conjunction& merged) {
+        double term = 1.0;
+        Selectivity(RouteFamily::kGeneral, table, merged, session, counters,
+                    &term);
+        return term;
+      });
 }
 
 // ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ class EstimatorSnapshot {
   // family returns false (and leaves *out untouched) when it cannot answer
   // this request shape on this snapshot — missing engine, no sample,
   // unhealthy model, unsupported target; kCachedActual is not an estimator
-  // and never answers. The RouteMiner calls this directly to score every
+  // and never answers. The route miner calls this directly to score every
   // family, kGeneral included, on the replayed feedback trace; it never
   // consults the routing table.
   bool EstimateWithFamily(routing::RouteFamily family,
@@ -86,7 +86,7 @@ class EstimatorSnapshot {
                           cardest::InferenceSession* session, double* out,
                           SnapshotCounters* counters = nullptr) const;
 
-  // The mined routing table (null until a RouteMiner publish).
+  // The mined routing table (null until a MineRoutes publish).
   const routing::RoutingTable* routing_table() const { return routing_.get(); }
   std::shared_ptr<const routing::RoutingTable> routing_table_shared() const {
     return routing_;
@@ -169,7 +169,7 @@ class EstimatorSnapshot {
   // HyperLogLog NDV catalog from the incremental maintainer; shared with
   // neighbors when unchanged, replaced wholesale on merge.
   std::shared_ptr<const cardest::NdvSketchCatalog> ndv_sketches_;
-  // Mined routing table (null until the RouteMiner publishes one); shared
+  // Mined routing table (null until MineRoutes publishes one); shared
   // with neighbor snapshots when unchanged. routing_live_ is derived in
   // Finish so the hot path pays one bool test when no routes apply.
   std::shared_ptr<const routing::RoutingTable> routing_;

@@ -95,7 +95,7 @@ Result<BayesNetModel> BayesNetModel::Train(const minihouse::Table& table,
 
   // ... then parameter learning: smoothed maximum likelihood (EM degenerates
   // to this in one step when all variables are observed).
-  const double alpha = options.laplace_alpha;
+  const double alpha = kBnLaplaceAlpha;
   const int64_t n = static_cast<int64_t>(rows.size());
   for (int v = 0; v < num_vars; ++v) {
     BnNode& node = model.nodes_[v];

@@ -26,9 +26,9 @@ struct BnNode {
   int num_bins() const { return discretizer.num_bins(); }
 };
 
-// Laplace smoothing mass for CPD estimation. The incremental maintainer's
-// count pages renormalize with the same value, so a delta-updated model
-// keeps the smoothing its base was trained with.
+// Laplace smoothing mass for CPD estimation. Training always uses it, and
+// the incremental maintainer's count pages renormalize with the same value,
+// so a delta-updated model keeps the smoothing its base was trained with.
 inline constexpr double kBnLaplaceAlpha = 0.02;
 
 struct BnTrainOptions {
@@ -39,7 +39,6 @@ struct BnTrainOptions {
   // Join columns discretize with externally supplied boundaries so that all
   // tables sharing a join key group agree on bucket identity (FactorJoin).
   std::map<int, std::vector<int64_t>> join_column_boundaries;
-  double laplace_alpha = kBnLaplaceAlpha;
   // Training rows are sampled down to this many (0 = use all rows).
   int64_t max_train_rows = 200000;
   uint64_t seed = 1;

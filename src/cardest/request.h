@@ -1,6 +1,7 @@
 #ifndef BYTECARD_CARDEST_REQUEST_H_
 #define BYTECARD_CARDEST_REQUEST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -8,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.h"
 #include "minihouse/query.h"
 
 namespace bytecard::cardest {
@@ -85,6 +87,33 @@ struct CardEstRequest {
   std::string Fingerprint(InferenceSession* session = nullptr) const;
   std::string RouteClass(InferenceSession* session = nullptr) const;
 };
+
+// The one inclusion-exclusion formula behind every kDisjunction answer
+// (paper §5.1.2): COUNT(*) of the union of `disjuncts` on `table`, summing
+// `selectivity(merged)` over every non-empty subset's merged conjunction with
+// alternating signs. |disjuncts| is small in practice (OR lists in
+// analytical filters); the cap keeps the 2^n terms bounded.
+template <typename SelectivityFn>
+double InclusionExclusionCount(
+    const minihouse::Table& table,
+    const std::vector<minihouse::Conjunction>& disjuncts,
+    SelectivityFn&& selectivity) {
+  const int n = static_cast<int>(disjuncts.size());
+  if (n == 0) return 0.0;
+  BC_CHECK(n <= 16) << "inclusion-exclusion over too many disjuncts";
+  double sum = 0.0;
+  for (uint32_t mask = 1; mask < (1u << n); ++mask) {
+    minihouse::Conjunction merged;
+    for (int i = 0; i < n; ++i) {
+      if (mask & (1u << i)) {
+        merged.insert(merged.end(), disjuncts[i].begin(), disjuncts[i].end());
+      }
+    }
+    const double term = selectivity(merged);
+    sum += (__builtin_popcount(mask) % 2 == 1) ? term : -term;
+  }
+  return std::clamp(sum, 0.0, 1.0) * static_cast<double>(table.num_rows());
+}
 
 // --- Canonical tokens -------------------------------------------------------
 // One grammar, rendered in two forms. The fingerprint keeps every literal

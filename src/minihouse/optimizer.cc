@@ -98,28 +98,13 @@ double CardinalityEstimator::Estimate(const cardest::CardEstRequest& request,
       // The typed interface carries no NDV-under-filters question; a neutral
       // 1 keeps consumers (hash-table sizing) conservative.
       return 1.0;
-    case CardEstTarget::kDisjunction: {
-      // Inclusion-exclusion over the typed selectivity entry point (same
-      // bound as the snapshot's native path).
-      const auto& disjuncts = *request.disjuncts;
-      const int n = static_cast<int>(disjuncts.size());
-      if (n == 0) return 0.0;
-      BC_CHECK(n <= 16) << "inclusion-exclusion over too many disjuncts";
-      double selectivity = 0.0;
-      for (uint32_t mask = 1; mask < (1u << n); ++mask) {
-        Conjunction merged;
-        for (int i = 0; i < n; ++i) {
-          if (mask & (1u << i)) {
-            merged.insert(merged.end(), disjuncts[i].begin(),
-                          disjuncts[i].end());
-          }
-        }
-        const double term = EstimateSelectivity(*request.table, merged);
-        selectivity += (__builtin_popcount(mask) % 2 == 1) ? term : -term;
-      }
-      selectivity = std::clamp(selectivity, 0.0, 1.0);
-      return selectivity * static_cast<double>(request.table->num_rows());
-    }
+    case CardEstTarget::kDisjunction:
+      // Inclusion-exclusion over the typed selectivity entry point.
+      return cardest::InclusionExclusionCount(
+          *request.table, *request.disjuncts,
+          [&](const Conjunction& merged) {
+            return EstimateSelectivity(*request.table, merged);
+          });
   }
   return 1.0;
 }

@@ -18,12 +18,6 @@ namespace bytecard::minihouse {
 
 class QueryContext;  // query_context.h (which includes this header)
 
-// The estimator interface the optimizer is parameterized by. Implemented by
-// the traditional sketch-based estimator, the sample-based estimator, and the
-// ByteCard facade — the three systems Figure 5/6/7 compare. Estimation cost
-// is intentionally paid inside optimizer calls so that estimation overhead
-// (the sample-based method's weakness at low latency quantiles) shows up in
-// end-to-end latency.
 // Adaptive-routing accounting a pinned estimator view exposes (all zero for
 // estimators without a routing layer, or while no routing table is live).
 struct RoutingStats {
@@ -32,6 +26,12 @@ struct RoutingStats {
   int64_t route_fallbacks = 0;   // routed family inapplicable -> general path
 };
 
+// The estimator interface the optimizer is parameterized by. Implemented by
+// the traditional sketch-based estimator, the sample-based estimator, and the
+// ByteCard facade — the three systems Figure 5/6/7 compare. Estimation cost
+// is intentionally paid inside optimizer calls so that estimation overhead
+// (the sample-based method's weakness at low latency quantiles) shows up in
+// end-to-end latency.
 class CardinalityEstimator {
  public:
   virtual ~CardinalityEstimator() = default;
@@ -44,8 +44,8 @@ class CardinalityEstimator {
   // adapts onto the typed virtuals below (disjunctions by
   // inclusion-exclusion over EstimateSelectivity; column NDV neutrally at 1),
   // so sketches, samples, and test stubs participate unchanged. Estimators
-  // with a native canonical path (the ByteCard snapshot view, the baseline
-  // adapters) override this instead. `session` is the caller's per-query
+  // with a native canonical path (the ByteCard facade and its pinned
+  // snapshot view) override this instead. `session` is the caller's per-query
   // probe memo; null is always valid and never changes the estimate.
   virtual double Estimate(const cardest::CardEstRequest& request,
                           cardest::InferenceSession* session);

@@ -254,16 +254,6 @@ double ZoneMapSelectivityBound(const Table& table,
   return static_cast<double>(possible) / static_cast<double>(total);
 }
 
-std::vector<uint8_t> EvaluateOnColumn(const Column& column,
-                                      const ColumnPredicate& pred) {
-  const int64_t n = column.num_rows();
-  std::vector<uint8_t> selection(n, 1);
-  for (int64_t i = 0; i < n; ++i) {
-    selection[i] = static_cast<uint8_t>(pred.Matches(column.NumericAt(i)));
-  }
-  return selection;
-}
-
 void EvaluateConjunction(const Conjunction& conjuncts, const Table& table,
                          std::vector<uint8_t>* selection) {
   const int64_t n = table.num_rows();

@@ -74,11 +74,6 @@ void EvaluateOnEncodedBlock(const ColumnPredicate& pred,
 double ZoneMapSelectivityBound(const class Table& table,
                                const Conjunction& filters);
 
-// Full-column evaluation (used by the ground-truth oracle and by the
-// sample-based estimator). Produces a fresh selection vector over all rows.
-std::vector<uint8_t> EvaluateOnColumn(const Column& column,
-                                      const ColumnPredicate& pred);
-
 // Applies a whole conjunction to a table-sized selection vector.
 void EvaluateConjunction(const Conjunction& conjuncts,
                          const class Table& table,

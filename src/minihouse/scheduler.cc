@@ -15,9 +15,6 @@ QueryScheduler::QueryScheduler(CardinalityEstimator* estimator,
       optimizer_(options_.optimizer),
       pool_(pool != nullptr ? pool : &common::ThreadPool::Global()) {
   BC_CHECK(estimator_ != nullptr);
-  if (options_.heavy_promote_after_ms > 0) {
-    pool_->set_heavy_promote_after_millis(options_.heavy_promote_after_ms);
-  }
 }
 
 QueryScheduler::~QueryScheduler() {

@@ -38,12 +38,6 @@ struct SchedulerOptions {
   // the unlimited fan-out.
   int heavy_morsel_tokens = 2;
 
-  // Priority aging for the heavy lane (milliseconds; 0 = disabled): a heavy
-  // query whose head-of-queue wait reaches this age is promoted past the
-  // pool's fast-first rule, so a saturating stream of fast queries cannot
-  // starve it forever. The heavy-lane concurrency cap still applies.
-  int64_t heavy_promote_after_ms = 0;
-
   // SQL front door (see QueryScheduler::Submit(sql, db)): the analyzer run
   // on the submitting thread. Injected as a function so the engine layer
   // does not depend on the SQL library; ByteCard::StartServing wires the

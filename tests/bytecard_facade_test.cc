@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bytecard/bytecard.h"
 #include "test_util.h"
@@ -57,10 +61,12 @@ minihouse::Database* ByteCardFacadeTest::db_ = nullptr;
 ByteCard* ByteCardFacadeTest::bytecard_ = nullptr;
 
 TEST_F(ByteCardFacadeTest, BootstrapProducedAllModels) {
-  EXPECT_NE(bytecard_->bn_context("fact"), nullptr);
-  EXPECT_NE(bytecard_->bn_context("dim"), nullptr);
-  EXPECT_EQ(bytecard_->bn_context("nope"), nullptr);
-  EXPECT_EQ(bytecard_->factorjoin_model().num_groups(), 1);
+  std::shared_ptr<const EstimatorSnapshot> snap = bytecard_->snapshot();
+  EXPECT_NE(snap->bn_context("fact"), nullptr);
+  EXPECT_NE(snap->bn_context("dim"), nullptr);
+  EXPECT_EQ(snap->bn_context("nope"), nullptr);
+  ASSERT_NE(snap->fj_engine(), nullptr);
+  EXPECT_EQ(snap->fj_engine()->model().num_groups(), 1);
   EXPECT_GT(bytecard_->training_stats().bn_seconds, 0.0);
   EXPECT_GT(bytecard_->training_stats().bn_bytes, 0);
   EXPECT_GT(bytecard_->training_stats().factorjoin_bytes, 0);
@@ -156,6 +162,74 @@ TEST_F(ByteCardFacadeTest, UnhealthyModelAffectsJoinsToo) {
 TEST_F(ByteCardFacadeTest, ImplementsEstimatorInterface) {
   minihouse::CardinalityEstimator* estimator = bytecard_;
   EXPECT_EQ(estimator->Name(), "bytecard");
+}
+
+// FNV-1a, 64-bit: a stable fingerprint of one artifact's bytes.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// Pins what the default configuration produces, bit for bit: every trained
+// artifact (BN binning and training-row cap, FactorJoin bucket count), the
+// monitor's bootstrap verdicts and probe generator, the RBX featurization
+// samples, and the traditional fallback sketches.
+TEST_F(ByteCardFacadeTest, DefaultConfigurationPinned) {
+  struct PinnedArtifact {
+    std::string kind;
+    std::string name;
+    size_t size;
+    uint64_t hash;
+  };
+  const std::vector<PinnedArtifact> expected = {
+      {"factorjoin", "global", 4138, 0x6bccca7493ff0aa7ULL},
+      {"bn", "dim", 6543, 0xdeea833a3b2fe25cULL},
+      {"bn", "fact", 33952, 0xedc6d65544d5bad8ULL},
+      {"rbx", "global", 130248, 0xd135756063eab4a0ULL},
+  };
+  const std::vector<ModelArtifact>& artifacts =
+      bytecard_->training_stats().artifacts;
+  ASSERT_EQ(artifacts.size(), expected.size());
+  for (size_t i = 0; i < artifacts.size(); ++i) {
+    SCOPED_TRACE(artifacts[i].path);
+    Result<std::string> bytes = ReadArtifactBytes(artifacts[i].path);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_EQ(artifacts[i].kind, expected[i].kind);
+    EXPECT_EQ(artifacts[i].name, expected[i].name);
+    EXPECT_EQ(bytes.value().size(), expected[i].size);
+    EXPECT_EQ(Fnv1a64(bytes.value()), expected[i].hash);
+  }
+
+  std::shared_ptr<const EstimatorSnapshot> snap = bytecard_->snapshot();
+  EXPECT_TRUE(snap->IsHealthy("fact"));
+  EXPECT_TRUE(snap->IsHealthy("dim"));
+
+  // Exact equality against hex-float literals: identical bits, not near.
+  const minihouse::Table& fact = *db_->FindTable("fact").value();
+  minihouse::BoundQuery query = testutil::ToyJoinQuery(*db_);
+  query.tables[0].filters.push_back(Pred(1, CompareOp::kLt, 10));
+  EXPECT_EQ(bytecard_->EstimateCount(query), 0x1.f39734679a915p+11);
+  EXPECT_EQ(bytecard_->EstimateColumnNdv(fact, 1,
+                                         {Pred(1, CompareOp::kLt, 10)}),
+            0x1.7ac463b8a2eaep+5);
+  minihouse::BoundQuery grouped = testutil::ToyJoinQuery(*db_);
+  grouped.group_by.push_back({1, 1});
+  EXPECT_EQ(bytecard_->EstimateGroupNdv(grouped), 0x1.615109965147fp+3);
+
+  bytecard_->SetTableHealth("fact", false);
+  const double fallback = bytecard_->EstimateSelectivity(
+      fact, {Pred(1, CompareOp::kLt, 10), Pred(2, CompareOp::kEq, 0)});
+  bytecard_->SetTableHealth("fact", true);
+  EXPECT_EQ(fallback, 0x1.47ae147ae147cp-5);
+
+  Result<MonitorReport> report = bytecard_->ProbeTable(fact);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().p90_qerror, 0x1.00b8cad8490bbp+0);
+  EXPECT_TRUE(report.value().healthy);
 }
 
 TEST(ByteCardBootstrapTest, PretrainedRbxReused) {

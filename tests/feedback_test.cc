@@ -486,9 +486,8 @@ TEST(FeedbackCaptureTest, SipFilteredScanExcludedFromCapture) {
 
 TEST(FeedbackCaptureTest, ServeDisabledKeepsCapturing) {
   auto db = testutil::BuildToyDatabase(2000);
-  feedback::FeedbackOptions options;
-  options.serve_from_cache = false;
-  feedback::FeedbackManager manager(options);
+  feedback::FeedbackManager manager;
+  manager.set_serve_from_cache(false);
   StubEstimator estimator(&manager);
   minihouse::Optimizer optimizer;
   const BoundQuery query = FactCountQuery(*db, Pred(1, CompareOp::kLt, 10));

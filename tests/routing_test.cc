@@ -375,9 +375,7 @@ TEST_F(RouteMinerTest, MinesDecisionsFromFeedbackTrace) {
     ASSERT_TRUE(Run(join).ok());
   }
 
-  routing::RouteMinerOptions options;
-  options.min_samples_per_class = 3;
-  auto mined = bytecard_->MineRoutes(*db_, options);
+  auto mined = bytecard_->MineRoutes(*db_);
   ASSERT_TRUE(mined.ok()) << mined.status().ToString();
   const routing::RouteMinerReport& report = mined.value();
   EXPECT_GE(report.records_scanned, 10);
@@ -404,7 +402,7 @@ TEST_F(RouteMinerTest, MinesDecisionsFromFeedbackTrace) {
   EXPECT_EQ(scan->tables[0], "fact");
   for (const auto& [cls, decision] : routes->routes()) {
     EXPECT_FALSE(cls.empty());
-    EXPECT_GE(decision.samples, options.min_samples_per_class);
+    EXPECT_GE(decision.samples, routing::kMinSamplesPerClass);
     // A promoted family never scores worse than the general router it beat.
     if (decision.family != RouteFamily::kGeneral) {
       EXPECT_LE(decision.median_qerror,
@@ -425,9 +423,7 @@ TEST_F(RouteMinerTest, MinSamplesGateSkipsThinClasses) {
   ASSERT_TRUE(Run(FactCountQuery(*db_, Pred(1, CompareOp::kLt, 10))).ok());
   ASSERT_TRUE(Run(FactCountQuery(*db_, Pred(1, CompareOp::kLt, 30))).ok());
 
-  routing::RouteMinerOptions options;
-  options.min_samples_per_class = 3;
-  auto mined = bytecard_->MineRoutes(*db_, options);
+  auto mined = bytecard_->MineRoutes(*db_);
   ASSERT_TRUE(mined.ok()) << mined.status().ToString();
   EXPECT_GE(mined.value().classes_seen, 1);
   // Thin classes produce no route at all — not even an explicit general one.
@@ -451,6 +447,43 @@ TEST_F(RouteMinerTest, HealthDemotionRetiresRoutesOverTable) {
   const minihouse::Table& fact = *db_->FindTable("fact").value();
   EXPECT_EQ(routes->Find(TableClass(fact, {Pred(1, CompareOp::kLt, 0)})),
             nullptr);
+}
+
+TEST_F(RouteMinerTest, ProbeDemotionRetiresRoutesOverTable) {
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(
+        Run(FactCountQuery(*db_, Pred(1, CompareOp::kLt, 10 + 5 * i))).ok());
+  }
+  ASSERT_TRUE(bytecard_->MineRoutes(*db_).ok());
+  const minihouse::Table& fact = *db_->FindTable("fact").value();
+  ASSERT_NE(bytecard_->routing_table()->Find(
+                TableClass(fact, {Pred(1, CompareOp::kLt, 0)})),
+            nullptr);
+  feedback::OnlineDriftDetector& drift = bytecard_->feedback_manager()->drift();
+  ASSERT_GT(drift.Report("fact").samples, 0u);
+
+  // Q-errors are at least 1, so this monitor fails every model it probes.
+  ModelMonitor::Options strict;
+  strict.qerror_threshold = 0.5;
+  *bytecard_->mutable_monitor() = ModelMonitor(strict);
+  const uint64_t before = bytecard_->SnapshotVersion();
+  auto report = bytecard_->ProbeTable(fact);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report.value().healthy);
+
+  // The probe's demotion lands the health flag and the route retirement in
+  // one successor, and restarts the table's drift window.
+  EXPECT_EQ(bytecard_->SnapshotVersion(), before + 1);
+  EXPECT_FALSE(bytecard_->snapshot()->IsHealthy("fact"));
+  std::shared_ptr<const routing::RoutingTable> routes =
+      bytecard_->routing_table();
+  ASSERT_NE(routes, nullptr);
+  for (const auto& [cls, decision] : routes->routes()) {
+    for (const std::string& table : decision.tables) {
+      EXPECT_NE(table, "fact") << cls;
+    }
+  }
+  EXPECT_EQ(drift.Report("fact").samples, 0u);
 }
 
 // --- Concurrency (the TSan leg) -----------------------------------------------

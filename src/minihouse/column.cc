@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstring>
 #include <numeric>
-#include <thread>
 
 #include "common/logging.h"
 
@@ -58,9 +57,12 @@ namespace {
 std::atomic<int64_t> g_storage_sink{0};
 }  // namespace
 
-void Column::ChargeStorage(int64_t b, int64_t rows, IoStats* io,
-                           const std::vector<int64_t>* decoded) const {
+std::chrono::steady_clock::time_point Column::IssueRead(int64_t b,
+                                                        IoStats* io) const {
+  const int64_t rows = BlockRowCount(b);
+  BC_DCHECK(rows > 0);
   const bool sealed_block = b < static_cast<int64_t>(blocks_.size());
+  std::chrono::steady_clock::time_point landed{};
   if (storage_ != nullptr) {
     // Simulated storage cost: extra passes proportional to block volume, so
     // wall-clock tracks blocks_read the way it does on a disk-bound
@@ -69,28 +71,37 @@ void Column::ChargeStorage(int64_t b, int64_t rows, IoStats* io,
     // simulated CPU cost shrinks with it.
     const int cost = storage_->cost_factor.load(std::memory_order_relaxed);
     for (int pass = 0; pass < cost; ++pass) {
-      int64_t checksum = 0;
-      if (sealed_block) {
-        checksum = blocks_[b].PayloadChecksum();
-      } else if (decoded != nullptr) {
-        for (int64_t v : *decoded) checksum += v;
-      }
+      const int64_t checksum = sealed_block ? blocks_[b].PayloadChecksum()
+                                            : RawChecksum(b, rows);
       g_storage_sink.fetch_add(checksum, std::memory_order_relaxed);
     }
-    // Simulated storage latency: a blocking wait per block read. Concurrent
-    // readers overlap these waits, so parallel scans — and concurrent
-    // queries under the scheduler — recover them; the cost-factor spin
-    // cannot model that.
+    // Simulated storage latency: the read lands this long after it is
+    // issued. Reads in flight together overlap their waits.
     const int64_t latency =
         storage_->block_latency_nanos.load(std::memory_order_relaxed);
     if (latency > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(latency));
+      landed = std::chrono::steady_clock::now() +
+               std::chrono::nanoseconds(latency);
     }
   }
   if (io != nullptr) {
     io->AddBlock(rows, bytes_per_row());
     if (sealed_block) ++io->encoded_blocks;
   }
+  return landed;
+}
+
+int64_t Column::RawChecksum(int64_t b, int64_t rows) const {
+  const int64_t begin = b * kBlockRows - sealed_rows_;
+  int64_t checksum = 0;
+  if (type_ == DataType::kFloat64) {
+    for (int64_t i = begin; i < begin + rows; ++i) {
+      checksum += std::bit_cast<int64_t>(doubles_[i]);
+    }
+  } else {
+    for (int64_t i = begin; i < begin + rows; ++i) checksum += ints_[i];
+  }
+  return checksum;
 }
 
 void Column::DecodeThroughCache(int64_t b, std::vector<int64_t>* out,
@@ -110,18 +121,16 @@ void Column::DecodeThroughCache(int64_t b, std::vector<int64_t>* out,
   block.Decode(out);
 }
 
-void Column::ReadBlock(int64_t b, std::vector<int64_t>* out,
-                       IoStats* io) const {
+void Column::FetchBlock(int64_t b, std::vector<int64_t>* out,
+                        IoStats* io) const {
   const int64_t rows = BlockRowCount(b);
   BC_DCHECK(rows > 0);
   if (b < static_cast<int64_t>(blocks_.size())) {
-    const EncodedBlock& block = blocks_[b];
-    if (const int64_t* plain = block.PlainData()) {
+    if (const int64_t* plain = blocks_[b].PlainData()) {
       out->assign(plain, plain + rows);
     } else {
       DecodeThroughCache(b, out, io);
     }
-    ChargeStorage(b, rows, io, nullptr);
     return;
   }
   // Raw path: unsealed column or the appended tail past the sealed blocks.
@@ -134,12 +143,6 @@ void Column::ReadBlock(int64_t b, std::vector<int64_t>* out,
   } else {
     std::memcpy(out->data(), ints_.data() + begin, rows * sizeof(int64_t));
   }
-  ChargeStorage(b, rows, io, out);
-}
-
-void Column::ChargeBlockRead(int64_t b, IoStats* io) const {
-  BC_DCHECK(b < static_cast<int64_t>(blocks_.size()));
-  ChargeStorage(b, BlockRowCount(b), io, nullptr);
 }
 
 void Column::EnsureAppendable() {

@@ -1,6 +1,7 @@
 #ifndef BYTECARD_MINIHOUSE_COLUMN_H_
 #define BYTECARD_MINIHOUSE_COLUMN_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -151,16 +152,24 @@ class Column {
   // moves rows around in numeric form.
   void AppendNumeric(int64_t code);
 
-  // --- Block access with I/O accounting --------------------------------
-  // Copies block `b`'s numeric values into `out` (resized). Charges one
-  // block read to `io`; sealed non-plain blocks decode through the attached
-  // DecodeCache (hits and evictions land in `io` too).
-  void ReadBlock(int64_t b, std::vector<int64_t>* out, IoStats* io) const;
+  // --- Block reads with I/O accounting ---------------------------------
+  // A block read has two halves, so that a reader can keep several reads in
+  // flight and wait once for all of them.
+  //
+  // IssueRead starts the read of block `b`: it charges one block read to
+  // `io` (plus encoded_blocks for a sealed block), runs the attached
+  // StorageProfile's cost passes, and returns the time the read lands,
+  // block_latency_nanos from now (the epoch, already past, when there is no
+  // latency). It does not wait.
+  std::chrono::steady_clock::time_point IssueRead(int64_t b,
+                                                  IoStats* io) const;
 
-  // Charges the I/O for sealed block `b` without materializing values — the
-  // path predicate evaluation over encoded data takes. Identical IoStats
-  // effect to a ReadBlock of the same block (minus decode-cache traffic).
-  void ChargeBlockRead(int64_t b, IoStats* io) const;
+  // Copies block `b`'s numeric values into `out` (resized): plain blocks
+  // zero-copy, other sealed blocks through the attached DecodeCache, the
+  // raw tail from the raw vectors. Charges no read; `io` receives only the
+  // decode-cache hits and evictions. The caller must not fetch a block, or
+  // evaluate a predicate on its encoded form, before its read has landed.
+  void FetchBlock(int64_t b, std::vector<int64_t>* out, IoStats* io) const;
 
   int64_t BlockRowCount(int64_t b) const {
     const int64_t begin = b * kBlockRows;
@@ -253,12 +262,9 @@ class Column {
   void DecodeThroughCache(int64_t b, std::vector<int64_t>* out,
                           IoStats* io) const;
 
-  // Simulated storage cost + latency + IoStats charge shared by ReadBlock
-  // and ChargeBlockRead. `decoded` is the just-read data for raw blocks
-  // (the cost pass sums it); sealed blocks pass nullptr and the cost pass
-  // sums the encoded payload instead.
-  void ChargeStorage(int64_t b, int64_t rows, IoStats* io,
-                     const std::vector<int64_t>* decoded) const;
+  // Sum of the raw-tail words of block `b` (`rows` rows): what a simulated
+  // cost pass over a raw block touches.
+  int64_t RawChecksum(int64_t b, int64_t rows) const;
 
   DataType type_;
   ColumnDomain domain_;

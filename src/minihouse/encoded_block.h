@@ -34,7 +34,7 @@ struct ZoneMap {
 // values, ordered string-dictionary codes, or ordered double codes — the one
 // space all predicates operate in). Built at Table::Seal; raw vectors are
 // released after encoding, so the encoded blocks ARE the table's resident
-// storage. Decoding is explicit (ReadBlock / the decode cache); predicates
+// storage. Decoding is explicit (FetchBlock / the decode cache); predicates
 // can also evaluate directly on the encoded form (predicate.cc).
 class EncodedBlock {
  public:

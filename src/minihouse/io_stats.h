@@ -17,14 +17,19 @@ inline constexpr int64_t kBlockRows = 4096;
 // with different latency configs can run concurrently without interfering —
 // a requirement once the scheduler keeps N queries in flight.
 //
-//   cost_factor          > 0: every block read performs that many extra
+//   cost_factor          > 0: issuing a block read performs that many extra
 //                         passes over the block (CPU work that serializes on
-//                         the core), emulating an I/O-bound storage layer.
-//   block_latency_nanos  > 0: every block read sleeps this long. Unlike the
-//                         cost factor, these waits overlap across concurrent
-//                         readers — the remote/disk-bound behaviour that
-//                         morsel-parallel scans (Fig 5) and the concurrent
-//                         scheduler recover.
+//                         the issuing core), emulating an I/O-bound storage
+//                         layer.
+//   block_latency_nanos  > 0: a block read lands this long after it is
+//                         issued (Column::IssueRead), and its values may be
+//                         used only then. Unlike the cost factor, reads in
+//                         flight at the same time overlap, whether one
+//                         reader issued them together (a scan's read window)
+//                         or several readers did (morsel-parallel scans,
+//                         Fig 5, and concurrent queries under the scheduler)
+//                         — the remote/disk-bound behaviour of a warehouse
+//                         on disaggregated storage.
 //
 // Both default to 0 = pure in-memory. Benches that reproduce latency figures
 // set them per database; tests leave them off. Fields are atomic so a bench

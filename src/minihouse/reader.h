@@ -102,9 +102,9 @@ struct ScanResult {
 
 // Scans `table` with `filters`, materializing `output_columns`.
 //
-// Single-stage: every needed column (filter and output) is read exactly once,
-// block by block; all predicates are applied in one pass. I/O is independent
-// of selectivity — the right choice when most rows survive.
+// Single-stage: every needed column (filter and output) is read exactly once
+// per block; all predicates are applied in one pass. I/O is independent of
+// selectivity — the right choice when most rows survive.
 //
 // Multi-stage: stage k reads filter column k only for blocks that still hold
 // at least one candidate row; a final materialization stage re-reads all
@@ -112,6 +112,11 @@ struct ScanResult {
 // early column kills whole blocks; for non-selective filters it pays roughly
 // one extra pass over the filter columns — the regression the paper's dynamic
 // reader selection avoids.
+//
+// Both readers walk the blocks that zone maps do not prune in read windows
+// (one block each; see kReadWindowBlocks in reader.cc). They issue the reads
+// of a window (of one stage of it, for the multi-stage reader) together and
+// wait once, so the reads' storage latencies overlap (see StorageProfile).
 ScanResult ScanTable(const Table& table, const Conjunction& filters,
                      const std::vector<int>& output_columns,
                      const ScanOptions& options, IoStats* io);

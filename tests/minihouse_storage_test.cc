@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "minihouse/column.h"
 #include "minihouse/database.h"
 #include "minihouse/io_stats.h"
@@ -9,6 +11,8 @@
 
 namespace bytecard::minihouse {
 namespace {
+
+using namespace std::chrono_literals;
 
 TEST(ColumnTest, IntColumnBasics) {
   Column col(DataType::kInt64);
@@ -66,10 +70,16 @@ TEST(ColumnTest, BlockReadChargesIo) {
   EXPECT_EQ(col.BlockRowCount(0), kBlockRows);
   EXPECT_EQ(col.BlockRowCount(2), 100);
 
+  // Issuing a read charges it; fetching the values charges nothing more.
   IoStats io;
+  col.IssueRead(0, &io);
+  col.IssueRead(2, &io);
+  EXPECT_EQ(io.blocks_read, 2);
+  EXPECT_EQ(io.rows_scanned, kBlockRows + 100);
   std::vector<int64_t> block;
-  col.ReadBlock(0, &block, &io);
-  col.ReadBlock(2, &block, &io);
+  col.FetchBlock(0, &block, &io);
+  EXPECT_EQ(block.size(), static_cast<size_t>(kBlockRows));
+  col.FetchBlock(2, &block, &io);
   EXPECT_EQ(io.blocks_read, 2);
   EXPECT_EQ(io.rows_scanned, kBlockRows + 100);
   EXPECT_EQ(block.size(), 100u);
@@ -80,8 +90,25 @@ TEST(ColumnTest, NullIoStatsSkipsAccounting) {
   Column col(DataType::kInt64);
   col.AppendInt(1);
   std::vector<int64_t> block;
-  col.ReadBlock(0, &block, nullptr);  // must not crash
+  col.IssueRead(0, nullptr);  // must not crash
+  col.FetchBlock(0, &block, nullptr);
   EXPECT_EQ(block.size(), 1u);
+}
+
+TEST(ColumnTest, IssueReadReturnsLandingTimeWithoutWaiting) {
+  Column col(DataType::kInt64);
+  col.AppendInt(1);
+  // Detached: no simulated storage, so the read has already landed.
+  EXPECT_EQ(col.IssueRead(0, nullptr), std::chrono::steady_clock::time_point{});
+
+  StorageProfile profile;
+  profile.block_latency_nanos = std::chrono::nanoseconds(10s).count();
+  col.AttachStorage(&profile, nullptr);
+  const auto before = std::chrono::steady_clock::now();
+  const auto landed = col.IssueRead(0, nullptr);
+  const auto after = std::chrono::steady_clock::now();
+  EXPECT_GE(landed - before, 10s);
+  EXPECT_LT(after - before, 10s);  // issuing never waits
 }
 
 TEST(TableTest, SealValidatesRowCounts) {

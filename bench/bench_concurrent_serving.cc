@@ -45,41 +45,6 @@ constexpr int64_t kBlockLatencyNanos = 200 * 1000;
 // regime admission control exists for — point lookups racing big joins).
 constexpr double kZipfExponent = 1.1;
 
-using GroupRow = std::pair<std::vector<int64_t>, std::vector<double>>;
-
-std::vector<GroupRow> SortedGroups(const minihouse::AggregateResult& agg) {
-  std::vector<GroupRow> rows(agg.num_groups);
-  for (int64_t g = 0; g < agg.num_groups; ++g) {
-    for (const auto& key_col : agg.group_keys) rows[g].first.push_back(key_col[g]);
-    for (const auto& val_col : agg.agg_values) rows[g].second.push_back(val_col[g]);
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-// Group keys must match the serial reference exactly; double-typed aggregate
-// values may differ only by floating-point summation order.
-void CheckSameGroups(const std::vector<GroupRow>& ref,
-                     const std::vector<GroupRow>& got, int streams,
-                     int query) {
-  BC_CHECK(ref.size() == got.size())
-      << streams << " streams, query " << query << ": group count "
-      << got.size() << " != " << ref.size();
-  for (size_t g = 0; g < ref.size(); ++g) {
-    BC_CHECK(ref[g].first == got[g].first)
-        << streams << " streams, query " << query << ": group keys diverge";
-    for (size_t a = 0; a < ref[g].second.size(); ++a) {
-      const double want = ref[g].second[a];
-      const double have = got[g].second[a];
-      const double tol =
-          1e-9 * std::max({1.0, std::fabs(want), std::fabs(have)});
-      BC_CHECK(std::fabs(want - have) <= tol)
-          << streams << " streams, query " << query << ": agg value " << have
-          << " != " << want;
-    }
-  }
-}
-
 struct ServingPoint {
   int streams = 0;
   int queries = 0;
@@ -127,7 +92,8 @@ ServingPoint RunStreams(ByteCard* bc, const workload::Workload& workload,
         BC_CHECK_OK(result.status());
         queue_ms[s].push_back(result.value().stats.queue_ms);
         CheckSameGroups(ref_groups[pick], SortedGroups(result.value().agg),
-                        streams, executable[pick]);
+                        std::to_string(streams) + " streams, query " +
+                            std::to_string(executable[pick]));
       }
     });
   }

@@ -13,7 +13,6 @@
 // "specialization".
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -131,45 +130,6 @@ minihouse::PhysicalPlan ClampPlanDop(minihouse::PhysicalPlan plan, int dop) {
   return plan;
 }
 
-using GroupRow = std::pair<std::vector<int64_t>, std::vector<double>>;
-
-std::vector<GroupRow> SortedGroups(const minihouse::AggregateResult& agg) {
-  std::vector<GroupRow> rows(agg.num_groups);
-  for (int64_t g = 0; g < agg.num_groups; ++g) {
-    for (const auto& key_col : agg.group_keys) {
-      rows[g].first.push_back(key_col[g]);
-    }
-    for (const auto& val_col : agg.agg_values) {
-      rows[g].second.push_back(val_col[g]);
-    }
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-// Group keys must match exactly; double-typed aggregate values may differ
-// from the serial run only by floating-point summation order (parallel
-// aggregation folds partials in partition order).
-void CheckSameGroups(const std::vector<GroupRow>& ref,
-                     const std::vector<GroupRow>& got, int dop, int query) {
-  BC_CHECK(ref.size() == got.size())
-      << "dop " << dop << " query " << query << ": group count "
-      << got.size() << " != " << ref.size();
-  for (size_t g = 0; g < ref.size(); ++g) {
-    BC_CHECK(ref[g].first == got[g].first)
-        << "dop " << dop << " query " << query << ": group keys diverge";
-    for (size_t a = 0; a < ref[g].second.size(); ++a) {
-      const double want = ref[g].second[a];
-      const double have = got[g].second[a];
-      const double tol =
-          1e-9 * std::max({1.0, std::fabs(want), std::fabs(have)});
-      BC_CHECK(std::fabs(want - have) <= tol)
-          << "dop " << dop << " query " << query << ": agg value " << have
-          << " != " << want;
-    }
-  }
-}
-
 // Executes the workload's executable slice at dop 1/2/4/8 under the latency
 // storage model, checking that every dop produces identical groups and
 // identical blocks_read before reporting the speedup.
@@ -214,7 +174,9 @@ std::vector<SweepPoint> RunThreadSweep(BenchContext& ctx,
         ref_groups[i] = std::move(groups);
         ref_blocks[i] = blocks;
       } else {
-        CheckSameGroups(ref_groups[i], groups, dop, executable[i]);
+        CheckSameGroups(ref_groups[i], groups,
+                        "dop " + std::to_string(dop) + " query " +
+                            std::to_string(executable[i]));
         BC_CHECK(blocks == ref_blocks[i])
             << "dop " << dop << " query " << executable[i] << ": blocks_read "
             << blocks << " != " << ref_blocks[i];
@@ -245,9 +207,10 @@ std::vector<SweepPoint> RunThreadSweep(BenchContext& ctx,
 // --- Specialization study ----------------------------------------------------
 
 // What the estimate-driven operator kernels (DESIGN.md §11) gain end-to-end:
-// the executable slice runs twice at dop 1 — specialization on and off — in
+// the executable slice runs twice at dop 1 — specialize_ops on and off — in
 // the CPU-bound regime (no simulated storage cost), where kernel choice is
-// the only thing that can move the needle. Results must be identical.
+// the only thing that can move the needle. Both legs evaluate predicates
+// with the same kernels. Results must be identical.
 struct SpecializationPoint {
   int queries = 0;
   double on_ms = 0.0;
@@ -256,7 +219,6 @@ struct SpecializationPoint {
   int64_t specialized_ops = 0;
   int64_t dense_agg_ops = 0;
   int64_t array_join_ops = 0;
-  int64_t predicate_kernel_blocks = 0;
   int64_t despecialized_morsels = 0;
 };
 
@@ -271,7 +233,6 @@ SpecializationPoint RunSpecializationStudy(BenchContext& ctx,
   const minihouse::Optimizer specialized;  // specialize_ops defaults on
   minihouse::OptimizerOptions generic_opt;
   generic_opt.features.specialize_ops = false;
-  generic_opt.features.specialized_predicates = false;
   const minihouse::Optimizer generic(generic_opt);
 
   SpecializationPoint point;
@@ -292,14 +253,14 @@ SpecializationPoint RunSpecializationStudy(BenchContext& ctx,
     BC_CHECK_OK(off.status());
 
     // Identity: specialization must not change results or I/O, and the
-    // generic leg must not report any specialized work.
+    // generic leg must not report any specialized operator.
     CheckSameGroups(SortedGroups(off.value().agg),
-                    SortedGroups(on.value().agg), 1, qi);
+                    SortedGroups(on.value().agg),
+                    "specialization query " + std::to_string(qi));
     BC_CHECK(on.value().stats.io.blocks_read ==
              off.value().stats.io.blocks_read)
         << "query " << qi << ": specialization changed blocks_read";
-    BC_CHECK(off.value().stats.specialized_ops == 0 &&
-             off.value().stats.predicate_kernel_blocks == 0)
+    BC_CHECK(off.value().stats.specialized_ops == 0)
         << "query " << qi << ": generic leg ran specialized kernels";
 
     point.queries += 1;
@@ -308,18 +269,16 @@ SpecializationPoint RunSpecializationStudy(BenchContext& ctx,
     point.specialized_ops += on.value().stats.specialized_ops;
     point.dense_agg_ops += on.value().stats.dense_agg_ops;
     point.array_join_ops += on.value().stats.array_join_ops;
-    point.predicate_kernel_blocks += on.value().stats.predicate_kernel_blocks;
     point.despecialized_morsels += on.value().stats.despecialized_morsels;
   }
   if (point.on_ms > 0.0) point.speedup = point.off_ms / point.on_ms;
 
   ctx.db->SetStorageCostFactor(24);
 
-  PrintRow({"leg", "total ms", "specialized ops", "kernel blocks"});
-  PrintRow({"specialization off", Fmt(point.off_ms), "0", "0"});
+  PrintRow({"leg", "total ms", "specialized ops"});
+  PrintRow({"specialization off", Fmt(point.off_ms), "0"});
   PrintRow({"specialization on", Fmt(point.on_ms),
-            std::to_string(point.specialized_ops),
-            std::to_string(point.predicate_kernel_blocks)});
+            std::to_string(point.specialized_ops)});
   std::printf("speedup %sx (dense agg %lld, array join %lld, "
               "despecialized %lld)\n",
               Fmt(point.speedup).c_str(),
@@ -376,7 +335,8 @@ ProjectionPoint RunProjectionStudy(BenchContext& ctx,
 
     // Identity: pruning must not change results or I/O.
     CheckSameGroups(SortedGroups(unpruned.value().agg),
-                    SortedGroups(pruned.value().agg), 1, qi);
+                    SortedGroups(pruned.value().agg),
+                    "projection query " + std::to_string(qi));
     BC_CHECK(pruned.value().stats.io.blocks_read ==
              unpruned.value().stats.io.blocks_read)
         << "query " << qi << ": pruning changed blocks_read";
@@ -491,10 +451,7 @@ void WriteThreadSweepJson(
                  static_cast<long long>(s.specialized_ops),
                  static_cast<long long>(s.dense_agg_ops),
                  static_cast<long long>(s.array_join_ops));
-    std::fprintf(f,
-                 "       \"predicate_kernel_blocks\": %lld,"
-                 " \"despecialized_morsels\": %lld}}%s\n",
-                 static_cast<long long>(s.predicate_kernel_blocks),
+    std::fprintf(f, "       \"despecialized_morsels\": %lld}}%s\n",
                  static_cast<long long>(s.despecialized_morsels),
                  w + 1 < sweeps.size() ? "," : "");
   }

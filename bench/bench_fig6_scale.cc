@@ -3,9 +3,10 @@
 // maps + the bounded decode cache) is what lets the same machine hold and
 // scan 10x that. This bench demonstrates the step with two legs:
 //
-//  1. Identity: the same dataset sealed encoded and raw (plain vectors) must
-//     produce byte-identical query results across dop {1,2,4,8} x SIP
-//     {on,off} — compression and pruning are invisible to results.
+//  1. Identity: the workload over encoded, zone-map-pruned storage must
+//     return the same groups at every dop {1,2,4,8} x SIP {on,off}, and
+//     every COUNT(*) probe must equal the exact count (workload::TrueCount)
+//     — compression and pruning are invisible to results.
 //  2. Scale sweep up to >= 4.0 (10x the 0.4 ceiling): selective BETWEEN
 //     scans over clustered columns, run with a deliberately small decode
 //     cache, reporting blocks pruned/read, compression ratio, and resident
@@ -24,43 +25,23 @@
 #include "minihouse/optimizer.h"
 #include "minihouse/reader.h"
 #include "sql/analyzer.h"
+#include "workload/truth.h"
 
 namespace bytecard::bench {
 namespace {
 
-using minihouse::ExecResult;
-using minihouse::IoStats;
-using minihouse::StorageFormat;
 using minihouse::Table;
 
-// One aggregate result flattened for equality comparison: group keys then
-// aggregate values, in output order.
-std::string ResultFingerprint(const ExecResult& result) {
-  std::string fp;
-  for (const auto& key : result.agg.group_keys) {
-    for (int64_t k : key) fp += std::to_string(k) + ",";
-    fp += ";";
-  }
-  for (const auto& col : result.agg.agg_values) {
-    for (double v : col) {
-      char buffer[32];
-      std::snprintf(buffer, sizeof(buffer), "%.17g,", v);
-      fp += buffer;
-    }
-    fp += ";";
-  }
-  return fp;
-}
-
 struct IdentityOutcome {
-  int configs = 0;      // (dop, sip) combinations checked
-  int queries = 0;      // queries compared per combination
-  bool identical = true;
-  int64_t encoded_blocks_pruned = 0;
+  int configs = 0;        // (dop, sip) combinations checked
+  int queries = 0;        // queries compared per combination
+  int count_queries = 0;  // of them, COUNT(*) probes checked exactly
+  int64_t blocks_pruned = 0;
 };
 
-// Runs the workload on `db` twice — sealed encoded, then resealed raw — and
-// compares per-query results across every dop x SIP combination.
+// Runs the workload at every dop x SIP combination. Every combination must
+// return the first one's groups, compared in key order, and every COUNT(*)
+// probe must equal its exact count; a mismatch aborts the bench.
 IdentityOutcome RunIdentityLeg(double scale) {
   std::printf("identity leg: scale %.2f, dop {1,2,4,8} x sip {on,off}\n",
               scale);
@@ -70,48 +51,57 @@ IdentityOutcome RunIdentityLeg(double scale) {
   options.agg_queries = 6;
   options.build_bytecard = false;
   BenchContext ctx = BuildBenchContext("stats", options);
+  const auto& queries = ctx.workload.queries;
 
+  // Exact COUNT(*) per probe; -1 for aggregation queries.
+  std::vector<int64_t> truth;
   IdentityOutcome outcome;
-  std::vector<std::vector<std::string>> fingerprints;  // [config][query]
-  for (const StorageFormat format :
-       {StorageFormat::kEncoded, StorageFormat::kRaw}) {
-    for (const std::string& name : ctx.db->TableNames()) {
-      Table* table = ctx.db->FindMutableTable(name).value();
-      BC_CHECK_OK(table->Reseal(format));
+  outcome.queries = static_cast<int>(queries.size());
+  for (const auto& wq : queries) {
+    if (wq.aggregate) {
+      truth.push_back(-1);
+      continue;
     }
-    int config = 0;
-    for (const int dop : {1, 2, 4, 8}) {
-      for (const bool sip : {true, false}) {
-        minihouse::OptimizerOptions opt;
-        opt.features.sip = sip;
-        opt.max_dop = dop;
-        minihouse::Optimizer optimizer(opt);
-        std::vector<std::string> fps;
-        for (const auto& wq : ctx.workload.queries) {
-          auto result = minihouse::PlanAndExecute(wq.query, optimizer,
-                                                  ctx.sketch.get());
-          BC_CHECK_OK(result.status());
-          fps.push_back(ResultFingerprint(result.value()));
-          if (format == StorageFormat::kEncoded) {
-            outcome.encoded_blocks_pruned +=
-                result.value().stats.io.blocks_pruned;
-          }
+    auto count = workload::TrueCount(wq.query);
+    BC_CHECK_OK(count.status());
+    truth.push_back(count.value());
+    ++outcome.count_queries;
+  }
+
+  std::vector<std::vector<GroupRow>> reference;  // [query], first config
+  for (const int dop : {1, 2, 4, 8}) {
+    for (const bool sip : {true, false}) {
+      minihouse::OptimizerOptions opt;
+      opt.features.sip = sip;
+      opt.max_dop = dop;
+      minihouse::Optimizer optimizer(opt);
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const std::string where = "dop " + std::to_string(dop) + " sip " +
+                                  std::to_string(sip) + " query " +
+                                  std::to_string(q);
+        auto result = minihouse::PlanAndExecute(queries[q].query, optimizer,
+                                                ctx.sketch.get());
+        BC_CHECK_OK(result.status());
+        outcome.blocks_pruned += result.value().stats.io.blocks_pruned;
+        if (truth[q] >= 0) {
+          BC_CHECK(result.value().ScalarCount() == truth[q])
+              << where << ": COUNT(*) " << result.value().ScalarCount()
+              << " != exact " << truth[q];
         }
-        if (format == StorageFormat::kEncoded) {
-          fingerprints.push_back(std::move(fps));
-          ++outcome.configs;
-          outcome.queries = static_cast<int>(ctx.workload.queries.size());
+        std::vector<GroupRow> groups = SortedGroups(result.value().agg);
+        if (outcome.configs == 0) {
+          reference.push_back(std::move(groups));
         } else {
-          if (fps != fingerprints[config]) outcome.identical = false;
+          CheckSameGroups(reference[q], groups, where);
         }
-        ++config;
       }
+      ++outcome.configs;
     }
   }
-  std::printf("  %d configs x %d queries: %s (blocks pruned encoded: %lld)\n",
-              outcome.configs, outcome.queries,
-              outcome.identical ? "byte-identical" : "MISMATCH",
-              static_cast<long long>(outcome.encoded_blocks_pruned));
+  std::printf("  %d configs x %d queries: same groups, %d COUNT(*) probes "
+              "exact (blocks pruned: %lld)\n",
+              outcome.configs, outcome.queries, outcome.count_queries,
+              static_cast<long long>(outcome.blocks_pruned));
   return outcome;
 }
 
@@ -210,8 +200,6 @@ void Run(bool smoke) {
   const int64_t cache_budget = 4 << 20;
 
   const IdentityOutcome identity = RunIdentityLeg(identity_scale);
-  BC_CHECK(identity.identical)
-      << "encoded and raw storage produced different results";
 
   std::vector<ScalePoint> points;
   PrintRow({"scale", "rows", "enc MB", "ratio", "pruned/total", "read",
@@ -244,11 +232,11 @@ void Run(bool smoke) {
                static_cast<long long>(cache_budget));
   std::fprintf(f,
                "  \"identity\": {\"scale\": %.2f, \"configs\": %d, "
-               "\"queries\": %d, \"byte_identical\": %s, "
-               "\"encoded_blocks_pruned\": %lld},\n",
+               "\"queries\": %d, \"count_queries_exact\": %d, "
+               "\"blocks_pruned\": %lld},\n",
                identity_scale, identity.configs, identity.queries,
-               identity.identical ? "true" : "false",
-               static_cast<long long>(identity.encoded_blocks_pruned));
+               identity.count_queries,
+               static_cast<long long>(identity.blocks_pruned));
   std::fprintf(f, "  \"sweep\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const ScalePoint& p = points[i];

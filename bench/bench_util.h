@@ -5,6 +5,7 @@
 #define BYTECARD_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -216,6 +217,50 @@ inline LatencyPercentiles ComputePercentiles(const std::vector<double>& values) 
   p.p90 = workload::Quantile(values, 0.90);
   p.p99 = workload::Quantile(values, 0.99);
   return p;
+}
+
+// --- Result identity ----------------------------------------------------------
+// One aggregate result as (group key, aggregate values) rows sorted by key:
+// the form in which runs are compared. The order groups are first seen
+// depends on plan shape (SIP flips a join's build side, parallel aggregation
+// merges partitions), so comparisons are by key, not by output position.
+using GroupRow = std::pair<std::vector<int64_t>, std::vector<double>>;
+
+inline std::vector<GroupRow> SortedGroups(
+    const minihouse::AggregateResult& agg) {
+  std::vector<GroupRow> rows(agg.num_groups);
+  for (int64_t g = 0; g < agg.num_groups; ++g) {
+    for (const auto& key_col : agg.group_keys) {
+      rows[g].first.push_back(key_col[g]);
+    }
+    for (const auto& val_col : agg.agg_values) {
+      rows[g].second.push_back(val_col[g]);
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// Group keys must match exactly; double-typed aggregate values may differ
+// from the reference run only by floating-point summation order (parallel
+// aggregation folds partials in partition order). Aborts on a mismatch,
+// naming the run by `where`.
+inline void CheckSameGroups(const std::vector<GroupRow>& ref,
+                            const std::vector<GroupRow>& got,
+                            const std::string& where) {
+  BC_CHECK(ref.size() == got.size())
+      << where << ": group count " << got.size() << " != " << ref.size();
+  for (size_t g = 0; g < ref.size(); ++g) {
+    BC_CHECK(ref[g].first == got[g].first) << where << ": group keys diverge";
+    for (size_t a = 0; a < ref[g].second.size(); ++a) {
+      const double want = ref[g].second[a];
+      const double have = got[g].second[a];
+      const double tol =
+          1e-9 * std::max({1.0, std::fabs(want), std::fabs(have)});
+      BC_CHECK(std::fabs(want - have) <= tol)
+          << where << ": agg value " << have << " != " << want;
+    }
+  }
 }
 
 // Markdown-ish row printer so bench output diff-compares cleanly.

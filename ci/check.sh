@@ -29,13 +29,14 @@ echo "== bench smoke: concurrent serving (scheduler) =="
 
 echo "== bench smoke: operator kernels (specialization) =="
 # Asserts internally that each specialized kernel's output is identical to
-# its generic twin and that the best guarded kernel clears 2x at dop 1.
+# its generic baseline (hash aggregate, hash join, a row-at-a-time Matches
+# loop) and that the best guarded kernel clears 2x at dop 1.
 (cd "${BUILD_DIR}/bench" && ./bench_operator_kernels --smoke)
 
 echo "== bench smoke: encoded-storage scale step (zone maps) =="
-# Asserts internally that encoded and raw storage return byte-identical
-# results across dop x SIP configs and that selective clustered scans prune
-# blocks; writes BENCH_fig6_scale.json (smoke scales).
+# Asserts internally that every dop x SIP config returns the same groups,
+# that every COUNT(*) probe equals its exact count, and that selective
+# clustered scans prune blocks; writes BENCH_fig6_scale.json (smoke scales).
 (cd "${BUILD_DIR}/bench" && ./bench_fig6_scale --smoke)
 
 echo "== bench smoke: continuous ingest (incremental maintenance) =="

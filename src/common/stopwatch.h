@@ -19,7 +19,6 @@ class Stopwatch {
   }
 
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
   int64_t ElapsedNanos() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -

@@ -41,12 +41,8 @@ std::future<void> ThreadPool::Submit(std::function<void()> task,
   {
     std::lock_guard<std::mutex> lock(mu_);
     BC_CHECK(!stop_);
-    if (lane == TaskLane::kHeavy) {
-      heavy_queue_.push_back(
-          HeavyTask{std::move(packaged), std::chrono::steady_clock::now()});
-    } else {
-      fast_queue_.push_back(std::move(packaged));
-    }
+    (lane == TaskLane::kHeavy ? heavy_queue_ : fast_queue_)
+        .push_back(std::move(packaged));
   }
   cv_.notify_one();
   return future;
@@ -63,18 +59,6 @@ int ThreadPool::heavy_running() const {
   return heavy_running_;
 }
 
-int64_t ThreadPool::heavy_promotions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return heavy_promotions_;
-}
-
-bool ThreadPool::HeavyFrontAgedLocked() const {
-  const int64_t promote_ms = promote_ms_.load(std::memory_order_relaxed);
-  if (promote_ms <= 0 || heavy_queue_.empty()) return false;
-  return std::chrono::steady_clock::now() - heavy_queue_.front().enqueued >=
-         std::chrono::milliseconds(promote_ms);
-}
-
 void ThreadPool::WorkerLoop() {
   t_on_worker_thread = true;
   for (;;) {
@@ -86,24 +70,14 @@ void ThreadPool::WorkerLoop() {
         return !fast_queue_.empty() ||
                (!heavy_queue_.empty() && heavy_running_ < heavy_cap_) || stop_;
       });
-      // Fast lane drains first; heavy tasks run only under the cap. Aging is
-      // the one exception to fast-first: a heavy head that waited past the
-      // promotion threshold is taken ahead of queued fast work — still under
-      // the cap, so a saturating fast stream cannot starve the heavy lane
-      // forever, yet promotion never widens heavy concurrency. On stop, keep
-      // draining both queues so every submitted future completes —
+      // Fast lane drains first; heavy tasks run only under the cap. On stop,
+      // keep draining both queues so every submitted future completes —
       // destruction never abandons work.
-      if (!stop_ && heavy_running_ < heavy_cap_ && HeavyFrontAgedLocked()) {
-        task = std::move(heavy_queue_.front().task);
-        heavy_queue_.pop_front();
-        heavy = true;
-        ++heavy_running_;
-        ++heavy_promotions_;
-      } else if (!fast_queue_.empty()) {
+      if (!fast_queue_.empty()) {
         task = std::move(fast_queue_.front());
         fast_queue_.pop_front();
       } else if (!heavy_queue_.empty() && (heavy_running_ < heavy_cap_ || stop_)) {
-        task = std::move(heavy_queue_.front().task);
+        task = std::move(heavy_queue_.front());
         heavy_queue_.pop_front();
         heavy = true;
         ++heavy_running_;

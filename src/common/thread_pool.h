@@ -2,7 +2,6 @@
 #define BYTECARD_COMMON_THREAD_POOL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -107,20 +106,6 @@ class ThreadPool {
   // Workers currently executing a heavy-lane task.
   int heavy_running() const;
 
-  // Priority aging: once the heavy queue's head has waited at least this
-  // long, the next free worker takes it ahead of the fast queue. Promotion
-  // bypasses only the fast-first rule — the heavy concurrency cap still
-  // holds, so promotion changes *when* a starved heavy task starts, never
-  // how many run at once. 0 (the default) disables aging.
-  void set_heavy_promote_after_millis(int64_t millis) {
-    promote_ms_.store(millis, std::memory_order_relaxed);
-  }
-  int64_t heavy_promote_after_millis() const {
-    return promote_ms_.load(std::memory_order_relaxed);
-  }
-  // Heavy tasks that started via aging promotion (ahead of queued fast work).
-  int64_t heavy_promotions() const;
-
   // The engine-wide shared pool, created on first use. Sized from
   // BYTECARD_THREADS when set (CI pins worker counts this way), otherwise
   // max(hardware threads, kDefaultMaxDop) so that explicit dop requests up
@@ -131,27 +116,15 @@ class ThreadPool {
   static bool OnWorkerThread();
 
  private:
-  // Heavy-lane queue element: the task plus its enqueue time, so the aging
-  // check can age the head without any per-tick bookkeeping.
-  struct HeavyTask {
-    std::packaged_task<void()> task;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
   void WorkerLoop();
-  // True when aging is enabled, a heavy task is queued, and its head has
-  // waited past the promotion threshold. Requires mu_ held.
-  bool HeavyFrontAgedLocked() const;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::packaged_task<void()>> fast_queue_;
-  std::deque<HeavyTask> heavy_queue_;
+  std::deque<std::packaged_task<void()>> heavy_queue_;
   int heavy_running_ = 0;
   int heavy_cap_ = 1;
   bool stop_ = false;
-  std::atomic<int64_t> promote_ms_{0};
-  int64_t heavy_promotions_ = 0;  // guarded by mu_
   std::vector<std::thread> workers_;
 };
 

@@ -37,19 +37,12 @@ double Column::DoubleFromOrderedCode(int64_t code) {
 }
 
 void Column::AppendNumeric(int64_t code) {
-  switch (type_) {
-    case DataType::kFloat64:
-      EnsureAppendable();
-      doubles_.push_back(DoubleFromOrderedCode(code));
-      break;
-    case DataType::kArray:
-      arrays_.emplace_back();
-      break;
-    default:
-      EnsureAppendable();
-      ints_.push_back(code);
-      break;
+  if (type_ == DataType::kArray) {
+    arrays_.emplace_back();
+    return;
   }
+  EnsureAppendable();
+  ints_.push_back(code);
 }
 
 namespace {
@@ -94,13 +87,7 @@ std::chrono::steady_clock::time_point Column::IssueRead(int64_t b,
 int64_t Column::RawChecksum(int64_t b, int64_t rows) const {
   const int64_t begin = b * kBlockRows - sealed_rows_;
   int64_t checksum = 0;
-  if (type_ == DataType::kFloat64) {
-    for (int64_t i = begin; i < begin + rows; ++i) {
-      checksum += std::bit_cast<int64_t>(doubles_[i]);
-    }
-  } else {
-    for (int64_t i = begin; i < begin + rows; ++i) checksum += ints_[i];
-  }
+  for (int64_t i = begin; i < begin + rows; ++i) checksum += ints_[i];
   return checksum;
 }
 
@@ -136,28 +123,15 @@ void Column::FetchBlock(int64_t b, std::vector<int64_t>* out,
   // Raw path: unsealed column or the appended tail past the sealed blocks.
   const int64_t begin = b * kBlockRows - sealed_rows_;
   out->resize(rows);
-  if (type_ == DataType::kFloat64) {
-    for (int64_t i = 0; i < rows; ++i) {
-      (*out)[i] = OrderedCodeOf(doubles_[begin + i]);
-    }
-  } else {
-    std::memcpy(out->data(), ints_.data() + begin, rows * sizeof(int64_t));
-  }
+  std::memcpy(out->data(), ints_.data() + begin, rows * sizeof(int64_t));
 }
 
 void Column::EnsureAppendable() {
   if (blocks_.empty() || blocks_.back().rows() == kBlockRows) return;
   // A partial tail block only exists right after a Seal, which consumed the
-  // whole raw tail — so the raw vectors are empty here.
-  BC_CHECK(RawRowCount() == 0);
-  std::vector<int64_t> values;
-  blocks_.back().Decode(&values);
-  if (type_ == DataType::kFloat64) {
-    doubles_.reserve(values.size());
-    for (int64_t code : values) doubles_.push_back(DoubleFromOrderedCode(code));
-  } else {
-    ints_ = std::move(values);
-  }
+  // whole raw tail — so the raw vector is empty here.
+  BC_CHECK(ints_.empty());
+  blocks_.back().Decode(&ints_);
   sealed_rows_ -= blocks_.back().rows();
   blocks_.pop_back();
   // Only the popped block index will be re-encoded with different contents
@@ -177,42 +151,23 @@ void Column::UnsealAll() {
     block.Decode(&tmp);
     all.insert(all.end(), tmp.begin(), tmp.end());
   }
-  if (type_ == DataType::kFloat64) {
-    std::vector<double> merged;
-    merged.reserve(all.size() + doubles_.size());
-    for (int64_t code : all) merged.push_back(DoubleFromOrderedCode(code));
-    merged.insert(merged.end(), doubles_.begin(), doubles_.end());
-    doubles_ = std::move(merged);
-  } else {
-    all.insert(all.end(), ints_.begin(), ints_.end());
-    ints_ = std::move(all);
-  }
+  all.insert(all.end(), ints_.begin(), ints_.end());
+  ints_ = std::move(all);
   blocks_.clear();
   sealed_rows_ = 0;
   InvalidateCachedBlocks();
 }
 
 void Column::EncodeTail() {
-  const int64_t n = RawRowCount();
+  const int64_t n = static_cast<int64_t>(ints_.size());
   if (n == 0) return;
-  std::vector<int64_t> codes;
-  const int64_t* data;
-  if (type_ == DataType::kFloat64) {
-    codes.resize(n);
-    for (int64_t i = 0; i < n; ++i) codes[i] = OrderedCodeOf(doubles_[i]);
-    data = codes.data();
-  } else {
-    data = ints_.data();
-  }
   for (int64_t begin = 0; begin < n; begin += kBlockRows) {
     const int64_t rows = std::min<int64_t>(kBlockRows, n - begin);
-    blocks_.push_back(EncodedBlock::Encode(data + begin, rows));
+    blocks_.push_back(EncodedBlock::Encode(ints_.data() + begin, rows));
   }
   sealed_rows_ += n;
   ints_.clear();
   ints_.shrink_to_fit();
-  doubles_.clear();
-  doubles_.shrink_to_fit();
 }
 
 void Column::SortDictionaryAndRemap() {
@@ -240,14 +195,10 @@ void Column::InvalidateCachedBlocks() {
   if (cache_ != nullptr) cache_->InvalidateColumn(this);
 }
 
-void Column::SealStorage(StorageFormat format) {
+void Column::SealStorage() {
   if (type_ != DataType::kArray) {
-    if (format == StorageFormat::kRaw) {
-      UnsealAll();
-    } else {
-      if (type_ == DataType::kString) SortDictionaryAndRemap();
-      EncodeTail();
-    }
+    if (type_ == DataType::kString) SortDictionaryAndRemap();
+    EncodeTail();
   }
   RefreshDomainStats();
 }
@@ -266,10 +217,7 @@ void Column::RefreshDomainStats() {
     hi = have ? std::max(hi, z.max) : z.max;
     have = true;
   }
-  const int64_t raw_n = RawRowCount();
-  for (int64_t i = 0; i < raw_n; ++i) {
-    const int64_t v =
-        type_ == DataType::kFloat64 ? OrderedCodeOf(doubles_[i]) : ints_[i];
+  for (const int64_t v : ints_) {
     lo = have ? std::min(lo, v) : v;
     hi = have ? std::max(hi, v) : v;
     have = true;
@@ -284,9 +232,8 @@ int64_t Column::EncodedBytes() const {
 }
 
 int64_t Column::MemoryBytes() const {
-  int64_t bytes = EncodedBytes() +
-                  static_cast<int64_t>(ints_.size() * sizeof(int64_t) +
-                                       doubles_.size() * sizeof(double));
+  int64_t bytes =
+      EncodedBytes() + static_cast<int64_t>(ints_.size() * sizeof(int64_t));
   for (const auto& a : arrays_) bytes += a.size() * sizeof(int64_t) + 16;
   for (const auto& s : dict_) bytes += static_cast<int64_t>(s.size()) + 16;
   return bytes;

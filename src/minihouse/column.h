@@ -14,12 +14,6 @@
 
 namespace bytecard::minihouse {
 
-// How a table stores sealed scalar columns. kEncoded (the default) compresses
-// each block at Seal (plain / RLE / frame-of-reference, chosen per block by
-// size) and releases the raw vectors; kRaw keeps the pre-refactor
-// uncompressed layout — benches use it as the identity baseline.
-enum class StorageFormat { kEncoded, kRaw };
-
 // Min/max of a column's numeric domain (int64 value, string dictionary code,
 // or ordered double code — the same space predicates operate in). Maintained
 // at load/append time by Table::Seal and consumed by the kernel-
@@ -48,16 +42,18 @@ struct ColumnDomain {
 // - kInt64 columns store int64 values;
 // - kString columns store int64 codes into an ordered dictionary (order-
 //   preserving encoding, so range predicates on codes match string order);
-// - kFloat64 columns store doubles (ordered int64 codes once sealed);
+// - kFloat64 columns store the ordered int64 codes of their doubles
+//   (OrderedCodeOf), from append on;
 // - kArray columns store per-row element lists (opaque to the estimators).
 //
-// Lifecycle: rows append into raw vectors; Table::Seal encodes full scalar
-// columns into EncodedBlocks (releasing the raw storage under the default
-// kEncoded format) and stamps a per-block ZoneMap. Appending to a sealed
-// column transparently re-opens the partial tail block; the next Seal
-// re-encodes it. Access for query processing goes through the block APIs so
-// that I/O is accounted at block granularity; non-plain blocks decode lazily
-// through the owning database's bounded DecodeCache.
+// Lifecycle: rows append into a raw vector; Table::Seal encodes full scalar
+// columns into EncodedBlocks (plain / RLE / frame-of-reference, chosen per
+// block by size), releases the raw vector and stamps a per-block ZoneMap.
+// Appending to a sealed column transparently re-opens the partial tail
+// block; the next Seal re-encodes it. Access for query processing goes
+// through the block APIs so that I/O is accounted at block granularity;
+// non-plain blocks decode lazily through the owning database's bounded
+// DecodeCache.
 class Column {
  public:
   Column() : type_(DataType::kInt64) {}
@@ -77,14 +73,9 @@ class Column {
   DataType type() const { return type_; }
 
   int64_t num_rows() const {
-    switch (type_) {
-      case DataType::kFloat64:
-        return sealed_rows_ + static_cast<int64_t>(doubles_.size());
-      case DataType::kArray:
-        return static_cast<int64_t>(arrays_.size());
-      default:
-        return sealed_rows_ + static_cast<int64_t>(ints_.size());
-    }
+    return type_ == DataType::kArray
+               ? static_cast<int64_t>(arrays_.size())
+               : sealed_rows_ + static_cast<int64_t>(ints_.size());
   }
 
   int64_t num_blocks() const {
@@ -98,7 +89,7 @@ class Column {
   }
   void AppendDouble(double v) {
     EnsureAppendable();
-    doubles_.push_back(v);
+    ints_.push_back(OrderedCodeOf(v));
   }
   void AppendArray(std::vector<int64_t> v) { arrays_.push_back(std::move(v)); }
 
@@ -124,20 +115,13 @@ class Column {
   // Sealed rows are answered from the encoded block without materializing it
   // (O(1) for plain/FOR, O(log runs) for RLE).
   int64_t NumericAt(int64_t i) const {
-    if (i >= sealed_rows_) {
-      const int64_t j = i - sealed_rows_;
-      if (type_ == DataType::kFloat64) return OrderedCodeOf(doubles_[j]);
-      return ints_[j];
-    }
+    if (i >= sealed_rows_) return ints_[i - sealed_rows_];
     return blocks_[i / kBlockRows].ValueAt(i % kBlockRows);
   }
 
   double DoubleAt(int64_t i) const {
-    if (type_ == DataType::kFloat64) {
-      if (i >= sealed_rows_) return doubles_[i - sealed_rows_];
-      return DoubleFromOrderedCode(NumericAt(i));
-    }
-    return static_cast<double>(NumericAt(i));
+    return type_ == DataType::kFloat64 ? DoubleFromOrderedCode(NumericAt(i))
+                                       : static_cast<double>(NumericAt(i));
   }
 
   // Maps a double to an int64 preserving order (IEEE-754 trick), so that all
@@ -166,7 +150,7 @@ class Column {
 
   // Copies block `b`'s numeric values into `out` (resized): plain blocks
   // zero-copy, other sealed blocks through the attached DecodeCache, the
-  // raw tail from the raw vectors. Charges no read; `io` receives only the
+  // raw tail from the raw vector. Charges no read; `io` receives only the
   // decode-cache hits and evictions. The caller must not fetch a block, or
   // evaluate a predicate on its encoded form, before its read has landed.
   void FetchBlock(int64_t b, std::vector<int64_t>* out, IoStats* io) const;
@@ -185,9 +169,8 @@ class Column {
     return b < static_cast<int64_t>(blocks_.size()) ? &blocks_[b] : nullptr;
   }
 
-  // Block `b`'s zone map, or nullptr when the block has none (raw tail,
-  // unsealed or kRaw-format column) — callers must treat "no zone map" as
-  // "cannot prune".
+  // Block `b`'s zone map, or nullptr when the block has none (raw tail or
+  // unsealed column) — callers must treat "no zone map" as "cannot prune".
   const ZoneMap* zone_map(int64_t b) const {
     return b < static_cast<int64_t>(blocks_.size()) ? &blocks_[b].zone()
                                                     : nullptr;
@@ -197,13 +180,13 @@ class Column {
     return static_cast<int64_t>(blocks_.size());
   }
 
-  // Bytes held by the encoded blocks (0 when raw).
+  // Bytes held by the encoded blocks (0 before the first Seal).
   int64_t EncodedBytes() const;
 
-  // Encodes all raw rows into blocks (kEncoded) or decodes all blocks back
-  // into raw vectors (kRaw), then refreshes domain stats. Called by
-  // Table::Seal; idempotent.
-  void SealStorage(StorageFormat format);
+  // Encodes all raw rows into blocks (re-sorting a string column's
+  // dictionary first), then refreshes domain stats. Called by Table::Seal;
+  // idempotent.
+  void SealStorage();
 
   // Points this column at its database's simulated-storage config and shared
   // decode cache. Called by Database::AddTable; a detached column (unit
@@ -233,23 +216,16 @@ class Column {
   void SetDomain(ColumnDomain domain) { domain_ = domain; }
 
  private:
-  // Rows currently in the raw vectors (excludes sealed blocks and arrays).
-  int64_t RawRowCount() const {
-    return type_ == DataType::kFloat64 ? static_cast<int64_t>(doubles_.size())
-                                       : static_cast<int64_t>(ints_.size());
-  }
-
   // Re-opens a partial sealed tail block for appending: decodes it back into
-  // the raw vectors and drops it from blocks_. Partial blocks only exist
+  // the raw vector and drops it from blocks_. Partial blocks only exist
   // immediately after a Seal (which consumes the whole tail), so the raw
-  // vectors are empty whenever this fires.
+  // vector is empty whenever this fires.
   void EnsureAppendable();
 
-  // Decodes every block back into the raw vectors (kRaw reseal, dictionary
-  // re-sort).
+  // Decodes every block back into the raw vector (dictionary re-sort).
   void UnsealAll();
 
-  // Encodes all raw rows into blocks and releases the raw vectors.
+  // Encodes all raw rows into blocks and releases the raw vector.
   void EncodeTail();
 
   // Sorts dict_ and rewrites every stored code against the sorted order.
@@ -270,13 +246,13 @@ class Column {
   ColumnDomain domain_;
   const StorageProfile* storage_ = nullptr;
   DecodeCache* cache_ = nullptr;
-  // Raw (pre-seal / appended-tail) storage.
+  // Raw (pre-seal / appended-tail) storage: int64 values, string codes or
+  // ordered double codes.
   std::vector<int64_t> ints_;
-  std::vector<double> doubles_;
   std::vector<std::vector<int64_t>> arrays_;
   std::vector<std::string> dict_;
-  // Sealed storage: rows [0, sealed_rows_) live in encoded blocks; raw
-  // vectors hold rows from sealed_rows_ on.
+  // Sealed storage: rows [0, sealed_rows_) live in encoded blocks; ints_
+  // holds rows from sealed_rows_ on.
   std::vector<EncodedBlock> blocks_;
   int64_t sealed_rows_ = 0;
 };

@@ -25,7 +25,6 @@ void MergeOperatorStats(const PhysicalOperator* op,
   switch (op->kind()) {
     case OpKind::kScan:
       stats->io += s.io;
-      stats->predicate_kernel_blocks += s.kernel_blocks;
       stats->bytes_resident = std::max(stats->bytes_resident,
                                        s.bytes_resident);
       break;

@@ -59,7 +59,6 @@ Result<Relation> ScanOp::Execute() {
   stats_.dop_used = scanned.dop_used;
   stats_.parallel_tasks = scanned.parallel_tasks;
   stats_.sip_filtered = sip_.bloom != nullptr;
-  stats_.kernel_blocks = scanned.kernel_blocks;
   // Resident footprint at scan end: the table's stored bytes plus whatever
   // the shared decode cache currently holds. An approximation (other queries
   // share the cache), but exactly the bound the bench asserts on.

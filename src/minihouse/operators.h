@@ -43,8 +43,6 @@ struct OperatorStats {
   // (partitions/builds that degraded to the generic path mid-execution).
   bool specialized = false;
   int64_t despecialized_morsels = 0;
-  // Scans: (predicate, block) evaluations through the tight-loop kernels.
-  int64_t kernel_blocks = 0;
   // Scans: resident footprint sampled after the scan — the table's stored
   // (encoded) bytes plus the shared decode cache's decoded bytes. ExecStats
   // keeps the max across scans.

@@ -56,17 +56,9 @@ bool ColumnPredicate::Matches(int64_t value) const {
 namespace {
 
 // IN lists at or below this size run as an unrolled OR-of-equalities over a
-// stack copy; longer lists keep the generic find (rare in the workloads).
+// stack copy; longer lists keep the row-at-a-time find (rare in the
+// workloads).
 constexpr size_t kInKernelMaxList = 8;
-
-// Row-at-a-time evaluation over raw data (the long-IN-list fallback and the
-// generic path's core).
-void EvaluateGenericRaw(const ColumnPredicate& pred, const int64_t* v,
-                        size_t n, uint8_t* sel) {
-  for (size_t i = 0; i < n; ++i) {
-    sel[i] &= static_cast<uint8_t>(pred.Matches(v[i]));
-  }
-}
 
 // The branch-free kernel core over raw data, shared by the decoded-block
 // entry point and the encoded plain/FOR paths.
@@ -129,7 +121,9 @@ void EvaluateKernel(const ColumnPredicate& pred, const int64_t* v, size_t n,
         break;
       }
       if (list_size > kInKernelMaxList) {
-        EvaluateGenericRaw(pred, v, n, sel);
+        for (size_t i = 0; i < n; ++i) {
+          sel[i] &= static_cast<uint8_t>(pred.Matches(v[i]));
+        }
         break;
       }
       // Pad the stack copy with the first operand so the inner loop has a
@@ -157,13 +151,6 @@ void EvaluateOnBlock(const ColumnPredicate& pred,
                      std::vector<uint8_t>* selection) {
   BC_DCHECK(selection->size() == values.size());
   EvaluateKernel(pred, values.data(), values.size(), selection->data());
-}
-
-void EvaluateOnBlockGeneric(const ColumnPredicate& pred,
-                            const std::vector<int64_t>& values,
-                            std::vector<uint8_t>* selection) {
-  BC_DCHECK(selection->size() == values.size());
-  EvaluateGenericRaw(pred, values.data(), values.size(), selection->data());
 }
 
 bool ZoneMapMayMatch(const ColumnPredicate& pred, const ZoneMap& zone) {

@@ -56,7 +56,6 @@ struct BoundQuery {
   std::vector<AggSpecRef> aggs;
   std::string sql;  // original text when parsed from SQL; may be empty
 
-  bool IsSingleTable() const { return tables.size() == 1; }
   int num_tables() const { return static_cast<int>(tables.size()); }
 };
 

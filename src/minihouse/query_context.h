@@ -72,8 +72,6 @@ struct ExecStats {
   int64_t despecialized_morsels = 0;
   int64_t dense_agg_ops = 0;
   int64_t array_join_ops = 0;
-  // (predicate, block) evaluations that ran the tight-loop kernels.
-  int64_t predicate_kernel_blocks = 0;
   // Encoded storage (DESIGN.md §12; pruned blocks, encoded reads and
   // decode-cache traffic are in `io`). bytes_resident: max over scans of
   // stored table bytes + decode-cache residency — the footprint the scale

@@ -32,7 +32,7 @@ constexpr int64_t kScanMorselBlocks = 4;
 constexpr int64_t kReadWindowBlocks = 1;
 
 // True when some filter's zone-map test proves block `b` holds no matching
-// row. A block without zone maps (raw storage, appended tail) never prunes.
+// row. A block without zone maps (unsealed, appended tail) never prunes.
 bool BlockPrunedByZoneMaps(const Table& table, const Conjunction& filters,
                            int64_t b) {
   for (const ColumnPredicate& pred : filters) {
@@ -109,29 +109,19 @@ void ApplySip(const Table& table, const SemiJoinFilter& sip, int64_t b,
   }
 }
 
-// One filter predicate over one block whose read has landed. On encoded
-// storage with the kernel path enabled, the predicate evaluates directly
-// over the encoded block, with no decode (or decode-cache traffic).
-// Otherwise the block is fetched (decoding through the cache when sealed)
-// and evaluated over the values. Selections are byte-identical across all
-// paths.
+// One filter predicate over one block whose read has landed. A sealed block
+// is evaluated in its encoded form, with no decode (or decode-cache
+// traffic); a raw-tail block is fetched and run through the kernels.
 void ApplyFilter(const Table& table, const ColumnPredicate& pred, int64_t b,
-                 const ScanOptions& options, std::vector<int64_t>* scratch,
-                 std::vector<uint8_t>* selection, ScanResult* result,
-                 IoStats* io) {
+                 std::vector<int64_t>* scratch,
+                 std::vector<uint8_t>* selection, IoStats* io) {
   const Column& col = table.column(pred.column);
-  if (options.features.specialized_predicates) {
-    if (const EncodedBlock* encoded = col.encoded_block(b)) {
-      EvaluateOnEncodedBlock(pred, *encoded, selection);
-    } else {
-      col.FetchBlock(b, scratch, io);
-      EvaluateOnBlock(pred, *scratch, selection);
-    }
-    ++result->kernel_blocks;
-    return;
+  if (const EncodedBlock* encoded = col.encoded_block(b)) {
+    EvaluateOnEncodedBlock(pred, *encoded, selection);
+  } else {
+    col.FetchBlock(b, scratch, io);
+    EvaluateOnBlock(pred, *scratch, selection);
   }
-  col.FetchBlock(b, scratch, io);
-  EvaluateOnBlockGeneric(pred, *scratch, selection);
 }
 
 // Appends block `b`'s selected rows: their ids and the output columns'
@@ -196,8 +186,7 @@ void SingleStageScanRange(const Table& table, const Conjunction& filters,
       // other predicates over the same block.
       if (has_sip) ApplySip(table, options.sip, b, &scratch, &selection, io);
       for (const ColumnPredicate& pred : filters) {
-        ApplyFilter(table, pred, b, options, &scratch, &selection, result,
-                    io);
+        ApplyFilter(table, pred, b, &scratch, &selection, io);
       }
       // Output columns are fetched unconditionally: the single-stage reader
       // constructs tuples in the same pass, before knowing what survived.
@@ -272,8 +261,7 @@ void MultiStageScanRange(const Table& table, const Conjunction& filters,
       const ColumnPredicate& pred = filters[order[stage]];
       read_live(table.column(pred.column));
       for (size_t s : live) {
-        ApplyFilter(table, pred, window[s], options, &scratch, &selections[s],
-                    result, io);
+        ApplyFilter(table, pred, window[s], &scratch, &selections[s], io);
       }
       drop_dead();
     }
@@ -372,7 +360,6 @@ ScanResult ScanTable(const Table& table, const Conjunction& filters,
   result.row_ids.reserve(total_rows);
   for (auto& col : result.materialized) col.reserve(total_rows);
   for (ScanResult& part : parts) {
-    result.kernel_blocks += part.kernel_blocks;
     result.row_ids.insert(result.row_ids.end(), part.row_ids.begin(),
                           part.row_ids.end());
     for (size_t c = 0; c < result.materialized.size(); ++c) {

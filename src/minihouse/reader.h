@@ -47,13 +47,6 @@ struct ExecFeatures {
   // min/max domain is narrow enough; runtime guards degrade to the generic
   // path on any domain violation.
   bool specialize_ops = true;
-  // Predicate evaluation path: the branch-free tight-loop kernels
-  // (EvaluateOnBlock) or the generic row-at-a-time path
-  // (EvaluateOnBlockGeneric). Selections, blocks read and all IoStats are
-  // identical; on encoded storage the kernel path also evaluates filters
-  // directly over the encoded block (dictionary-code compares, RLE run
-  // skipping) instead of decoding it first.
-  bool specialized_predicates = true;
   // Zone-map block pruning (DESIGN.md §12): skip a block, before charging
   // any I/O, when some filter's range cannot overlap its min/max. Only
   // blocks_read/blocks_pruned change.
@@ -78,8 +71,7 @@ struct ScanOptions {
   // morsel budget (from its QueryContext). Defaults reproduce standalone
   // behaviour — fast lane, unbudgeted.
   common::MorselPolicy morsel_policy;
-  // The plan's switches; a scan honours specialized_predicates and
-  // prune_blocks.
+  // The plan's switches; a scan honours prune_blocks.
   ExecFeatures features;
 };
 
@@ -92,9 +84,6 @@ struct ScanResult {
   // executed through the pool (0 when the scan ran serially).
   int dop_used = 1;
   int64_t parallel_tasks = 0;
-  // (predicate, block) evaluations that ran through the specialized kernel
-  // path (0 when options.features.specialized_predicates is off).
-  int64_t kernel_blocks = 0;
   int64_t rows_matched() const {
     return static_cast<int64_t>(row_ids.size());
   }

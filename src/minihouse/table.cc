@@ -35,7 +35,7 @@ Status Table::Seal() {
   // Storage encoding and domain statistics ride the seal: every load/append
   // path ends here, so blocks, zone maps, and per-column min/max are exact
   // whenever queries can see the rows.
-  for (Column& c : columns_) c.SealStorage(format_);
+  for (Column& c : columns_) c.SealStorage();
   return Status::Ok();
 }
 

@@ -12,9 +12,10 @@
 
 namespace bytecard::minihouse {
 
-// A stored table: schema + columns. Tables are immutable once built (the
-// generators build them column-wise); query processing treats them as
-// read-only, matching the paper's separation of data ingestion from query
+// A stored table: schema + columns. Rows arrive by bulk build (the
+// generators build column-wise) or by streaming ingest, which appends and
+// re-seals under the exclusive latch; query processing only reads, under the
+// shared latch, matching the paper's separation of data ingestion from query
 // execution.
 class Table {
  public:
@@ -36,24 +37,11 @@ class Table {
   }
 
   // Recomputes num_rows_ from column 0, checks all columns agree, encodes
-  // each scalar column into blocks per the table's StorageFormat (releasing
-  // raw storage under kEncoded), and refreshes every column's min/max domain
-  // statistics from the freshly stamped zone maps. Call once after
-  // bulk-building (or appending to) the columns.
+  // each scalar column's raw rows into blocks (releasing the raw storage),
+  // and refreshes every column's min/max domain statistics from the freshly
+  // stamped zone maps. Call once after bulk-building (or appending to) the
+  // columns.
   Status Seal();
-
-  // The sealed storage layout. Must be set before the first Seal to take
-  // effect there; use Reseal to change it afterwards.
-  StorageFormat storage_format() const { return format_; }
-  void SetStorageFormat(StorageFormat format) { format_ = format; }
-
-  // Re-seals under a different layout (decoding or encoding every column).
-  // Benches use this to build byte-identical encoded and raw twins of the
-  // same table.
-  Status Reseal(StorageFormat format) {
-    format_ = format;
-    return Seal();
-  }
 
   // Column `i`'s numeric min/max as of the last Seal — the specialization
   // layer's input signal.
@@ -74,7 +62,8 @@ class Table {
 
   int64_t MemoryBytes() const;
 
-  // Bytes held in encoded blocks across all columns (0 for kRaw tables).
+  // Bytes held in encoded blocks across all columns (0 before the first
+  // Seal).
   int64_t EncodedBytes() const;
 
   // Append-vs-read latch. The streaming-ingest path takes it exclusively
@@ -91,7 +80,6 @@ class Table {
   TableSchema schema_;
   std::vector<Column> columns_;
   int64_t num_rows_ = 0;
-  StorageFormat format_ = StorageFormat::kEncoded;
   DecodeCache* decode_cache_ = nullptr;
   mutable std::shared_mutex latch_;
 };

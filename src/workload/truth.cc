@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "minihouse/executor.h"
 #include "minihouse/predicate.h"
 
 namespace bytecard::workload {
@@ -139,14 +138,6 @@ Result<int64_t> TrueColumnNdv(const minihouse::Table& table, int column,
     if (selection[r] != 0) distinct.insert(col.NumericAt(r));
   }
   return static_cast<int64_t>(distinct.size());
-}
-
-Result<int64_t> TrueGroupCount(const BoundQuery& query) {
-  minihouse::PhysicalPlan plan;
-  plan.scans.resize(query.tables.size());
-  BC_ASSIGN_OR_RETURN(minihouse::ExecResult result,
-                      minihouse::ExecuteQuery(query, plan));
-  return result.agg.num_groups;
 }
 
 }  // namespace bytecard::workload

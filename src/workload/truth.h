@@ -19,10 +19,6 @@ Result<int64_t> TrueCount(const minihouse::BoundQuery& query);
 Result<int64_t> TrueColumnNdv(const minihouse::Table& table, int column,
                               const minihouse::Conjunction& filters);
 
-// Exact number of GROUP BY groups (executes the query; only call on
-// executable-scale queries).
-Result<int64_t> TrueGroupCount(const minihouse::BoundQuery& query);
-
 }  // namespace bytecard::workload
 
 #endif  // BYTECARD_WORKLOAD_TRUTH_H_

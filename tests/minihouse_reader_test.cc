@@ -224,8 +224,7 @@ TEST(ReaderTest, WindowReadsOverlapTheirLatency) {
 
 // --- Reader identity ---------------------------------------------------------
 // One query over every reader configuration: single- and multi-stage, SIP on
-// and off, zone-map pruning on and off, kernel predicates on and off, dop 1
-// and 4, over an encoded table and its raw twin. Every configuration must
+// and off, zone-map pruning on and off, dop 1 and 4. Every configuration must
 // return the row-wise oracle's rows, and its IoStats must equal the values
 // pinned in kIdentityIo.
 //
@@ -238,8 +237,9 @@ TEST(ReaderTest, WindowReadsOverlapTheirLatency) {
 //   them, eight in a row;
 // - blocks 16, 18 and 19 keep some rows; with pruning on, a window of two
 //   or more blocks spans the pruned block 17.
-// The encoded table seals every block; the raw twin reads them all from the
-// raw vectors. dop 4 splits the 20 blocks into five 4-block morsels.
+// The appended tail re-opens the first Seal's partial block 19, and the
+// second Seal re-encodes it. dop 4 splits the 20 blocks into five 4-block
+// morsels.
 
 constexpr int64_t kIdentityFullBlocks = 19;
 constexpr int64_t kIdentityTailRows = 1500;
@@ -276,10 +276,9 @@ void AppendIdentityRows(Table* table, int64_t begin, int64_t end,
   }
 }
 
-// Builds the identity table in `format`, attached to `profile` and `cache`
-// (which must outlive it).
-std::unique_ptr<Table> MakeIdentityTable(StorageFormat format,
-                                         const BloomFilter& bloom,
+// Builds the identity table, attached to `profile` and `cache` (which must
+// outlive it).
+std::unique_ptr<Table> MakeIdentityTable(const BloomFilter& bloom,
                                          const StorageProfile* profile,
                                          DecodeCache* cache) {
   auto table = std::make_unique<Table>(
@@ -288,7 +287,6 @@ std::unique_ptr<Table> MakeIdentityTable(StorageFormat format,
                                {"g", DataType::kInt64},
                                {"p", DataType::kInt64},
                                {"q", DataType::kInt64}}));
-  table->SetStorageFormat(format);
   Rng rng(1601);
   const int64_t sealed = kIdentityFullBlocks * kBlockRows;
   const int64_t key = RejectedKey(bloom);
@@ -319,7 +317,7 @@ Conjunction IdentityFilters() {
 const std::vector<int> kIdentityOutputs = {kPlain, kG, kKey, kRuns};
 
 struct IdentityIo {
-  const char* config;  // format/reader/sip/prune/kernels
+  const char* config;  // reader/sip/prune
   int64_t rows_matched;
   int64_t blocks_read;
   int64_t bytes_read;
@@ -333,149 +331,85 @@ struct IdentityIo {
 // Pinned: how a reader orders or overlaps its reads must not move them. dop 1
 // and 4 give the same values.
 const IdentityIo kIdentityIo[] = {
-    {"enc/single/nosip/noprune/generic",
-     1942, 100, 3172960, 396620, 0, 100, 0, 0},
-    {"enc/single/nosip/noprune/kernels",
-     1942, 100, 3172960, 396620, 0, 100, 0, 0},
-    {"enc/single/nosip/prune/generic",
-     1942, 55, 1698400, 212300, 9, 55, 0, 0},
-    {"enc/single/nosip/prune/kernels",
-     1942, 55, 1698400, 212300, 9, 55, 0, 0},
-    {"enc/single/sip/noprune/generic",
-     969, 100, 3172960, 396620, 0, 100, 0, 0},
-    {"enc/single/sip/noprune/kernels",
-     969, 100, 3172960, 396620, 0, 100, 0, 0},
-    {"enc/single/sip/prune/generic",
-     969, 55, 1698400, 212300, 9, 55, 0, 0},
-    {"enc/single/sip/prune/kernels",
-     969, 55, 1698400, 212300, 9, 55, 0, 0},
-    {"enc/multi/nosip/noprune/generic",
-     1942, 47, 1394720, 174340, 0, 47, 6, 0},
-    {"enc/multi/nosip/noprune/kernels",
-     1942, 47, 1394720, 174340, 0, 47, 0, 0},
-    {"enc/multi/nosip/prune/generic",
-     1942, 29, 804896, 100612, 9, 29, 6, 0},
-    {"enc/multi/nosip/prune/kernels",
-     1942, 29, 804896, 100612, 9, 29, 0, 0},
-    {"enc/multi/sip/noprune/generic",
-     969, 59, 1767168, 220896, 0, 59, 9, 0},
-    {"enc/multi/sip/noprune/kernels",
-     969, 59, 1767168, 220896, 0, 59, 3, 0},
-    {"enc/multi/sip/prune/generic",
-     969, 32, 882432, 110304, 9, 32, 9, 0},
-    {"enc/multi/sip/prune/kernels",
-     969, 32, 882432, 110304, 9, 32, 3, 0},
-    {"raw/single/nosip/noprune/generic",
-     1942, 100, 3172960, 396620, 0, 0, 0, 0},
-    {"raw/single/nosip/noprune/kernels",
-     1942, 100, 3172960, 396620, 0, 0, 0, 0},
-    {"raw/single/nosip/prune/generic",
-     1942, 100, 3172960, 396620, 0, 0, 0, 0},
-    {"raw/single/nosip/prune/kernels",
-     1942, 100, 3172960, 396620, 0, 0, 0, 0},
-    {"raw/single/sip/noprune/generic",
-     969, 100, 3172960, 396620, 0, 0, 0, 0},
-    {"raw/single/sip/noprune/kernels",
-     969, 100, 3172960, 396620, 0, 0, 0, 0},
-    {"raw/single/sip/prune/generic",
-     969, 100, 3172960, 396620, 0, 0, 0, 0},
-    {"raw/single/sip/prune/kernels",
-     969, 100, 3172960, 396620, 0, 0, 0, 0},
-    {"raw/multi/nosip/noprune/generic",
-     1942, 47, 1394720, 174340, 0, 0, 0, 0},
-    {"raw/multi/nosip/noprune/kernels",
-     1942, 47, 1394720, 174340, 0, 0, 0, 0},
-    {"raw/multi/nosip/prune/generic",
-     1942, 47, 1394720, 174340, 0, 0, 0, 0},
-    {"raw/multi/nosip/prune/kernels",
-     1942, 47, 1394720, 174340, 0, 0, 0, 0},
-    {"raw/multi/sip/noprune/generic",
-     969, 59, 1767168, 220896, 0, 0, 0, 0},
-    {"raw/multi/sip/noprune/kernels",
-     969, 59, 1767168, 220896, 0, 0, 0, 0},
-    {"raw/multi/sip/prune/generic",
-     969, 59, 1767168, 220896, 0, 0, 0, 0},
-    {"raw/multi/sip/prune/kernels",
-     969, 59, 1767168, 220896, 0, 0, 0, 0},
+    {"single/nosip/noprune", 1942, 100, 3172960, 396620, 0, 100, 0, 0},
+    {"single/nosip/prune", 1942, 55, 1698400, 212300, 9, 55, 0, 0},
+    {"single/sip/noprune", 969, 100, 3172960, 396620, 0, 100, 0, 0},
+    {"single/sip/prune", 969, 55, 1698400, 212300, 9, 55, 0, 0},
+    {"multi/nosip/noprune", 1942, 47, 1394720, 174340, 0, 47, 0, 0},
+    {"multi/nosip/prune", 1942, 29, 804896, 100612, 9, 29, 0, 0},
+    {"multi/sip/noprune", 969, 59, 1767168, 220896, 0, 59, 3, 0},
+    {"multi/sip/prune", 969, 32, 882432, 110304, 9, 32, 3, 0},
 };
 
-std::string IdentityConfig(StorageFormat format, ReaderKind reader, bool sip,
-                           bool prune, bool kernels) {
-  std::string config = format == StorageFormat::kRaw ? "raw" : "enc";
-  config += reader == ReaderKind::kSingleStage ? "/single" : "/multi";
+std::string IdentityConfig(ReaderKind reader, bool sip, bool prune) {
+  std::string config =
+      reader == ReaderKind::kSingleStage ? "single" : "multi";
   config += sip ? "/sip" : "/nosip";
   config += prune ? "/prune" : "/noprune";
-  config += kernels ? "/kernels" : "/generic";
   return config;
 }
 
 TEST(ReaderTest, IdentityAcrossReadersAndSwitches) {
   const BloomFilter bloom = IdentityBloom();
   const Conjunction filters = IdentityFilters();
-  for (StorageFormat format : {StorageFormat::kEncoded, StorageFormat::kRaw}) {
-    for (ReaderKind reader :
-         {ReaderKind::kSingleStage, ReaderKind::kMultiStage}) {
-      for (bool sip : {false, true}) {
-        for (bool prune : {false, true}) {
-          for (bool kernels : {false, true}) {
-            const std::string config =
-                IdentityConfig(format, reader, sip, prune, kernels);
-            const IdentityIo* expected = nullptr;
-            for (const IdentityIo& row : kIdentityIo) {
-              if (config == row.config) expected = &row;
+  for (ReaderKind reader :
+       {ReaderKind::kSingleStage, ReaderKind::kMultiStage}) {
+    for (bool sip : {false, true}) {
+      for (bool prune : {false, true}) {
+        const std::string config = IdentityConfig(reader, sip, prune);
+        const IdentityIo* expected = nullptr;
+        for (const IdentityIo& row : kIdentityIo) {
+          if (config == row.config) expected = &row;
+        }
+        for (int dop : {1, 4}) {
+          SCOPED_TRACE(config + " dop " + std::to_string(dop));
+          StorageProfile profile;
+          DecodeCache cache;  // default budget, fresh per scan
+          auto table = MakeIdentityTable(bloom, &profile, &cache);
+          ASSERT_EQ(table->num_rows(),
+                    kIdentityFullBlocks * kBlockRows + kIdentityTailRows);
+
+          // Row-wise oracle.
+          ScanResult oracle;
+          oracle.materialized.resize(kIdentityOutputs.size());
+          for (int64_t r = 0; r < table->num_rows(); ++r) {
+            bool keep =
+                !sip || bloom.MayContain(table->column(kKey).NumericAt(r));
+            for (const ColumnPredicate& pred : filters) {
+              keep = keep &&
+                     pred.Matches(table->column(pred.column).NumericAt(r));
             }
-            for (int dop : {1, 4}) {
-              SCOPED_TRACE(config + " dop " + std::to_string(dop));
-              StorageProfile profile;
-              DecodeCache cache;  // default budget, fresh per scan
-              auto table = MakeIdentityTable(format, bloom, &profile, &cache);
-              ASSERT_EQ(table->num_rows(),
-                        kIdentityFullBlocks * kBlockRows + kIdentityTailRows);
-
-              // Row-wise oracle.
-              ScanResult oracle;
-              oracle.materialized.resize(kIdentityOutputs.size());
-              for (int64_t r = 0; r < table->num_rows(); ++r) {
-                bool keep =
-                    !sip || bloom.MayContain(table->column(kKey).NumericAt(r));
-                for (const ColumnPredicate& pred : filters) {
-                  keep = keep &&
-                         pred.Matches(table->column(pred.column).NumericAt(r));
-                }
-                if (!keep) continue;
-                oracle.row_ids.push_back(r);
-                for (size_t c = 0; c < kIdentityOutputs.size(); ++c) {
-                  oracle.materialized[c].push_back(
-                      table->column(kIdentityOutputs[c]).NumericAt(r));
-                }
-              }
-
-              ScanOptions options;
-              options.reader = reader;
-              options.filter_order = {1, 0};  // g first, then f
-              if (sip) options.sip = SemiJoinFilter{kKey, &bloom};
-              options.features.prune_blocks = prune;
-              options.features.specialized_predicates = kernels;
-              options.dop = dop;
-              IoStats io;
-              const ScanResult result =
-                  ScanTable(*table, filters, kIdentityOutputs, options, &io);
-              EXPECT_EQ(result.row_ids, oracle.row_ids);
-              EXPECT_EQ(result.materialized, oracle.materialized);
-              EXPECT_EQ(result.dop_used, dop);
-
-              ASSERT_NE(expected, nullptr);
-              EXPECT_EQ(result.rows_matched(), expected->rows_matched);
-              EXPECT_EQ(io.blocks_read, expected->blocks_read);
-              EXPECT_EQ(io.bytes_read, expected->bytes_read);
-              EXPECT_EQ(io.rows_scanned, expected->rows_scanned);
-              EXPECT_EQ(io.blocks_pruned, expected->blocks_pruned);
-              EXPECT_EQ(io.encoded_blocks, expected->encoded_blocks);
-              EXPECT_EQ(io.decode_cache_hits, expected->decode_cache_hits);
-              EXPECT_EQ(io.decode_cache_evictions,
-                        expected->decode_cache_evictions);
+            if (!keep) continue;
+            oracle.row_ids.push_back(r);
+            for (size_t c = 0; c < kIdentityOutputs.size(); ++c) {
+              oracle.materialized[c].push_back(
+                  table->column(kIdentityOutputs[c]).NumericAt(r));
             }
           }
+
+          ScanOptions options;
+          options.reader = reader;
+          options.filter_order = {1, 0};  // g first, then f
+          if (sip) options.sip = SemiJoinFilter{kKey, &bloom};
+          options.features.prune_blocks = prune;
+          options.dop = dop;
+          IoStats io;
+          const ScanResult result =
+              ScanTable(*table, filters, kIdentityOutputs, options, &io);
+          EXPECT_EQ(result.row_ids, oracle.row_ids);
+          EXPECT_EQ(result.materialized, oracle.materialized);
+          EXPECT_EQ(result.dop_used, dop);
+
+          ASSERT_NE(expected, nullptr);
+          EXPECT_EQ(result.rows_matched(), expected->rows_matched);
+          EXPECT_EQ(io.blocks_read, expected->blocks_read);
+          EXPECT_EQ(io.bytes_read, expected->bytes_read);
+          EXPECT_EQ(io.rows_scanned, expected->rows_scanned);
+          EXPECT_EQ(io.blocks_pruned, expected->blocks_pruned);
+          EXPECT_EQ(io.encoded_blocks, expected->encoded_blocks);
+          EXPECT_EQ(io.decode_cache_hits, expected->decode_cache_hits);
+          EXPECT_EQ(io.decode_cache_evictions,
+                    expected->decode_cache_evictions);
         }
       }
     }

@@ -221,16 +221,17 @@ TEST(PredicateKernelTest, KernelMatchesGenericOnBoundaryOperands) {
     preds.push_back(in);
     in.in_list = {kMin64, -1, 0, 1, kMax64, 42, 7, 100};  // exactly 8
     preds.push_back(in);
-    in.in_list = {1, 2, 3, 4, 5, 6, 7, 8, 9};  // > 8: generic delegate
+    in.in_list = {1, 2, 3, 4, 5, 6, 7, 8, 9};  // > 8: row-at-a-time
     preds.push_back(in);
   }
   for (const ColumnPredicate& pred : preds) {
     std::vector<uint8_t> kernel(values.size(), 1);
-    std::vector<uint8_t> generic(values.size(), 1);
     EvaluateOnBlock(pred, values, &kernel);
-    EvaluateOnBlockGeneric(pred, values, &generic);
-    EXPECT_EQ(kernel, generic) << minihouse::PredicateToString(pred);
-    // Both paths AND into the selection: a cleared bit stays cleared.
+    // The row-wise oracle: ColumnPredicate::Matches on each value.
+    std::vector<uint8_t> expected;
+    for (int64_t v : values) expected.push_back(pred.Matches(v) ? 1 : 0);
+    EXPECT_EQ(kernel, expected) << minihouse::PredicateToString(pred);
+    // The kernels AND into the selection: a cleared bit stays cleared.
     std::vector<uint8_t> masked(values.size(), 0);
     EvaluateOnBlock(pred, values, &masked);
     EXPECT_EQ(masked, std::vector<uint8_t>(values.size(), 0));
@@ -471,7 +472,6 @@ TEST(SpecializationIdentityTest, FullQueryIdenticalAcrossDopAndSip) {
 
       minihouse::OptimizerOptions generic_opts = base;
       generic_opts.features.specialize_ops = false;
-      generic_opts.features.specialized_predicates = false;
 
       auto specialized = minihouse::PlanAndExecute(
           query, minihouse::Optimizer(base), &estimator);
@@ -492,10 +492,8 @@ TEST(SpecializationIdentityTest, FullQueryIdenticalAcrossDopAndSip) {
       EXPECT_GE(ss.specialized_ops, 2) << "dop=" << dop << " sip=" << sip;
       EXPECT_EQ(ss.dense_agg_ops, 1);
       EXPECT_EQ(ss.array_join_ops, 1);
-      EXPECT_GT(ss.predicate_kernel_blocks, 0);
       EXPECT_EQ(ss.despecialized_morsels, 0);
       EXPECT_EQ(gs.specialized_ops, 0);
-      EXPECT_EQ(gs.predicate_kernel_blocks, 0);
     }
   }
 }

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <vector>
 
 #include "minihouse/column.h"
 #include "minihouse/database.h"
@@ -60,6 +66,75 @@ TEST(ColumnTest, FloatColumnNumericViewMatchesOrderedCode) {
   EXPECT_EQ(col.NumericAt(0), Column::OrderedCodeOf(1.5));
   EXPECT_EQ(col.NumericAt(1), Column::OrderedCodeOf(-2.0));
   EXPECT_GT(col.NumericAt(0), col.NumericAt(1));
+
+  // Special values keep their exact bits and ordered codes through every
+  // storage state: unsealed, sealed (a full block plus a partial tail
+  // block), after an append re-opens the tail block, and after a second
+  // Seal. Block 0 holds runs of 512 equal values, so it seals RLE-encoded;
+  // the tail cycles row by row and seals plain.
+  using limits = std::numeric_limits<double>;
+  const double specials[] = {-0.0,
+                             0.0,
+                             limits::infinity(),
+                             -limits::infinity(),
+                             limits::quiet_NaN(),
+                             limits::denorm_min(),
+                             limits::lowest(),
+                             limits::max()};
+  Table table("t", TableSchema({{"f", DataType::kFloat64}}));
+  Column* f = table.mutable_column(0);
+  std::vector<double> expected;
+  auto append = [&](int64_t rows, int64_t run) {
+    for (int64_t i = 0; i < rows; ++i) {
+      const double v = specials[(i / run) % std::size(specials)];
+      f->AppendDouble(v);
+      expected.push_back(v);
+    }
+  };
+  auto check = [&](const char* state, bool sealed) {
+    SCOPED_TRACE(state);
+    ASSERT_EQ(f->num_rows(), static_cast<int64_t>(expected.size()));
+    int64_t lo = INT64_MAX;
+    int64_t hi = INT64_MIN;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const int64_t code = Column::OrderedCodeOf(expected[i]);
+      EXPECT_EQ(std::bit_cast<uint64_t>(f->DoubleAt(i)),
+                std::bit_cast<uint64_t>(expected[i]))
+          << "row " << i;
+      EXPECT_EQ(f->NumericAt(i), code) << "row " << i;
+      lo = std::min(lo, code);
+      hi = std::max(hi, code);
+    }
+    std::vector<int64_t> block;
+    for (int64_t b = 0; b < f->num_blocks(); ++b) {
+      f->FetchBlock(b, &block, nullptr);
+      ASSERT_EQ(static_cast<int64_t>(block.size()), f->BlockRowCount(b));
+      for (size_t i = 0; i < block.size(); ++i) {
+        EXPECT_EQ(block[i],
+                  Column::OrderedCodeOf(expected[b * kBlockRows + i]))
+            << "block " << b << " row " << i;
+      }
+    }
+    if (sealed) {
+      ASSERT_TRUE(f->domain().valid);
+      EXPECT_EQ(f->domain().min, lo);
+      EXPECT_EQ(f->domain().max, hi);
+    }
+  };
+
+  append(kBlockRows, 512);
+  append(5, 1);
+  check("unsealed", false);
+  ASSERT_TRUE(table.Seal().ok());
+  ASSERT_EQ(f->num_encoded_blocks(), 2);
+  EXPECT_EQ(f->encoded_block(0)->encoding(), BlockEncoding::kRle);
+  check("sealed", true);
+  append(7, 1);
+  EXPECT_EQ(f->num_encoded_blocks(), 1);  // the tail block was re-opened
+  check("tail re-opened", false);
+  ASSERT_TRUE(table.Seal().ok());
+  EXPECT_EQ(f->num_encoded_blocks(), 2);
+  check("sealed again", true);
 }
 
 TEST(ColumnTest, BlockReadChargesIo) {

@@ -6,10 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
 #include <mutex>
 #include <set>
-#include <thread>
 #include <vector>
 
 namespace bytecard::common {
@@ -206,66 +204,6 @@ TEST(ParallelMorselsTest, ZeroBudgetDegradesToInlineAndRestores) {
   });
   EXPECT_EQ(sum.load(), 4950);
   EXPECT_EQ(budget.available(), 2);
-}
-
-TEST(ThreadPoolTest, AgedHeavyTaskPromotesPastSaturatingFastStream) {
-  // One worker, heavy cap 1: without aging, a fast queue that never drains
-  // would starve the heavy lane forever (the worker always finds fast work).
-  ThreadPool pool(1, /*heavy_cap=*/1);
-  pool.set_heavy_promote_after_millis(40);
-  EXPECT_EQ(pool.heavy_promote_after_millis(), 40);
-  EXPECT_EQ(pool.heavy_promotions(), 0);
-
-  // Self-replenishing fast chain: each task resubmits its successor, so the
-  // fast queue is non-empty whenever the worker looks — the exact starvation
-  // shape the aging rule exists for. `chain_done` flips only after a task
-  // observed `stop` and declined to resubmit, so no Submit can race the pool
-  // destructor.
-  std::atomic<bool> stop{false};
-  std::atomic<bool> chain_done{false};
-  std::atomic<int64_t> fast_ran{0};
-  std::function<void()> link = [&] {
-    fast_ran.fetch_add(1, std::memory_order_relaxed);
-    if (stop.load(std::memory_order_acquire)) {
-      chain_done.store(true, std::memory_order_release);
-      return;
-    }
-    pool.Submit(link, TaskLane::kFast);
-  };
-  pool.Submit(link, TaskLane::kFast);
-
-  std::atomic<bool> heavy_ran{false};
-  std::future<void> heavy = pool.Submit(
-      [&] { heavy_ran.store(true, std::memory_order_release); },
-      TaskLane::kHeavy);
-
-  // The heavy task completes while the fast chain is still replenishing.
-  heavy.get();
-  EXPECT_TRUE(heavy_ran.load(std::memory_order_acquire));
-  EXPECT_FALSE(stop.load());
-  EXPECT_GE(pool.heavy_promotions(), 1);
-  EXPECT_GT(fast_ran.load(), 0);
-
-  stop.store(true, std::memory_order_release);
-  while (!chain_done.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-}
-
-TEST(ThreadPoolTest, AgingDisabledKeepsFastFirstDispatch) {
-  // promote_after = 0 (default): the aged-head branch never fires, so a
-  // quiet mixed workload reports zero promotions.
-  ThreadPool pool(2, /*heavy_cap=*/1);
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.Submit(
-        [&ran] { ran.fetch_add(1, std::memory_order_relaxed); },
-        i % 2 == 0 ? TaskLane::kFast : TaskLane::kHeavy));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(ran.load(), 16);
-  EXPECT_EQ(pool.heavy_promotions(), 0);
 }
 
 TEST(ParallelMorselsTest, GlobalPoolServesDefaultMaxDop) {

@@ -32,9 +32,9 @@ namespace {
 // Simulated per-block storage latency for the thread sweep. The cost-factor
 // knob used by the percentile tables burns CPU and therefore serializes on a
 // core; the sweep instead models a remote/disk-bound storage layer whose
-// per-block waits overlap, within one drainer's read window and across
-// concurrent morsel drainers — the regime where parallel scans actually
-// pay.
+// per-block waits overlap, within one drainer (its read-ahead keeps the next
+// blocks' reads in flight while it evaluates the current one) and across
+// concurrent morsel drainers.
 constexpr int64_t kSweepBlockLatencyNanos = 200 * 1000;  // 200us per block
 
 constexpr int kSweepDops[] = {1, 2, 4, 8};

@@ -6,7 +6,9 @@
 //  1. Identity: the workload over encoded, zone-map-pruned storage must
 //     return the same groups at every dop {1,2,4,8} x SIP {on,off}, and
 //     every COUNT(*) probe must equal the exact count (workload::TrueCount)
-//     — compression and pruning are invisible to results.
+//     — compression and pruning are invisible to results. The sweep's
+//     clustered probes run in every configuration too, at a scale where
+//     they prune, and the leg fails unless some block was pruned.
 //  2. Scale sweep up to >= 4.0 (10x the 0.4 ceiling): selective BETWEEN
 //     scans over clustered columns, run with a deliberately small decode
 //     cache, reporting blocks pruned/read, compression ratio, and resident
@@ -36,15 +38,39 @@ struct IdentityOutcome {
   int configs = 0;        // (dop, sip) combinations checked
   int queries = 0;        // queries compared per combination
   int count_queries = 0;  // of them, COUNT(*) probes checked exactly
+  int probes = 0;         // clustered probes checked exactly per combination
   int64_t blocks_pruned = 0;
 };
 
-// Runs the workload at every dop x SIP combination. Every combination must
-// return the first one's groups, compared in key order, and every COUNT(*)
-// probe must equal its exact count; a mismatch aborts the bench.
-IdentityOutcome RunIdentityLeg(double scale) {
-  std::printf("identity leg: scale %.2f, dop {1,2,4,8} x sip {on,off}\n",
-              scale);
+// Selective scans over clustered columns: COUNT(*) over `id` windows at the
+// head, middle and tail of the two largest tables, each ~2% of the table.
+// `id` is sequential, so zone maps carry essentially perfect block-level
+// information — the access pattern the scale step depends on.
+std::vector<std::string> ClusteredProbes(const minihouse::Database& db) {
+  std::vector<std::string> probes;
+  for (const char* table_name : {"posts", "users"}) {
+    auto table_or = db.FindTable(table_name);
+    if (!table_or.ok()) continue;
+    const int64_t rows = table_or.value()->num_rows();
+    const int64_t width = std::max<int64_t>(rows / 50, 1);
+    for (const int64_t lo : {rows / 10, rows / 2, rows - width - 1}) {
+      probes.push_back("SELECT COUNT(*) FROM " + std::string(table_name) +
+                       " WHERE id BETWEEN " + std::to_string(lo) + " AND " +
+                       std::to_string(lo + width));
+    }
+  }
+  return probes;
+}
+
+// Runs the workload at every dop x SIP combination, and the clustered
+// probes over a dataset at `probe_scale`. Every combination must return the
+// first one's groups, compared in key order, every COUNT(*) probe must equal
+// its exact count, and some block must be pruned; a failure aborts the
+// bench.
+IdentityOutcome RunIdentityLeg(double scale, double probe_scale) {
+  std::printf("identity leg: scale %.2f (probes %.2f), dop {1,2,4,8} x sip "
+              "{on,off}\n",
+              scale, probe_scale);
   BenchContextOptions options;
   options.scale = scale;
   options.count_queries = 6;
@@ -67,6 +93,22 @@ IdentityOutcome RunIdentityLeg(double scale) {
     truth.push_back(count.value());
     ++outcome.count_queries;
   }
+
+  auto probe_db = workload::GenerateDataset("stats", probe_scale, BenchSeed());
+  BC_CHECK_OK(probe_db.status());
+  auto probe_statistics = stats::SketchStatistics::Build(*probe_db.value(), 16);
+  stats::SketchEstimator probe_estimator(probe_statistics.get());
+  std::vector<minihouse::BoundQuery> probes;
+  std::vector<int64_t> probe_truth;
+  for (const std::string& sql : ClusteredProbes(*probe_db.value())) {
+    auto query = sql::AnalyzeSql(sql, *probe_db.value());
+    BC_CHECK_OK(query.status());
+    auto count = workload::TrueCount(query.value());
+    BC_CHECK_OK(count.status());
+    probes.push_back(std::move(query).value());
+    probe_truth.push_back(count.value());
+  }
+  outcome.probes = static_cast<int>(probes.size());
 
   std::vector<std::vector<GroupRow>> reference;  // [query], first config
   for (const int dop : {1, 2, 4, 8}) {
@@ -95,13 +137,25 @@ IdentityOutcome RunIdentityLeg(double scale) {
           CheckSameGroups(reference[q], groups, where);
         }
       }
+      for (size_t p = 0; p < probes.size(); ++p) {
+        auto result =
+            minihouse::PlanAndExecute(probes[p], optimizer, &probe_estimator);
+        BC_CHECK_OK(result.status());
+        outcome.blocks_pruned += result.value().stats.io.blocks_pruned;
+        BC_CHECK(result.value().ScalarCount() == probe_truth[p])
+            << "dop " << dop << " sip " << sip << " probe " << p
+            << ": COUNT(*) " << result.value().ScalarCount() << " != exact "
+            << probe_truth[p];
+      }
       ++outcome.configs;
     }
   }
   std::printf("  %d configs x %d queries: same groups, %d COUNT(*) probes "
-              "exact (blocks pruned: %lld)\n",
+              "and %d clustered probes exact (blocks pruned: %lld)\n",
               outcome.configs, outcome.queries, outcome.count_queries,
-              static_cast<long long>(outcome.blocks_pruned));
+              outcome.probes, static_cast<long long>(outcome.blocks_pruned));
+  BC_CHECK(outcome.blocks_pruned > 0)
+      << "the identity leg must prune blocks to check pruning identity";
   return outcome;
 }
 
@@ -144,39 +198,23 @@ ScalePoint RunScalePoint(double scale, int64_t cache_budget) {
                 static_cast<double>(point.encoded_bytes)
           : 1.0;
 
-  // Selective id-range scans on the two largest tables: `id` is sequential,
-  // so zone maps carry essentially perfect block-level information — the
-  // access pattern the scale step depends on.
   minihouse::OptimizerOptions opt;
   minihouse::Optimizer optimizer(opt);
   auto statistics = stats::SketchStatistics::Build(*db, 16);
   stats::SketchEstimator estimator(statistics.get());
   Stopwatch timer;
-  for (const char* table_name : {"posts", "users"}) {
-    auto table_or = db->FindTable(table_name);
-    if (!table_or.ok()) continue;
-    const Table* table = table_or.value();
-    const int64_t rows = table->num_rows();
-    // Three windows: head, middle, tail — each ~2% of the table.
-    const int64_t width = std::max<int64_t>(rows / 50, 1);
-    for (const int64_t lo : {rows / 10, rows / 2, rows - width - 1}) {
-      const std::string sql =
-          "SELECT COUNT(*) FROM " + std::string(table_name) +
-          " WHERE id BETWEEN " + std::to_string(lo) + " AND " +
-          std::to_string(lo + width);
-      auto query = sql::AnalyzeSql(sql, *db);
-      BC_CHECK_OK(query.status());
-      auto result =
-          minihouse::PlanAndExecute(query.value(), optimizer, &estimator);
-      BC_CHECK_OK(result.status());
-      const minihouse::ExecStats& stats = result.value().stats;
-      point.blocks_pruned += stats.io.blocks_pruned;
-      point.blocks_read += stats.io.blocks_read;
-      point.decode_cache_hits += stats.io.decode_cache_hits;
-      point.decode_cache_evictions += stats.io.decode_cache_evictions;
-      point.bytes_resident =
-          std::max(point.bytes_resident, stats.bytes_resident);
-    }
+  for (const std::string& sql : ClusteredProbes(*db)) {
+    auto query = sql::AnalyzeSql(sql, *db);
+    BC_CHECK_OK(query.status());
+    auto result =
+        minihouse::PlanAndExecute(query.value(), optimizer, &estimator);
+    BC_CHECK_OK(result.status());
+    const minihouse::ExecStats& stats = result.value().stats;
+    point.blocks_pruned += stats.io.blocks_pruned;
+    point.blocks_read += stats.io.blocks_read;
+    point.decode_cache_hits += stats.io.decode_cache_hits;
+    point.decode_cache_evictions += stats.io.decode_cache_evictions;
+    point.bytes_resident = std::max(point.bytes_resident, stats.bytes_resident);
   }
   point.scan_millis = timer.ElapsedSeconds() * 1e3;
   return point;
@@ -199,7 +237,9 @@ void Run(bool smoke) {
   // discipline, not from the cache swallowing the working set.
   const int64_t cache_budget = 4 << 20;
 
-  const IdentityOutcome identity = RunIdentityLeg(identity_scale);
+  // The clustered probes run at the sweep's first scale, where they prune.
+  const IdentityOutcome identity =
+      RunIdentityLeg(identity_scale, scales.front());
 
   std::vector<ScalePoint> points;
   PrintRow({"scale", "rows", "enc MB", "ratio", "pruned/total", "read",
@@ -233,9 +273,10 @@ void Run(bool smoke) {
   std::fprintf(f,
                "  \"identity\": {\"scale\": %.2f, \"configs\": %d, "
                "\"queries\": %d, \"count_queries_exact\": %d, "
+               "\"probe_scale\": %.2f, \"probes_exact\": %d, "
                "\"blocks_pruned\": %lld},\n",
                identity_scale, identity.configs, identity.queries,
-               identity.count_queries,
+               identity.count_queries, scales.front(), identity.probes,
                static_cast<long long>(identity.blocks_pruned));
   std::fprintf(f, "  \"sweep\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {

@@ -21,6 +21,15 @@ echo "== bench smoke: planning latency (inference sessions) =="
 # are byte-identical and that the session actually served probes.
 (cd "${BUILD_DIR}/bench" && BYTECARD_SCALE=0.02 ./bench_planning_latency)
 
+echo "== bench smoke: query latency + thread sweep (read-ahead scans) =="
+# Small scale whose scans still span several blocks: asserts internally that
+# dop 1/2/4/8 return identical groups and identical blocks_read under the
+# 200 us block-latency model, that late projection changes neither groups,
+# blocks_read nor estimator traffic, and that specialization changes neither
+# groups nor blocks_read; writes BENCH_fig5_threads.json and
+# BENCH_fig5_projection.json (smoke scale).
+(cd "${BUILD_DIR}/bench" && BYTECARD_SCALE=0.03 ./bench_fig5_query_latency)
+
 echo "== bench smoke: concurrent serving (scheduler) =="
 # Tiny scale, 1/8 streams: asserts internally that concurrently scheduled
 # queries return serial-identical groups and that 1 -> 8 streams more than

@@ -8,8 +8,8 @@
 # cache invalidation and drift aggregation), the incremental-maintenance
 # tests (ingest batches racing query streams and snapshot publishes), the
 # model-lifecycle tests (bootstrap, loader/validator admission, monitor
-# probes, and the demotion publish path), and the reader tests (read
-# windows and their per-slot selection state, at dop 1 and 4).
+# probes, and the demotion publish path), and the reader tests (the
+# read-ahead pipeline and its per-slot selection state, at dop 1 and 4).
 #
 # Usage: ci/sanitize.sh [thread|address|undefined] [build-dir]
 # BYTECARD_THREADS overrides the worker-pool sizing (default 4 here, so the

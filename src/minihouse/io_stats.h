@@ -25,11 +25,12 @@ inline constexpr int64_t kBlockRows = 4096;
 //                         issued (Column::IssueRead), and its values may be
 //                         used only then. Unlike the cost factor, reads in
 //                         flight at the same time overlap, whether one
-//                         reader issued them together (a scan's read window)
-//                         or several readers did (morsel-parallel scans,
-//                         Fig 5, and concurrent queries under the scheduler)
-//                         — the remote/disk-bound behaviour of a warehouse
-//                         on disaggregated storage.
+//                         reader keeps them in flight (a scan's read-ahead
+//                         over its next blocks) or several readers do
+//                         (morsel-parallel scans, Fig 5, and concurrent
+//                         queries under the scheduler) — the
+//                         remote/disk-bound behaviour of a warehouse on
+//                         disaggregated storage.
 //
 // Both default to 0 = pure in-memory. Benches that reproduce latency figures
 // set them per database; tests leave them off. Fields are atomic so a bench

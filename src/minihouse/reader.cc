@@ -1,6 +1,7 @@
 #include "minihouse/reader.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <numeric>
 #include <thread>
@@ -21,16 +22,6 @@ namespace {
 // stealing.
 constexpr int64_t kScanMorselBlocks = 4;
 
-// Read window: a scan range is walked in windows of up to this many
-// unpruned blocks. A reader issues the reads of a whole window (one stage of
-// it, for the multi-stage reader) and waits once, so their storage
-// latencies overlap (DESIGN.md §12). Reads in flight per drainer stay below
-// this many times the columns one stage reads. One block keeps a dop-1
-// scan's time set mostly by storage latency: with wider windows it waits
-// less and its time is mostly CPU work, which follows the host's speed from
-// one run to the next (DESIGN.md §12).
-constexpr int64_t kReadWindowBlocks = 1;
-
 // True when some filter's zone-map test proves block `b` holds no matching
 // row. A block without zone maps (unsealed, appended tail) never prunes.
 bool BlockPrunedByZoneMaps(const Table& table, const Conjunction& filters,
@@ -40,27 +31,6 @@ bool BlockPrunedByZoneMaps(const Table& table, const Conjunction& filters,
     if (zone != nullptr && !ZoneMapMayMatch(pred, *zone)) return true;
   }
   return false;
-}
-
-// Fills `window` with the next blocks of [*next, end) that zone maps do not
-// prune, up to kReadWindowBlocks of them, and advances *next past them.
-// Pruned blocks are skipped before any read is issued. Both readers form
-// their windows here, so they skip exactly the same blocks and reader
-// choice stays a pure cost decision.
-void NextWindow(const Table& table, const Conjunction& filters,
-                const ScanOptions& options, int64_t* next, int64_t end,
-                std::vector<int64_t>* window, IoStats* io) {
-  window->clear();
-  while (*next < end &&
-         static_cast<int64_t>(window->size()) < kReadWindowBlocks) {
-    const int64_t b = (*next)++;
-    if (options.features.prune_blocks &&
-        BlockPrunedByZoneMaps(table, filters, b)) {
-      if (io != nullptr) ++io->blocks_pruned;
-      continue;
-    }
-    window->push_back(b);
-  }
 }
 
 // Sleeps until `t`. Linux may wake a sleeping thread up to its timer slack
@@ -79,22 +49,6 @@ void SleepUntil(std::chrono::steady_clock::time_point t) {
   std::this_thread::sleep_until(t);
 #endif
 }
-
-// The block reads one reader has in flight: Issue starts a read, Await
-// blocks until every read issued since the last Await has landed.
-class InFlightReads {
- public:
-  void Issue(const Column& column, int64_t b, IoStats* io) {
-    landed_ = std::max(landed_, column.IssueRead(b, io));
-  }
-  void Await() {
-    if (landed_ > std::chrono::steady_clock::now()) SleepUntil(landed_);
-    landed_ = {};
-  }
-
- private:
-  std::chrono::steady_clock::time_point landed_{};
-};
 
 // The SIP test over one block whose SIP-column read has landed: clears the
 // selection of every row whose key the Bloom filter rejects.
@@ -139,151 +93,178 @@ void EmitRows(int64_t b, const std::vector<uint8_t>& selection,
   }
 }
 
-// Single-stage scan over a block range. Per window, it issues every read a
-// one-pass reader charges, for every block of the window: the SIP column,
-// one read per filter predicate, and each output column not already read
-// for one of those roles. It waits once, then evaluates and emits block by
-// block.
-void SingleStageScanRange(const Table& table, const Conjunction& filters,
-                          const std::vector<int>& output_columns,
-                          const ScanOptions& options, int64_t block_begin,
-                          int64_t block_end, ScanResult* result, IoStats* io) {
+// One stage of a block's chain: the reads of the block it issues and, once
+// they have landed, the tests it applies. The last stage of a chain also
+// fetches the tuple columns and emits the block's selected rows.
+struct ChainStage {
+  std::vector<int> reads;    // columns whose read of the block it issues
+  bool sip = false;          // applies the SIP Bloom filter
+  std::vector<int> filters;  // applies these predicates, by conjunct index
+};
+
+// The chain of stages every unpruned block of a scan runs, built once per
+// scan from the reader choice.
+struct ScanChain {
+  std::vector<ChainStage> stages;
+  // Fetched by the last stage: the output columns, then (multi-stage) the
+  // filter columns that tuple reconstruction re-reads.
+  std::vector<int> tuple_columns;
+  // Per tuple column: whether its fetch reports decode-cache traffic.
+  std::vector<uint8_t> tuple_charged;
+};
+
+// Single-stage: one stage issues every read a one-pass reader charges — the
+// SIP column, one read per filter predicate, and each output column not
+// already read for one of those roles — then applies SIP (first, when
+// present) and every predicate, and builds tuples in the same pass, before
+// knowing what survived. An output column already read for another role is
+// fetched from that read: it reports no decode-cache traffic for this
+// second fetch, as it reports no second read.
+//
+// Multi-stage: the SIP stage first (the semi-join filter is typically the
+// most selective predicate available), then one stage per filter in the
+// chosen order, then materialization. A block whose candidate set empties
+// runs no further stage. Materialization reads every needed column —
+// output columns AND filter columns (their values are part of the tuple).
+// This re-read of filter columns is exactly why multi-stage loses to
+// single-stage on non-selective predicates (paper §5.1.2).
+ScanChain BuildChain(const Conjunction& filters,
+                     const std::vector<int>& output_columns,
+                     const ScanOptions& options) {
   const bool has_sip = options.sip.bloom != nullptr && options.sip.column >= 0;
-  // An output column that is also the SIP column or a filter column is
-  // fetched from the read issued for that role, so its block is charged
-  // once.
-  std::vector<uint8_t> already_read(output_columns.size(), 0);
-  for (size_t c = 0; c < output_columns.size(); ++c) {
-    already_read[c] = has_sip && options.sip.column == output_columns[c];
-    for (const ColumnPredicate& pred : filters) {
-      if (pred.column == output_columns[c]) already_read[c] = 1;
+  ScanChain chain;
+  chain.tuple_columns = output_columns;
+  if (options.reader == ReaderKind::kSingleStage ||
+      (filters.empty() && !has_sip)) {
+    ChainStage stage;
+    stage.sip = has_sip;
+    if (has_sip) stage.reads.push_back(options.sip.column);
+    for (size_t f = 0; f < filters.size(); ++f) {
+      stage.reads.push_back(filters[f].column);
+      stage.filters.push_back(static_cast<int>(f));
     }
+    const size_t test_reads = stage.reads.size();
+    for (int column : output_columns) {
+      const auto tests_end = stage.reads.begin() + test_reads;
+      const bool already_read =
+          std::find(stage.reads.begin(), tests_end, column) != tests_end;
+      if (!already_read) stage.reads.push_back(column);
+      chain.tuple_charged.push_back(!already_read);
+    }
+    chain.stages.push_back(std::move(stage));
+    return chain;
   }
 
-  std::vector<int64_t> window;
-  std::vector<int64_t> scratch;
-  std::vector<std::vector<int64_t>> out_blocks(output_columns.size());
-  std::vector<uint8_t> selection;
-  InFlightReads reads;
-  for (int64_t next = block_begin; next < block_end;) {
-    NextWindow(table, filters, options, &next, block_end, &window, io);
-    for (int64_t b : window) {
-      if (has_sip) reads.Issue(table.column(options.sip.column), b, io);
-      for (const ColumnPredicate& pred : filters) {
-        reads.Issue(table.column(pred.column), b, io);
-      }
-      for (size_t c = 0; c < output_columns.size(); ++c) {
-        if (already_read[c] == 0) {
-          reads.Issue(table.column(output_columns[c]), b, io);
-        }
-      }
-    }
-    reads.Await();
-
-    for (int64_t b : window) {
-      selection.assign(table.column(0).BlockRowCount(b), 1);
-      // SIP first when present: one-pass readers interleave it with the
-      // other predicates over the same block.
-      if (has_sip) ApplySip(table, options.sip, b, &scratch, &selection, io);
-      for (const ColumnPredicate& pred : filters) {
-        ApplyFilter(table, pred, b, &scratch, &selection, io);
-      }
-      // Output columns are fetched unconditionally: the single-stage reader
-      // constructs tuples in the same pass, before knowing what survived.
-      // A column already read for another role reports no decode-cache
-      // traffic for this second fetch, as it reports no second read.
-      for (size_t c = 0; c < output_columns.size(); ++c) {
-        table.column(output_columns[c])
-            .FetchBlock(b, &out_blocks[c], already_read[c] ? nullptr : io);
-      }
-      EmitRows(b, selection, out_blocks, result);
+  std::vector<int> order = options.filter_order;
+  if (order.empty()) {
+    order.resize(filters.size());
+    std::iota(order.begin(), order.end(), 0);
+  }
+  BC_CHECK(order.size() == filters.size());
+  if (has_sip) chain.stages.push_back({{options.sip.column}, true, {}});
+  for (int f : order) chain.stages.push_back({{filters[f].column}, false, {f}});
+  for (const ColumnPredicate& pred : filters) {
+    if (std::find(chain.tuple_columns.begin(), chain.tuple_columns.end(),
+                  pred.column) == chain.tuple_columns.end()) {
+      chain.tuple_columns.push_back(pred.column);
     }
   }
+  chain.stages.push_back({chain.tuple_columns, false, {}});
+  chain.tuple_charged.assign(chain.tuple_columns.size(), 1);
+  return chain;
 }
 
-// Multi-stage scan over a block range, stage-major within each window: the
-// SIP stage, then the filter stages in the chosen order, then tuple
-// reconstruction. Each stage issues its reads for the window's blocks that
-// still hold a candidate row and waits once; a block whose candidate set
-// empties drops out of the later stages. Stage/block independence makes
-// this read exactly the same (stage, block) pairs as a block-major pass over
-// the same range, so IoStats totals are unchanged; rows are still emitted in
-// block order.
-void MultiStageScanRange(const Table& table, const Conjunction& filters,
-                         const std::vector<int>& order,
-                         const std::vector<int>& materialize_columns,
-                         const std::vector<int>& output_columns,
-                         const ScanOptions& options, int64_t block_begin,
-                         int64_t block_end, ScanResult* result, IoStats* io) {
-  const bool has_sip = options.sip.bloom != nullptr && options.sip.column >= 0;
-  std::vector<int64_t> window;
-  // Per window slot: the block's selection. `live` lists the slots that
-  // still hold a candidate row, in block order.
-  std::vector<std::vector<uint8_t>> selections(kReadWindowBlocks);
-  std::vector<size_t> live;
+// The read-ahead pipeline over one scan range (DESIGN.md §12). Each
+// unpruned block runs `chain` one stage at a time: a stage's reads are
+// issued as soon as the previous stage has run and left the block a
+// candidate row, and up to kReadAheadBlocks blocks' chains are in flight at
+// once. The slots are visited round robin, which is the order their stages
+// were issued in: a block that retires hands its slot to the next unpruned
+// block of the range, whose first stage is then the newest. So every wait
+// is for the oldest read in flight and, since every stage has the same
+// latency and every chain emits in its last stage, blocks retire and emit
+// their rows in block order. The reads are those of a block-by-block scan:
+// none past the range end, none for a pruned block, and no later stage for
+// a block an earlier stage emptied.
+void ScanRange(const Table& table, const Conjunction& filters,
+               const ScanOptions& options, const ScanChain& chain,
+               int64_t block_begin, int64_t block_end, ScanResult* result,
+               IoStats* io) {
+  struct Slot {
+    int64_t block = -1;  // -1 once the range has no block left for the slot
+    size_t stage = 0;
+    std::chrono::steady_clock::time_point landed{};
+    std::vector<uint8_t> selection;
+  };
+  std::array<Slot, kReadAheadBlocks> slots;
   std::vector<int64_t> scratch;
-  std::vector<std::vector<int64_t>> out_blocks(output_columns.size());
-  InFlightReads reads;
+  std::vector<std::vector<int64_t>> out_blocks(result->materialized.size());
 
-  // Issues `column`'s reads for every live block and waits for them.
-  auto read_live = [&](const Column& column) {
-    for (size_t s : live) reads.Issue(column, window[s], io);
-    reads.Await();
+  auto issue = [&](Slot& slot) {
+    slot.landed = {};
+    for (int column : chain.stages[slot.stage].reads) {
+      slot.landed = std::max(slot.landed,
+                             table.column(column).IssueRead(slot.block, io));
+    }
   };
-  auto drop_dead = [&] {
-    std::erase_if(live, [&](size_t s) {
-      return std::none_of(selections[s].begin(), selections[s].end(),
-                          [](uint8_t v) { return v != 0; });
-    });
+  // Starts the range's next unpruned block in `slot`; false when none is
+  // left. Pruned blocks are skipped before any read is issued.
+  int64_t next = block_begin;
+  auto admit = [&](Slot& slot) {
+    slot.block = -1;
+    while (next < block_end) {
+      const int64_t b = next++;
+      if (options.features.prune_blocks &&
+          BlockPrunedByZoneMaps(table, filters, b)) {
+        if (io != nullptr) ++io->blocks_pruned;
+        continue;
+      }
+      slot.block = b;
+      slot.stage = 0;
+      slot.selection.assign(table.column(0).BlockRowCount(b), 1);
+      issue(slot);
+      return true;
+    }
+    return false;
+  };
+  // Runs `slot`'s stage, whose reads have landed; true when the block has a
+  // next stage to issue.
+  auto run_stage = [&](Slot& slot) {
+    const ChainStage& stage = chain.stages[slot.stage];
+    if (stage.sip) {
+      ApplySip(table, options.sip, slot.block, &scratch, &slot.selection, io);
+    }
+    for (int f : stage.filters) {
+      ApplyFilter(table, filters[f], slot.block, &scratch, &slot.selection,
+                  io);
+    }
+    if (slot.stage + 1 < chain.stages.size()) {
+      return std::any_of(slot.selection.begin(), slot.selection.end(),
+                         [](uint8_t v) { return v != 0; });
+    }
+    for (size_t c = 0; c < chain.tuple_columns.size(); ++c) {
+      std::vector<int64_t>* dest =
+          c < out_blocks.size() ? &out_blocks[c] : &scratch;
+      table.column(chain.tuple_columns[c])
+          .FetchBlock(slot.block, dest, chain.tuple_charged[c] ? io : nullptr);
+    }
+    EmitRows(slot.block, slot.selection, out_blocks, result);
+    return false;
   };
 
-  for (int64_t next = block_begin; next < block_end;) {
-    NextWindow(table, filters, options, &next, block_end, &window, io);
-    live.clear();
-    for (size_t s = 0; s < window.size(); ++s) {
-      selections[s].assign(table.column(0).BlockRowCount(window[s]), 1);
-      live.push_back(s);
+  int live = 0;
+  for (Slot& slot : slots) live += admit(slot) ? 1 : 0;
+  for (size_t s = 0; live > 0; s = (s + 1) % slots.size()) {
+    Slot& slot = slots[s];
+    if (slot.block < 0) continue;
+    if (slot.landed > std::chrono::steady_clock::now()) {
+      SleepUntil(slot.landed);
     }
-
-    // SIP stage first: the semi-join filter is typically the most selective
-    // predicate available, so it runs before any filter column.
-    if (has_sip) {
-      read_live(table.column(options.sip.column));
-      for (size_t s : live) {
-        ApplySip(table, options.sip, window[s], &scratch, &selections[s], io);
-      }
-      drop_dead();
-    }
-
-    // Filtering stages: each stage reads only the blocks that still hold a
-    // candidate row.
-    for (size_t stage = 0; !live.empty() && stage < order.size(); ++stage) {
-      const ColumnPredicate& pred = filters[order[stage]];
-      read_live(table.column(pred.column));
-      for (size_t s : live) {
-        ApplyFilter(table, pred, window[s], &scratch, &selections[s], io);
-      }
-      drop_dead();
-    }
-
-    // Materialization stage: tuples are reconstructed for surviving blocks
-    // only, but reconstruction touches every needed column — output columns
-    // AND filter columns (their values are part of the tuple). This re-read
-    // of filter columns is exactly why multi-stage loses to single-stage on
-    // non-selective predicates (paper §5.1.2).
-    for (size_t s : live) {
-      for (int column : materialize_columns) {
-        reads.Issue(table.column(column), window[s], io);
-      }
-    }
-    reads.Await();
-    for (size_t s : live) {
-      for (size_t c = 0; c < materialize_columns.size(); ++c) {
-        std::vector<int64_t>* dest =
-            c < output_columns.size() ? &out_blocks[c] : &scratch;
-        table.column(materialize_columns[c]).FetchBlock(window[s], dest, io);
-      }
-      EmitRows(window[s], selections[s], out_blocks, result);
+    if (run_stage(slot)) {
+      ++slot.stage;
+      issue(slot);
+    } else if (!admit(slot)) {
+      --live;
     }
   }
 }
@@ -297,45 +278,12 @@ ScanResult ScanTable(const Table& table, const Conjunction& filters,
   result.materialized.resize(output_columns.size());
   if (table.num_rows() == 0) return result;
 
-  const bool has_sip = options.sip.bloom != nullptr && options.sip.column >= 0;
-  const bool single_stage = options.reader == ReaderKind::kSingleStage ||
-                            (filters.empty() && !has_sip);
+  const ScanChain chain = BuildChain(filters, output_columns, options);
   const int64_t num_blocks = (table.num_rows() + kBlockRows - 1) / kBlockRows;
-
-  // Multi-stage plumbing shared by every morsel.
-  std::vector<int> order;
-  std::vector<int> materialize_columns;
-  if (!single_stage) {
-    order = options.filter_order;
-    if (order.empty()) {
-      order.resize(filters.size());
-      std::iota(order.begin(), order.end(), 0);
-    }
-    BC_CHECK(order.size() == filters.size());
-    materialize_columns = output_columns;
-    for (const ColumnPredicate& pred : filters) {
-      if (std::find(materialize_columns.begin(), materialize_columns.end(),
-                    pred.column) == materialize_columns.end()) {
-        materialize_columns.push_back(pred.column);
-      }
-    }
-  }
-
-  auto scan_range = [&](int64_t b0, int64_t b1, ScanResult* out,
-                        IoStats* out_io) {
-    if (single_stage) {
-      SingleStageScanRange(table, filters, output_columns, options, b0, b1,
-                           out, out_io);
-    } else {
-      MultiStageScanRange(table, filters, order, materialize_columns,
-                          output_columns, options, b0, b1, out, out_io);
-    }
-  };
-
   const int dop =
       static_cast<int>(std::clamp<int64_t>(options.dop, 1, num_blocks));
   if (dop <= 1) {
-    scan_range(0, num_blocks, &result, io);
+    ScanRange(table, filters, options, chain, 0, num_blocks, &result, io);
     return result;
   }
 
@@ -352,7 +300,8 @@ ScanResult ScanTable(const Table& table, const Conjunction& filters,
                                 output_columns.size());
                             const int64_t b0 = num_blocks * m / morsels;
                             const int64_t b1 = num_blocks * (m + 1) / morsels;
-                            scan_range(b0, b1, &parts[m], &worker_io[slot]);
+                            ScanRange(table, filters, options, chain, b0, b1,
+                                      &parts[m], &worker_io[slot]);
                           });
 
   int64_t total_rows = 0;

@@ -89,6 +89,16 @@ struct ScanResult {
   }
 };
 
+// Read-ahead depth: the blocks whose chains one scan range (one drainer's
+// morsel) keeps in flight. Deeper read-ahead hides more of a read's latency
+// but leaves a scan CPU-bound, its speed then following the host's from run
+// to run. On perfbench's imdb-scan (4-vCPU host, 200 us reads) a request
+// spends ~12 ms of CPU on ~250 block reads, ~50 us each: three blocks in
+// flight cover most of a read and four all of it, but the fourth block
+// saved ~1.4 ms of p50 while its qps spread between runs reached the
+// benchmark's bound (DESIGN.md §12).
+inline constexpr int kReadAheadBlocks = 3;
+
 // Scans `table` with `filters`, materializing `output_columns`.
 //
 // Single-stage: every needed column (filter and output) is read exactly once
@@ -102,10 +112,12 @@ struct ScanResult {
 // one extra pass over the filter columns — the regression the paper's dynamic
 // reader selection avoids.
 //
-// Both readers walk the blocks that zone maps do not prune in read windows
-// (one block each; see kReadWindowBlocks in reader.cc). They issue the reads
-// of a window (of one stage of it, for the multi-stage reader) together and
-// wait once, so the reads' storage latencies overlap (see StorageProfile).
+// Both readers run each block that zone maps do not prune through a chain
+// of stages — one stage for the single-stage reader; SIP, each filter, then
+// materialization for the multi-stage reader — and keep up to
+// kReadAheadBlocks blocks' chains in flight: a stage's reads are issued as
+// soon as the previous stage has run, so their storage latency overlaps the
+// evaluation of the blocks ahead (see StorageProfile and DESIGN.md §12).
 ScanResult ScanTable(const Table& table, const Conjunction& filters,
                      const std::vector<int>& output_columns,
                      const ScanOptions& options, IoStats* io);

@@ -154,26 +154,54 @@ TEST(EncodingPropertyTest, RandomRoundTripEveryEncoding) {
   }
 }
 
-ColumnPredicate RandomPredicate(Rng* rng) {
+// One of the block's own values (half the time) or a neighbour of it, so
+// that a bound lands on, or just beside, a stored value.
+int64_t StoredOperand(Rng* rng, const std::vector<int64_t>& values) {
+  const int64_t v = values[rng->UniformInt(
+      0, static_cast<int64_t>(values.size()) - 1)];
+  switch (rng->UniformInt(0, 3)) {
+    case 0:
+      return v == INT64_MIN ? v : v - 1;
+    case 1:
+      return v == INT64_MAX ? v : v + 1;
+    default:
+      return v;
+  }
+}
+
+// A random predicate over a block holding `values`. About half of its
+// operands, BETWEEN bounds and IN-list entries are stored values or their
+// neighbours; the rest are uniform over a medium range, where a bound almost
+// never equals a stored value.
+ColumnPredicate RandomPredicate(Rng* rng, const std::vector<int64_t>& values) {
+  auto stored = [&] { return rng->UniformInt(0, 1) == 0; };
   ColumnPredicate pred;
   pred.column = 0;
   const int op = static_cast<int>(rng->UniformInt(0, 7));
   pred.op = static_cast<CompareOp>(op);
-  pred.operand = rng->UniformInt(-100000, 100000);
-  pred.operand2 = pred.operand + rng->UniformInt(-10, 50000);
+  if (stored()) {
+    // Both bounds from the block, in order: a range between stored values.
+    pred.operand = StoredOperand(rng, values);
+    pred.operand2 = StoredOperand(rng, values);
+    if (pred.operand > pred.operand2) std::swap(pred.operand, pred.operand2);
+  } else {
+    pred.operand = rng->UniformInt(-100000, 100000);
+    pred.operand2 = pred.operand + rng->UniformInt(-10, 50000);
+  }
   for (int i = 0; i < 5; ++i) {
-    pred.in_list.push_back(rng->UniformInt(-100000, 100000));
+    pred.in_list.push_back(stored() ? StoredOperand(rng, values)
+                                    : rng->UniformInt(-100000, 100000));
   }
   return pred;
 }
 
 TEST(EncodingPropertyTest, PredicateOverEncodedMatchesDecoded) {
   Rng rng(202);
-  for (int iter = 0; iter < 60; ++iter) {
+  for (int iter = 0; iter < 240; ++iter) {
     const int shape = iter % 5;
     const int64_t rows = 1 + rng.UniformInt(0, kBlockRows - 1);
     const std::vector<int64_t> values = RandomBlock(&rng, shape, rows);
-    const ColumnPredicate pred = RandomPredicate(&rng);
+    const ColumnPredicate pred = RandomPredicate(&rng, values);
     // The row-wise oracle: ColumnPredicate::Matches on each value.
     std::vector<uint8_t> expected;
     for (int64_t v : values) expected.push_back(pred.Matches(v) ? 1 : 0);
@@ -196,7 +224,7 @@ TEST(ZoneMapTest, MayMatchNeverPrunesAMatchingRow) {
     const int64_t rows = 1 + rng.UniformInt(0, 500);
     const std::vector<int64_t> values = RandomBlock(&rng, iter % 5, rows);
     const EncodedBlock block = EncodedBlock::Encode(values.data(), rows);
-    const ColumnPredicate pred = RandomPredicate(&rng);
+    const ColumnPredicate pred = RandomPredicate(&rng, values);
     const bool any_match =
         std::any_of(values.begin(), values.end(),
                     [&](int64_t v) { return pred.Matches(v); });

@@ -8,8 +8,11 @@
 # cache invalidation and drift aggregation), the incremental-maintenance
 # tests (ingest batches racing query streams and snapshot publishes), the
 # model-lifecycle tests (bootstrap, loader/validator admission, monitor
-# probes, and the demotion publish path), and the reader tests (the
-# read-ahead pipeline and its per-slot selection state, at dop 1 and 4).
+# probes, and the demotion publish path), the reader tests (the
+# read-ahead pipeline and its per-slot selection state, at dop 1 and 4, and
+# pipelines opened before they drain) and the optimizer tests (reader choice
+# under a block latency). The operator-DAG tests run queries whose serial
+# scans open before the tree runs, one beside a dop-2 scan's pool drainers.
 #
 # Usage: ci/sanitize.sh [thread|address|undefined] [build-dir]
 # BYTECARD_THREADS overrides the worker-pool sizing (default 4 here, so the
@@ -38,7 +41,7 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
            minihouse_specialize_test minihouse_encoding_test \
            incremental_test cardest_ndv_test routing_test \
            bytecard_facade_test bytecard_lifecycle_test bytecard_services_test \
-           minihouse_reader_test
+           minihouse_reader_test minihouse_optimizer_test
 
 # halt_on_error makes a race fail the ctest run instead of just logging;
 # tsan.supp documents the known libstdc++ instrumentation gaps we ignore.
@@ -48,6 +51,6 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 export BYTECARD_THREADS="${BYTECARD_THREADS:-4}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-  -R "ConcurrencyTest|RobustnessTest|ThreadPoolTest|ParallelMorselsTest|ParallelScanTest|ParallelJoinTest|ParallelAggregateTest|ParallelExecutorTest|ParallelOptimizerTest|OperatorDagTest|FeedbackFingerprintTest|FeedbackLogTest|FeedbackCacheTest|DriftDetectorTest|FeedbackCaptureTest|FeedbackConcurrencyTest|FeedbackByteCardTest|RequestFingerprintTest|InferenceSessionTest|SessionConcurrencyTest|SchedulerTest|SchedulerConcurrencyTest|ColumnDomainTest|DenseKeyIndexTest|AggSizingTest|PredicateKernelTest|DenseAggTest|ArrayJoinTest|SpecializationIdentityTest|MisSpecializationTest|EncodedBlockTest|EncodingPropertyTest|ZoneMapTest|DecodeCacheTest|DictionarySealTest|DomainFromZoneMapTest|EncodedScanTest|IngestDeltaTest|BnDeltaTest|FjDeltaTest|IncrementalMaintainerTest|IncrementalConcurrencyTest|HllSketchTest|RoutingClassTest|RoutingTableTest|RoutingIdentityTest|RouteMinerTest|RoutingConcurrencyTest|SchedulerSqlTest|ByteCardFacadeTest|ByteCardBootstrapTest|LifecycleTest|ModelForgeTest|ModelLoaderTest|ModelMonitorTest|ModelPreprocessorTest|ModelValidatorTest|ReaderTest"
+  -R "ConcurrencyTest|RobustnessTest|ThreadPoolTest|ParallelMorselsTest|ParallelScanTest|ParallelJoinTest|ParallelAggregateTest|ParallelExecutorTest|ParallelOptimizerTest|OperatorDagTest|FeedbackFingerprintTest|FeedbackLogTest|FeedbackCacheTest|DriftDetectorTest|FeedbackCaptureTest|FeedbackConcurrencyTest|FeedbackByteCardTest|RequestFingerprintTest|InferenceSessionTest|SessionConcurrencyTest|SchedulerTest|SchedulerConcurrencyTest|ColumnDomainTest|DenseKeyIndexTest|AggSizingTest|PredicateKernelTest|DenseAggTest|ArrayJoinTest|SpecializationIdentityTest|MisSpecializationTest|EncodedBlockTest|EncodingPropertyTest|ZoneMapTest|DecodeCacheTest|DictionarySealTest|DomainFromZoneMapTest|EncodedScanTest|IngestDeltaTest|BnDeltaTest|FjDeltaTest|IncrementalMaintainerTest|IncrementalConcurrencyTest|HllSketchTest|RoutingClassTest|RoutingTableTest|RoutingIdentityTest|RouteMinerTest|RoutingConcurrencyTest|SchedulerSqlTest|ByteCardFacadeTest|ByteCardBootstrapTest|LifecycleTest|ModelForgeTest|ModelLoaderTest|ModelMonitorTest|ModelPreprocessorTest|ModelValidatorTest|ReaderTest|OptimizerTest"
 
 echo "sanitize(${SANITIZER}): OK"

@@ -97,6 +97,10 @@ Result<ExecResult> ExecuteQuery(const BoundQuery& query,
   // latch) waits rather than swapping blocks under a running scan.
   TableReadGuard table_guard(query);
   BC_ASSIGN_OR_RETURN(CompiledDag dag, CompileOperatorDag(query, plan, ctx));
+  // One read wait per query rather than one per scan: every scan that can
+  // issues its first reads now, in the order the tree will drain them, so
+  // their latency overlaps the joins and scans that run first.
+  for (ScanOp* scan : dag.scans) scan->Open();
   BC_ASSIGN_OR_RETURN(Relation groups, dag.root->Execute());
   (void)groups;  // the relational view; benches consume the AggregateResult
 

@@ -46,7 +46,7 @@ ScanOp::ScanOp(const BoundQuery& query, int table_idx, TableScanPlan scan_plan,
   }
 }
 
-Result<Relation> ScanOp::Execute() {
+ScanOptions ScanOp::Options() const {
   ScanOptions options;
   options.reader = scan_plan_.reader;
   options.filter_order = scan_plan_.filter_order;
@@ -54,8 +54,29 @@ Result<Relation> ScanOp::Execute() {
   options.dop = scan_plan_.dop;
   options.morsel_policy = ctx_->morsel_policy();
   options.features = features_;
-  ScanResult scanned = ScanTable(*ref_.table, ref_.filters,
-                                 output_schema_columns_, options, &stats_.io);
+  return options;
+}
+
+void ScanOp::Open() {
+  BC_DCHECK(!opened_);
+  if (scan_plan_.dop > 1 ||
+      (sip_expected_ && scan_plan_.reader != ReaderKind::kSingleStage)) {
+    return;
+  }
+  opened_.emplace(*ref_.table, ref_.filters, output_schema_columns_,
+                  Options(), 0, ref_.table->num_blocks(), &stats_.io);
+}
+
+Result<Relation> ScanOp::Execute() {
+  ScanResult scanned;
+  if (opened_) {
+    opened_->ArmSip(sip_);
+    scanned = opened_->Drain(&stats_.io);
+    opened_.reset();
+  } else {
+    scanned = ScanTable(*ref_.table, ref_.filters, output_schema_columns_,
+                        Options(), &stats_.io);
+  }
   stats_.dop_used = scanned.dop_used;
   stats_.parallel_tasks = scanned.parallel_tasks;
   stats_.sip_filtered = sip_.bloom != nullptr;
@@ -131,6 +152,7 @@ HashJoinOp::HashJoinOp(std::unique_ptr<PhysicalOperator> build,
 void HashJoinOp::EnableSip(ScanOp* probe_scan, int probe_schema_column,
                            int64_t probe_table_rows) {
   BC_CHECK(probe_scan == probe_.get());
+  probe_scan->ExpectSemiJoinFilter();
   sip_scan_ = probe_scan;
   sip_probe_column_ = probe_schema_column;
   sip_probe_table_rows_ = probe_table_rows;
@@ -311,8 +333,10 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
     scan_op->SetFeedbackStamp(std::move(fs));
   };
 
+  std::vector<ScanOp*> scans;
   auto first_scan = make_scan(order[0]);
   stamp_scan(first_scan.get(), order[0]);
+  scans.push_back(first_scan.get());
   std::unique_ptr<PhysicalOperator> op = std::move(first_scan);
   std::set<int> joined = {order[0]};
 
@@ -321,6 +345,7 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
     auto scan = make_scan(t);
     ScanOp* scan_raw = scan.get();
     stamp_scan(scan_raw, t);
+    scans.push_back(scan_raw);
 
     // Resolve every edge connecting t to the prefix into slot pairs, in
     // query.joins order (the first is also the SIP edge, matching the
@@ -475,6 +500,7 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
 
   const size_t num_group_keys = key_slots.size();
   CompiledDag dag;
+  dag.scans = std::move(scans);
   dag.root = std::make_unique<AggregateOp>(
       std::move(op), std::move(key_slots), std::move(agg_requests),
       plan.group_ndv_hint, plan.agg_dop, ctx);

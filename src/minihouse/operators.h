@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "minihouse/optimizer.h"
 #include "minihouse/query.h"
 #include "minihouse/query_context.h"
+#include "minihouse/reader.h"
 #include "minihouse/relation.h"
 
 namespace bytecard::minihouse {
@@ -117,6 +119,10 @@ class ScanOp : public PhysicalOperator {
 
   int table_index() const { return table_idx_; }
 
+  // Marks the scan as the probe side of a join that may hand it a SIP filter
+  // when the build side has run (HashJoinOp::EnableSip).
+  void ExpectSemiJoinFilter() { sip_expected_ = true; }
+
   // Sideways information passing: `bloom` (not owned; must outlive Execute)
   // prunes rows of schema column `column` before materialization. Set by the
   // parent join after its build side resolves; cleared is the default.
@@ -125,15 +131,29 @@ class ScanOp : public PhysicalOperator {
     sip_.column = column;
   }
 
+  // Issues the scan's first reads before the tree wants its rows
+  // (DESIGN.md §12): a serial scan opens its read-ahead pipeline, whose
+  // first stages' latency then overlaps the operators that run before the
+  // scan; Execute drains it. A scan that may receive a SIP filter opens only
+  // with the single-stage reader, whose one stage already reads the SIP
+  // column (the probe join key, an output column): in a multi-stage chain
+  // SIP would become the first stage. A scan planned at dop > 1, or not
+  // opened, opens when it executes. ExecuteQuery opens every scan.
+  void Open();
+
   Result<Relation> Execute() override;
 
  private:
+  ScanOptions Options() const;
+
   const BoundTableRef& ref_;
   const QueryContext* ctx_;
   int table_idx_;
   TableScanPlan scan_plan_;
   ExecFeatures features_;
+  bool sip_expected_ = false;
   SemiJoinFilter sip_;
+  std::optional<ScanPipeline> opened_;
   std::vector<int> output_schema_columns_;  // schema indices, ascending
   std::vector<ColumnId> output_ids_;
   std::vector<std::string> output_names_;
@@ -267,6 +287,8 @@ class AggregateOp : public PhysicalOperator {
 // executing.
 struct CompiledDag {
   std::unique_ptr<AggregateOp> root;
+  // Every scan of the tree (owned by it), in the order the tree runs them.
+  std::vector<ScanOp*> scans;
 };
 
 // Compiles a bound query + physical plan into an operator DAG:

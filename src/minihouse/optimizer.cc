@@ -218,9 +218,24 @@ TableScanPlan Optimizer::PlanScan(const BoundTableRef& ref,
   // Clamping here makes reader choice, dop, and admission pruning-aware even
   // when the learned model overestimates — e.g. a range predicate on a
   // clustered column that zone maps prove touches a few blocks.
+  int64_t blocks = 0;
   plan.estimated_selectivity =
       std::min(plan.estimated_selectivity,
-               ZoneMapSelectivityBound(*ref.table, ref.filters));
+               ZoneMapSelectivityBound(*ref.table, ref.filters, &blocks));
+  if (!options_.features.prune_blocks) blocks = ref.table->num_blocks();
+
+  // Short scans on latency-bound storage read in one stage (DESIGN.md §12):
+  // when every block the scan reads fits in one read-ahead round, nothing
+  // overlaps a multi-stage chain's stages, so it waits one full read latency
+  // per stage against the single-stage reader's one, and each block that
+  // survives costs it more reads, as it re-reads the filter columns.
+  const StorageProfile* storage = ref.table->storage_profile();
+  if (storage != nullptr &&
+      storage->block_latency_nanos.load(std::memory_order_relaxed) > 0 &&
+      blocks <= kReadAheadBlocks) {
+    plan.reader = ReaderKind::kSingleStage;
+    return plan;
+  }
 
   // Dynamic reader selection (paper §5.1.2): multi-stage pays off exactly
   // when filters eliminate most rows early; otherwise its extra passes lose.

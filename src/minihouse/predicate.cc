@@ -215,12 +215,14 @@ void EvaluateOnEncodedBlock(const ColumnPredicate& pred,
 }
 
 double ZoneMapSelectivityBound(const Table& table,
-                               const Conjunction& filters) {
+                               const Conjunction& filters, int64_t* blocks) {
   const int64_t total = table.num_rows();
+  const int64_t num_blocks = table.num_blocks();
+  if (blocks != nullptr) *blocks = num_blocks;
   if (total == 0 || filters.empty() || table.num_columns() == 0) return 1.0;
-  const int64_t num_blocks = table.column(0).num_blocks();
   bool any_zones = false;
   int64_t possible = 0;
+  int64_t possible_blocks = 0;
   for (int64_t b = 0; b < num_blocks; ++b) {
     bool may = true;
     for (const ColumnPredicate& pred : filters) {
@@ -235,9 +237,13 @@ double ZoneMapSelectivityBound(const Table& table,
         break;
       }
     }
-    if (may) possible += table.column(0).BlockRowCount(b);
+    if (may) {
+      possible += table.column(0).BlockRowCount(b);
+      ++possible_blocks;
+    }
   }
   if (!any_zones) return 1.0;
+  if (blocks != nullptr) *blocks = possible_blocks;
   return static_cast<double>(possible) / static_cast<double>(total);
 }
 

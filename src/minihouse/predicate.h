@@ -64,9 +64,12 @@ void EvaluateOnEncodedBlock(const ColumnPredicate& pred,
 // of the table's rows in blocks that could match every conjunct. 1.0 when
 // the table has no zone maps (unsealed) or no filters. The traditional
 // estimator and the optimizer clamp their estimates with this — the cheap
-// sketch tier of the estimation stack.
+// sketch tier of the estimation stack. When `blocks` is non-null it
+// receives the number of those blocks: the blocks a scan with pruning on
+// reads.
 double ZoneMapSelectivityBound(const class Table& table,
-                               const Conjunction& filters);
+                               const Conjunction& filters,
+                               int64_t* blocks = nullptr);
 
 // Applies a whole conjunction to a table-sized selection vector.
 void EvaluateConjunction(const Conjunction& conjuncts,

@@ -1,7 +1,6 @@
 #include "minihouse/reader.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <numeric>
 #include <thread>
@@ -93,33 +92,12 @@ void EmitRows(int64_t b, const std::vector<uint8_t>& selection,
   }
 }
 
-// One stage of a block's chain: the reads of the block it issues and, once
-// they have landed, the tests it applies. The last stage of a chain also
-// fetches the tuple columns and emits the block's selected rows.
-struct ChainStage {
-  std::vector<int> reads;    // columns whose read of the block it issues
-  bool sip = false;          // applies the SIP Bloom filter
-  std::vector<int> filters;  // applies these predicates, by conjunct index
-};
+}  // namespace
 
-// The chain of stages every unpruned block of a scan runs, built once per
-// scan from the reader choice.
-struct ScanChain {
-  std::vector<ChainStage> stages;
-  // Fetched by the last stage: the output columns, then (multi-stage) the
-  // filter columns that tuple reconstruction re-reads.
-  std::vector<int> tuple_columns;
-  // Per tuple column: whether its fetch reports decode-cache traffic.
-  std::vector<uint8_t> tuple_charged;
-};
-
-// Single-stage: one stage issues every read a one-pass reader charges — the
-// SIP column, one read per filter predicate, and each output column not
-// already read for one of those roles — then applies SIP (first, when
-// present) and every predicate, and builds tuples in the same pass, before
-// knowing what survived. An output column already read for another role is
-// fetched from that read: it reports no decode-cache traffic for this
-// second fetch, as it reports no second read.
+// Single-stage: one stage issues one read per distinct column the block
+// needs — the SIP column, the filter columns and the output columns — then
+// applies SIP (first, when present) and every predicate, and builds tuples
+// in the same pass, before knowing what survived.
 //
 // Multi-stage: the SIP stage first (the semi-join filter is typically the
 // most selective predicate available), then one stage per filter in the
@@ -128,164 +106,154 @@ struct ScanChain {
 // output columns AND filter columns (their values are part of the tuple).
 // This re-read of filter columns is exactly why multi-stage loses to
 // single-stage on non-selective predicates (paper §5.1.2).
-ScanChain BuildChain(const Conjunction& filters,
-                     const std::vector<int>& output_columns,
-                     const ScanOptions& options) {
-  const bool has_sip = options.sip.bloom != nullptr && options.sip.column >= 0;
-  ScanChain chain;
-  chain.tuple_columns = output_columns;
-  if (options.reader == ReaderKind::kSingleStage ||
-      (filters.empty() && !has_sip)) {
-    ChainStage stage;
+ScanPipeline::ScanPipeline(const Table& table, const Conjunction& filters,
+                           const std::vector<int>& output_columns,
+                           const ScanOptions& options, int64_t block_begin,
+                           int64_t block_end, IoStats* io)
+    : table_(table),
+      filters_(filters),
+      sip_(options.sip),
+      single_stage_(options.reader == ReaderKind::kSingleStage),
+      prune_blocks_(options.features.prune_blocks),
+      tuple_columns_(output_columns),
+      next_(block_begin),
+      end_(block_end),
+      out_blocks_(output_columns.size()) {
+  const bool has_sip = sip_.bloom != nullptr && sip_.column >= 0;
+  if (single_stage_ || (filters.empty() && !has_sip)) {
+    Stage stage;
     stage.sip = has_sip;
-    if (has_sip) stage.reads.push_back(options.sip.column);
+    auto read = [&stage](int column) {
+      if (std::find(stage.reads.begin(), stage.reads.end(), column) ==
+          stage.reads.end()) {
+        stage.reads.push_back(column);
+      }
+    };
+    if (has_sip) read(sip_.column);
     for (size_t f = 0; f < filters.size(); ++f) {
-      stage.reads.push_back(filters[f].column);
+      read(filters[f].column);
       stage.filters.push_back(static_cast<int>(f));
     }
-    const size_t test_reads = stage.reads.size();
-    for (int column : output_columns) {
-      const auto tests_end = stage.reads.begin() + test_reads;
-      const bool already_read =
-          std::find(stage.reads.begin(), tests_end, column) != tests_end;
-      if (!already_read) stage.reads.push_back(column);
-      chain.tuple_charged.push_back(!already_read);
+    for (int column : output_columns) read(column);
+    stages_.push_back(std::move(stage));
+  } else {
+    std::vector<int> order = options.filter_order;
+    if (order.empty()) {
+      order.resize(filters.size());
+      std::iota(order.begin(), order.end(), 0);
     }
-    chain.stages.push_back(std::move(stage));
-    return chain;
-  }
-
-  std::vector<int> order = options.filter_order;
-  if (order.empty()) {
-    order.resize(filters.size());
-    std::iota(order.begin(), order.end(), 0);
-  }
-  BC_CHECK(order.size() == filters.size());
-  if (has_sip) chain.stages.push_back({{options.sip.column}, true, {}});
-  for (int f : order) chain.stages.push_back({{filters[f].column}, false, {f}});
-  for (const ColumnPredicate& pred : filters) {
-    if (std::find(chain.tuple_columns.begin(), chain.tuple_columns.end(),
-                  pred.column) == chain.tuple_columns.end()) {
-      chain.tuple_columns.push_back(pred.column);
+    BC_CHECK(order.size() == filters.size());
+    if (has_sip) stages_.push_back({{sip_.column}, true, {}});
+    for (int f : order) stages_.push_back({{filters[f].column}, false, {f}});
+    for (const ColumnPredicate& pred : filters) {
+      if (std::find(tuple_columns_.begin(), tuple_columns_.end(),
+                    pred.column) == tuple_columns_.end()) {
+        tuple_columns_.push_back(pred.column);
+      }
     }
+    stages_.push_back({tuple_columns_, false, {}});
   }
-  chain.stages.push_back({chain.tuple_columns, false, {}});
-  chain.tuple_charged.assign(chain.tuple_columns.size(), 1);
-  return chain;
+  for (Slot& slot : slots_) live_ += Admit(&slot, io) ? 1 : 0;
 }
 
-// The read-ahead pipeline over one scan range (DESIGN.md §12). Each
-// unpruned block runs `chain` one stage at a time: a stage's reads are
-// issued as soon as the previous stage has run and left the block a
-// candidate row, and up to kReadAheadBlocks blocks' chains are in flight at
-// once. The slots are visited round robin, which is the order their stages
-// were issued in: a block that retires hands its slot to the next unpruned
-// block of the range, whose first stage is then the newest. So every wait
-// is for the oldest read in flight and, since every stage has the same
-// latency and every chain emits in its last stage, blocks retire and emit
-// their rows in block order. The reads are those of a block-by-block scan:
-// none past the range end, none for a pruned block, and no later stage for
-// a block an earlier stage emptied.
-void ScanRange(const Table& table, const Conjunction& filters,
-               const ScanOptions& options, const ScanChain& chain,
-               int64_t block_begin, int64_t block_end, ScanResult* result,
-               IoStats* io) {
-  struct Slot {
-    int64_t block = -1;  // -1 once the range has no block left for the slot
-    size_t stage = 0;
-    std::chrono::steady_clock::time_point landed{};
-    std::vector<uint8_t> selection;
-  };
-  std::array<Slot, kReadAheadBlocks> slots;
-  std::vector<int64_t> scratch;
-  std::vector<std::vector<int64_t>> out_blocks(result->materialized.size());
+void ScanPipeline::ArmSip(const SemiJoinFilter& sip) {
+  if (sip.bloom == nullptr) return;
+  Stage& stage = stages_.front();
+  BC_CHECK(single_stage_ && sip_.bloom == nullptr);
+  BC_CHECK(std::find(stage.reads.begin(), stage.reads.end(), sip.column) !=
+           stage.reads.end());
+  sip_ = sip;
+  stage.sip = true;
+}
 
-  auto issue = [&](Slot& slot) {
-    slot.landed = {};
-    for (int column : chain.stages[slot.stage].reads) {
-      slot.landed = std::max(slot.landed,
-                             table.column(column).IssueRead(slot.block, io));
-    }
-  };
-  // Starts the range's next unpruned block in `slot`; false when none is
-  // left. Pruned blocks are skipped before any read is issued.
-  int64_t next = block_begin;
-  auto admit = [&](Slot& slot) {
-    slot.block = -1;
-    while (next < block_end) {
-      const int64_t b = next++;
-      if (options.features.prune_blocks &&
-          BlockPrunedByZoneMaps(table, filters, b)) {
-        if (io != nullptr) ++io->blocks_pruned;
-        continue;
-      }
-      slot.block = b;
-      slot.stage = 0;
-      slot.selection.assign(table.column(0).BlockRowCount(b), 1);
-      issue(slot);
-      return true;
-    }
-    return false;
-  };
-  // Runs `slot`'s stage, whose reads have landed; true when the block has a
-  // next stage to issue.
-  auto run_stage = [&](Slot& slot) {
-    const ChainStage& stage = chain.stages[slot.stage];
-    if (stage.sip) {
-      ApplySip(table, options.sip, slot.block, &scratch, &slot.selection, io);
-    }
-    for (int f : stage.filters) {
-      ApplyFilter(table, filters[f], slot.block, &scratch, &slot.selection,
-                  io);
-    }
-    if (slot.stage + 1 < chain.stages.size()) {
-      return std::any_of(slot.selection.begin(), slot.selection.end(),
-                         [](uint8_t v) { return v != 0; });
-    }
-    for (size_t c = 0; c < chain.tuple_columns.size(); ++c) {
-      std::vector<int64_t>* dest =
-          c < out_blocks.size() ? &out_blocks[c] : &scratch;
-      table.column(chain.tuple_columns[c])
-          .FetchBlock(slot.block, dest, chain.tuple_charged[c] ? io : nullptr);
-    }
-    EmitRows(slot.block, slot.selection, out_blocks, result);
-    return false;
-  };
+void ScanPipeline::Issue(Slot* slot, IoStats* io) {
+  slot->landed = {};
+  for (int column : stages_[slot->stage].reads) {
+    slot->landed = std::max(slot->landed,
+                            table_.column(column).IssueRead(slot->block, io));
+  }
+}
 
-  int live = 0;
-  for (Slot& slot : slots) live += admit(slot) ? 1 : 0;
-  for (size_t s = 0; live > 0; s = (s + 1) % slots.size()) {
-    Slot& slot = slots[s];
+// Starts the range's next unpruned block in `slot`; false when none is left.
+// Pruned blocks are skipped before any read is issued.
+bool ScanPipeline::Admit(Slot* slot, IoStats* io) {
+  slot->block = -1;
+  while (next_ < end_) {
+    const int64_t b = next_++;
+    if (prune_blocks_ && BlockPrunedByZoneMaps(table_, filters_, b)) {
+      if (io != nullptr) ++io->blocks_pruned;
+      continue;
+    }
+    slot->block = b;
+    slot->stage = 0;
+    slot->selection.assign(table_.column(0).BlockRowCount(b), 1);
+    Issue(slot, io);
+    return true;
+  }
+  return false;
+}
+
+// Runs `slot`'s stage, whose reads have landed; true when the block has a
+// next stage to issue.
+bool ScanPipeline::RunStage(Slot* slot, ScanResult* result, IoStats* io) {
+  const Stage& stage = stages_[slot->stage];
+  if (stage.sip) {
+    ApplySip(table_, sip_, slot->block, &scratch_, &slot->selection, io);
+  }
+  for (int f : stage.filters) {
+    ApplyFilter(table_, filters_[f], slot->block, &scratch_, &slot->selection,
+                io);
+  }
+  if (slot->stage + 1 < stages_.size()) {
+    return std::any_of(slot->selection.begin(), slot->selection.end(),
+                       [](uint8_t v) { return v != 0; });
+  }
+  for (size_t c = 0; c < tuple_columns_.size(); ++c) {
+    std::vector<int64_t>* dest =
+        c < out_blocks_.size() ? &out_blocks_[c] : &scratch_;
+    table_.column(tuple_columns_[c]).FetchBlock(slot->block, dest, io);
+  }
+  EmitRows(slot->block, slot->selection, out_blocks_, result);
+  return false;
+}
+
+// The slots are visited round robin, which is the order their stages were
+// issued in: a block that retires hands its slot to the next unpruned block
+// of the range, whose first stage is then the newest. So every wait is for
+// the oldest read in flight and, since every stage has the same latency and
+// every chain emits in its last stage, blocks retire and emit their rows in
+// block order. The reads are those of a block-by-block scan: none past the
+// range end, none for a pruned block, and no later stage for a block an
+// earlier stage emptied.
+ScanResult ScanPipeline::Drain(IoStats* io) {
+  ScanResult result;
+  result.materialized.resize(out_blocks_.size());
+  for (size_t s = 0; live_ > 0; s = (s + 1) % slots_.size()) {
+    Slot& slot = slots_[s];
     if (slot.block < 0) continue;
     if (slot.landed > std::chrono::steady_clock::now()) {
       SleepUntil(slot.landed);
     }
-    if (run_stage(slot)) {
+    if (RunStage(&slot, &result, io)) {
       ++slot.stage;
-      issue(slot);
-    } else if (!admit(slot)) {
-      --live;
+      Issue(&slot, io);
+    } else if (!Admit(&slot, io)) {
+      --live_;
     }
   }
+  return result;
 }
-
-}  // namespace
 
 ScanResult ScanTable(const Table& table, const Conjunction& filters,
                      const std::vector<int>& output_columns,
                      const ScanOptions& options, IoStats* io) {
-  ScanResult result;
-  result.materialized.resize(output_columns.size());
-  if (table.num_rows() == 0) return result;
-
-  const ScanChain chain = BuildChain(filters, output_columns, options);
-  const int64_t num_blocks = (table.num_rows() + kBlockRows - 1) / kBlockRows;
-  const int dop =
-      static_cast<int>(std::clamp<int64_t>(options.dop, 1, num_blocks));
-  if (dop <= 1) {
-    ScanRange(table, filters, options, chain, 0, num_blocks, &result, io);
-    return result;
+  const int64_t num_blocks = table.num_blocks();
+  if (options.dop <= 1 || num_blocks <= 1) {
+    return ScanPipeline(table, filters, output_columns, options, 0,
+                        num_blocks, io)
+        .Drain(io);
   }
+  const int dop = static_cast<int>(std::min<int64_t>(options.dop, num_blocks));
 
   // Morsel-parallel scan: contiguous block-range morsels drained from a
   // shared counter, per-worker IoStats, results concatenated in block order
@@ -294,16 +262,18 @@ ScanResult ScanTable(const Table& table, const Conjunction& filters,
       dop, (num_blocks + kScanMorselBlocks - 1) / kScanMorselBlocks);
   std::vector<ScanResult> parts(morsels);
   std::vector<IoStats> worker_io(dop);
-  common::ParallelMorsels(common::ThreadPool::Global(), morsels, dop,
-                          options.morsel_policy, [&](int64_t m, int slot) {
-                            parts[m].materialized.resize(
-                                output_columns.size());
-                            const int64_t b0 = num_blocks * m / morsels;
-                            const int64_t b1 = num_blocks * (m + 1) / morsels;
-                            ScanRange(table, filters, options, chain, b0, b1,
-                                      &parts[m], &worker_io[slot]);
-                          });
+  common::ParallelMorsels(
+      common::ThreadPool::Global(), morsels, dop, options.morsel_policy,
+      [&](int64_t m, int slot) {
+        const int64_t b0 = num_blocks * m / morsels;
+        const int64_t b1 = num_blocks * (m + 1) / morsels;
+        parts[m] = ScanPipeline(table, filters, output_columns, options, b0,
+                                b1, &worker_io[slot])
+                       .Drain(&worker_io[slot]);
+      });
 
+  ScanResult result;
+  result.materialized.resize(output_columns.size());
   int64_t total_rows = 0;
   for (const ScanResult& part : parts) total_rows += part.rows_matched();
   result.row_ids.reserve(total_rows);

@@ -1,6 +1,8 @@
 #ifndef BYTECARD_MINIHOUSE_READER_H_
 #define BYTECARD_MINIHOUSE_READER_H_
 
+#include <array>
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -101,9 +103,9 @@ inline constexpr int kReadAheadBlocks = 3;
 
 // Scans `table` with `filters`, materializing `output_columns`.
 //
-// Single-stage: every needed column (filter and output) is read exactly once
-// per block; all predicates are applied in one pass. I/O is independent of
-// selectivity — the right choice when most rows survive.
+// Single-stage: every needed column (SIP, filter and output) is read exactly
+// once per block; all predicates are applied in one pass. I/O is independent
+// of selectivity — the right choice when most rows survive.
 //
 // Multi-stage: stage k reads filter column k only for blocks that still hold
 // at least one candidate row; a final materialization stage re-reads all
@@ -118,9 +120,80 @@ inline constexpr int kReadAheadBlocks = 3;
 // kReadAheadBlocks blocks' chains in flight: a stage's reads are issued as
 // soon as the previous stage has run, so their storage latency overlaps the
 // evaluation of the blocks ahead (see StorageProfile and DESIGN.md §12).
+// At dop 1 this is one ScanPipeline, opened and drained at once; at dop > 1
+// one per morsel.
 ScanResult ScanTable(const Table& table, const Conjunction& filters,
                      const std::vector<int>& output_columns,
                      const ScanOptions& options, IoStats* io);
+
+// The read-ahead pipeline of one serial scan over a block range, split in
+// two so that a query can issue the first reads of all its scans before it
+// wants any scan's rows (DESIGN.md §12). Opening, the constructor, admits
+// the range's first kReadAheadBlocks unpruned blocks and issues their first
+// stage's reads; Drain runs the pipeline to the range end.
+class ScanPipeline {
+ public:
+  // Opens the scan of `table`'s blocks [block_begin, block_end) with the
+  // reader, filter order, SIP filter and pruning switch of `options` (the
+  // caller splits a scan at dop > 1: a pipeline is one drainer), charging
+  // the reads it issues and the pruned blocks it passes to `io`. `table` and
+  // `filters` must outlive the pipeline.
+  ScanPipeline(const Table& table, const Conjunction& filters,
+               const std::vector<int>& output_columns,
+               const ScanOptions& options, int64_t block_begin,
+               int64_t block_end, IoStats* io);
+
+  ScanPipeline(const ScanPipeline&) = delete;
+  ScanPipeline& operator=(const ScanPipeline&) = delete;
+
+  // Adds a SIP filter after opening. Reads already in flight cannot change,
+  // so this is allowed only where the filter adds none: a single-stage chain
+  // that already reads `sip.column`, as a probe scan reads its join key for
+  // output. An unset `sip` changes nothing.
+  void ArmSip(const SemiJoinFilter& sip);
+
+  // Runs the pipeline to the range end, charging `io`, and returns the
+  // range's rows in block order. Call once.
+  ScanResult Drain(IoStats* io);
+
+ private:
+  // One stage of a block's chain: the reads of the block it issues and, once
+  // they have landed, the tests it applies. The last stage of a chain also
+  // fetches the tuple columns and emits the block's selected rows.
+  struct Stage {
+    std::vector<int> reads;    // columns whose read of the block it issues
+    bool sip = false;          // applies the SIP Bloom filter
+    std::vector<int> filters;  // applies these predicates, by conjunct index
+  };
+  // A block in flight: its chain position and candidate rows.
+  struct Slot {
+    int64_t block = -1;  // -1 once the range has no block left for the slot
+    size_t stage = 0;
+    std::chrono::steady_clock::time_point landed{};
+    std::vector<uint8_t> selection;
+  };
+
+  void Issue(Slot* slot, IoStats* io);
+  bool Admit(Slot* slot, IoStats* io);
+  bool RunStage(Slot* slot, ScanResult* result, IoStats* io);
+
+  const Table& table_;
+  const Conjunction& filters_;
+  SemiJoinFilter sip_;
+  bool single_stage_;
+  bool prune_blocks_;
+  // The chain every unpruned block runs, and the columns its last stage
+  // fetches: the output columns, then (multi-stage) the filter columns that
+  // tuple reconstruction re-reads.
+  std::vector<Stage> stages_;
+  std::vector<int> tuple_columns_;
+  int64_t next_;  // the range's next block to admit
+  int64_t end_;
+  std::array<Slot, kReadAheadBlocks> slots_;
+  int live_ = 0;  // slots holding a block
+  std::vector<int64_t> scratch_;
+  std::vector<std::vector<int64_t>> out_blocks_;
+};
 
 }  // namespace bytecard::minihouse
 

@@ -26,6 +26,9 @@ class Table {
 
   int num_columns() const { return schema_.num_columns(); }
   int64_t num_rows() const { return num_rows_; }
+  int64_t num_blocks() const {
+    return (num_rows_ + kBlockRows - 1) / kBlockRows;
+  }
 
   Column* mutable_column(int i) { return &columns_[i]; }
   const Column& column(int i) const { return columns_[i]; }
@@ -52,9 +55,14 @@ class Table {
   // never reallocates after construction, so the pointers each column keeps
   // stay valid.
   void AttachStorage(const StorageProfile* profile, DecodeCache* cache) {
+    storage_profile_ = profile;
     decode_cache_ = cache;
     for (Column& c : columns_) c.AttachStorage(profile, cache);
   }
+
+  // The simulated-storage config this table's columns read through, or
+  // nullptr for a detached table (no cost, no latency).
+  const StorageProfile* storage_profile() const { return storage_profile_; }
 
   // The shared decode cache this table's columns decode through, or nullptr
   // for a detached table.
@@ -80,6 +88,7 @@ class Table {
   TableSchema schema_;
   std::vector<Column> columns_;
   int64_t num_rows_ = 0;
+  const StorageProfile* storage_profile_ = nullptr;
   DecodeCache* decode_cache_ = nullptr;
   mutable std::shared_mutex latch_;
 };

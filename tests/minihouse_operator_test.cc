@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +16,8 @@
 
 namespace bytecard::minihouse {
 namespace {
+
+using namespace std::chrono_literals;
 
 // Three-table star: dim and item both join fact.
 //   dim(id 0..99, category = id % 5, flag)
@@ -295,6 +299,183 @@ TEST(OperatorDagTest, CountStarSingleTableScansNoColumns) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().ScalarCount(),
             db->FindTable("fact").value()->num_rows());
+}
+
+// --- Opening scans early -----------------------------------------------------
+
+// ExecuteQuery opens every serial scan before the tree runs, so the first
+// reads of all three one-block scans are in flight together: the query waits
+// about one read latency where scanning one table after another waits three.
+TEST(OperatorDagTest, OpenedScansWaitOnceForAQuery) {
+  auto db = BuildThreeTableDb();
+  for (const char* name : {"fact", "dim", "item"}) {
+    ASSERT_EQ(db->FindTable(name).value()->num_blocks(), 1) << name;
+  }
+  db->SetStorageBlockLatencyNanos(std::chrono::nanoseconds(20ms).count());
+  const BoundQuery query = ThreeTableQuery(*db);
+  const Result<ExecResult> reference =
+      ExecuteQuery(query, MakePlan(query, true, false, 1));
+  ASSERT_TRUE(reference.ok());
+
+  // SIP on: the dim and item probe scans may receive a Bloom filter, and
+  // open early because they read in one stage.
+  const auto start = std::chrono::steady_clock::now();
+  const Result<ExecResult> result =
+      ExecuteQuery(query, MakePlan(query, true, true, 1));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(SortedGroups(result.value().agg),
+            SortedGroups(reference.value().agg));
+  EXPECT_GE(elapsed, 20ms);
+  EXPECT_LT(elapsed, 40ms);
+}
+
+// build(id 0..12287, tag = id % 10) and a five-block probe(pos = row,
+// key = row * 7 % 24576, val = row % 13): half the probe keys find a build
+// row, and pos is clustered, so a pos bound prunes whole blocks.
+std::unique_ptr<Database> BuildProbeDb() {
+  auto db = std::make_unique<Database>();
+  auto build = std::make_unique<Table>(
+      "build", TableSchema({{"id", DataType::kInt64},
+                            {"tag", DataType::kInt64}}));
+  for (int64_t i = 0; i < 3 * kBlockRows; ++i) {
+    build->mutable_column(0)->AppendInt(i);
+    build->mutable_column(1)->AppendInt(i % 10);
+  }
+  BC_CHECK_OK(build->Seal());
+  BC_CHECK_OK(db->AddTable(std::move(build)));
+  auto probe = std::make_unique<Table>(
+      "probe", TableSchema({{"pos", DataType::kInt64},
+                            {"key", DataType::kInt64},
+                            {"val", DataType::kInt64}}));
+  for (int64_t r = 0; r < 5 * kBlockRows; ++r) {
+    probe->mutable_column(0)->AppendInt(r);
+    probe->mutable_column(1)->AppendInt(r * 7 % (6 * kBlockRows));
+    probe->mutable_column(2)->AppendInt(r % 13);
+  }
+  BC_CHECK_OK(probe->Seal());
+  BC_CHECK_OK(db->AddTable(std::move(probe)));
+  return db;
+}
+
+// build JOIN probe ON build.id = probe.key WHERE probe.pos < 12288 AND
+// probe.val <= 9, GROUP BY build.tag, SUM(probe.val); `filter_build` adds
+// build.tag = 0, which keeps 1229 of the 12288 build rows. Tables: 0 =
+// build, 1 = probe.
+BoundQuery ProbeQuery(const Database& db, bool filter_build) {
+  BoundTableRef build;
+  build.table = db.FindTable("build").value();
+  build.alias = "build";
+  if (filter_build) build.filters = {{1, "tag", CompareOp::kEq, 0, 0, {}}};
+  BoundTableRef probe;
+  probe.table = db.FindTable("probe").value();
+  probe.alias = "probe";
+  probe.filters = {{0, "pos", CompareOp::kLt, 3 * kBlockRows, 0, {}},
+                   {2, "val", CompareOp::kLe, 9, 0, {}}};
+  BoundQuery query;
+  query.tables = {build, probe};
+  query.joins = {{0, 0, 1, 1}};
+  query.group_by = {{0, 1}};
+  query.aggs = {{AggFunc::kSum, 1, 2}};
+  return query;
+}
+
+void ExpectSameIo(const IoStats& a, const IoStats& b) {
+  EXPECT_EQ(a.blocks_read, b.blocks_read);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.rows_scanned, b.rows_scanned);
+  EXPECT_EQ(a.blocks_pruned, b.blocks_pruned);
+  EXPECT_EQ(a.encoded_blocks, b.encoded_blocks);
+  EXPECT_EQ(a.decode_cache_hits, b.decode_cache_hits);
+  EXPECT_EQ(a.decode_cache_evictions, b.decode_cache_evictions);
+}
+
+// An opened scan returns the rows and charges the IoStats a scan run
+// through ScanTable when the tree reaches it does: both readers, SIP off,
+// declined by the join's runtime size test (the whole build side) or armed
+// (a filtered build side), zone-map pruning on and off. Under a SIP join a
+// multi-stage probe is not opened (arming SIP on an opened multi-stage chain
+// would fail its check); with SIP off it is, and the filtered build side
+// opens with the plan's reader. Each run gets a fresh database, so both
+// start from an empty decode cache.
+TEST(OperatorDagTest, OpenedScansMatchScanTable) {
+  const char* const kSipNames[] = {"off", "declined", "armed"};
+  for (ReaderKind reader :
+       {ReaderKind::kSingleStage, ReaderKind::kMultiStage}) {
+    for (int sip : {0, 1, 2}) {
+      for (bool prune : {false, true}) {
+        SCOPED_TRACE(std::string(reader == ReaderKind::kSingleStage
+                                     ? "single/sip "
+                                     : "multi/sip ") +
+                     kSipNames[sip] + (prune ? "/prune" : "/noprune"));
+        const bool armed = sip == 2;
+        struct Run {
+          std::vector<GroupRow> groups;
+          std::vector<OperatorStats> scans;
+        };
+        auto run = [&](bool open) {
+          auto db = BuildProbeDb();
+          const BoundQuery query = ProbeQuery(*db, armed);
+          PhysicalPlan plan = MakePlan(query, true, sip > 0, 1);
+          plan.join_order = {0, 1};
+          for (TableScanPlan& scan : plan.scans) scan.reader = reader;
+          plan.scans[1].filter_order = {1, 0};
+          plan.features.prune_blocks = prune;
+          QueryContext qctx;
+          Result<CompiledDag> dag = CompileOperatorDag(query, plan, &qctx);
+          BC_CHECK_OK(dag.status());
+          if (open) {
+            for (ScanOp* scan : dag.value().scans) scan->Open();
+          }
+          BC_CHECK_OK(dag.value().root->Execute().status());
+          Run out;
+          out.groups = SortedGroups(dag.value().root->TakeResult());
+          for (ScanOp* scan : dag.value().scans) {
+            out.scans.push_back(scan->stats());
+          }
+          return out;
+        };
+        const Run opened = run(true);
+        const Run reference = run(false);
+        EXPECT_EQ(opened.groups, reference.groups);
+        EXPECT_FALSE(reference.groups.empty());
+        ASSERT_EQ(opened.scans.size(), 2u);
+        EXPECT_EQ(reference.scans[1].sip_filtered, armed);
+        EXPECT_EQ(reference.scans[1].io.blocks_pruned > 0, prune);
+        for (size_t i = 0; i < opened.scans.size(); ++i) {
+          EXPECT_EQ(opened.scans[i].rows_out, reference.scans[i].rows_out);
+          EXPECT_EQ(opened.scans[i].sip_filtered,
+                    reference.scans[i].sip_filtered);
+          ExpectSameIo(opened.scans[i].io, reference.scans[i].io);
+        }
+      }
+    }
+  }
+}
+
+// Opened serial scans wait beside a dop-2 scan whose morsels run on pool
+// drainers: dim opens, fact's three blocks split across two drainers while
+// item's opened reads are still pending, and the groups and block reads
+// equal a serial run's.
+TEST(OperatorDagTest, OpenedScansRunBesidePoolDrainers) {
+  auto db = BuildThreeTableDb(3 * kBlockRows);
+  db->SetStorageBlockLatencyNanos(std::chrono::nanoseconds(200us).count());
+  const BoundQuery query = ThreeTableQuery(*db);
+  PhysicalPlan serial = MakePlan(query, true, true, 1);
+  serial.join_order = {1, 0, 2};
+  PhysicalPlan mixed = serial;
+  mixed.scans[0].dop = 2;  // fact
+  const Result<ExecResult> expected = ExecuteQuery(query, serial);
+  ASSERT_TRUE(expected.ok());
+  for (int repeat = 0; repeat < 4; ++repeat) {
+    const Result<ExecResult> result = ExecuteQuery(query, mixed);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(SortedGroups(result.value().agg),
+              SortedGroups(expected.value().agg));
+    EXPECT_EQ(result.value().stats.io.blocks_read,
+              expected.value().stats.io.blocks_read);
+    EXPECT_EQ(result.value().stats.threads_used, 2);
+  }
 }
 
 // --- Estimator traffic -------------------------------------------------------

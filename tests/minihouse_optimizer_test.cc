@@ -139,6 +139,40 @@ TEST(OptimizerTest, ColumnOrderExploitsCorrelation) {
   EXPECT_EQ(plan.scans[0].filter_order[2], 0);
 }
 
+// With a block latency attached, a scan whose blocks all fit in one
+// read-ahead round reads in one stage however selective its filters: a
+// multi-stage chain would wait once per stage with nothing to overlap. The
+// column order is then never enumerated, so the conjunction's selectivity is
+// the only probe. A scan longer than one round keeps the paper's threshold.
+TEST(OptimizerTest, ShortScansOnLatencyBoundStorageReadInOneStage) {
+  auto db = testutil::BuildToyDatabase();  // fact: 2000 rows, one block
+  db->SetStorageBlockLatencyNanos(200000);
+  const Table* fact = db->FindTable("fact").value();
+  ASSERT_EQ(fact->num_blocks(), 1);
+  BoundQuery query;
+  query.tables.push_back(MakeRef(fact, 3));
+
+  FakeEstimator estimator;
+  estimator.column_selectivity = {{0, 0.01}, {1, 0.02}, {2, 0.03}};
+  const PhysicalPlan plan = Optimizer().Plan(query, &estimator);
+  EXPECT_EQ(plan.scans[0].reader, ReaderKind::kSingleStage);
+  EXPECT_TRUE(plan.scans[0].filter_order.empty());
+  EXPECT_EQ(estimator.selectivity_calls, 1);
+  EXPECT_EQ(plan.estimation.estimator_calls, 1);
+
+  auto long_db =
+      testutil::BuildToyDatabase(kBlockRows * (kReadAheadBlocks + 1));
+  long_db->SetStorageBlockLatencyNanos(200000);
+  BoundQuery long_query;
+  long_query.tables.push_back(MakeRef(long_db->FindTable("fact").value(), 3));
+  FakeEstimator long_estimator;
+  long_estimator.column_selectivity = estimator.column_selectivity;
+  const PhysicalPlan long_plan = Optimizer().Plan(long_query, &long_estimator);
+  EXPECT_EQ(long_plan.scans[0].reader, ReaderKind::kMultiStage);
+  EXPECT_EQ(long_plan.scans[0].filter_order.size(), 3u);
+  EXPECT_GT(long_estimator.selectivity_calls, 1);
+}
+
 TEST(OptimizerTest, EarlyStopLimitsEnumerationProbes) {
   auto db = testutil::BuildToyDatabase();
   const Table* fact = db->FindTable("fact").value();

@@ -180,6 +180,44 @@ TEST(ReaderTest, OutputColumnAlsoFilterColumnNotDoubleCharged) {
   EXPECT_LT(elapsed, 90ms);
 }
 
+// The single-stage chain issues one read per distinct column a block needs:
+// a column with two predicates is read once, and so is a SIP column that is
+// also filtered — so arming SIP on a probe scan, whose SIP column is an
+// output column, adds no read.
+TEST(ReaderTest, SingleStageReadsEachColumnOnce) {
+  auto table = MakeTable(kBlockRows * 2);
+  ColumnPredicate mid_low;
+  mid_low.column = 1;
+  mid_low.op = CompareOp::kGe;
+  mid_low.operand = 2;
+  ColumnPredicate mid_high = mid_low;
+  mid_high.op = CompareOp::kLe;
+  mid_high.operand = 7;
+  const Conjunction range = {mid_low, mid_high};
+  ScanOptions single;
+  single.reader = ReaderKind::kSingleStage;
+  single.features.prune_blocks = false;
+  ScanOptions multi = single;
+  multi.reader = ReaderKind::kMultiStage;
+
+  IoStats io;
+  const ScanResult one_pass = ScanTable(*table, range, {2}, single, &io);
+  EXPECT_EQ(io.blocks_read, 2 * 2);  // "mid" and "payload", once per block
+  EXPECT_EQ(one_pass.row_ids,
+            ScanTable(*table, range, {2}, multi, nullptr).row_ids);
+
+  BloomFilter bloom(64);
+  for (int64_t k = 0; k < 5; ++k) bloom.Add(k);
+  single.sip = SemiJoinFilter{1, &bloom};
+  multi.sip = single.sip;
+  IoStats sip_io;
+  const ScanResult sipped = ScanTable(*table, range, {1, 2}, single, &sip_io);
+  EXPECT_EQ(sip_io.blocks_read, 2 * 2);
+  EXPECT_EQ(sipped.row_ids,
+            ScanTable(*table, range, {1, 2}, multi, nullptr).row_ids);
+  EXPECT_LT(sipped.rows_matched(), one_pass.rows_matched());
+}
+
 // Read-ahead overlaps the reads of up to kReadAheadBlocks blocks: a scan of
 // N blocks whose chains have S stages waits at least
 // ceil(N / kReadAheadBlocks) * S block latencies, since every read waits its
@@ -341,13 +379,15 @@ struct IdentityIo {
   int64_t decode_cache_evictions;
 };
 
-// Pinned: how a reader orders or overlaps its reads must not move them. dop 1
-// and 4 give the same values.
+// Pinned: how a reader orders or overlaps its reads must not move them. dop 1,
+// dop 4 and an opened pipeline give the same values. Every fetch counts its
+// decode-cache traffic: under single-stage SIP the output fetch of "k" hits
+// the decode the SIP test made, once per unpruned block (20, or 11 of them).
 const IdentityIo kIdentityIo[] = {
     {"single/nosip/noprune", 1942, 100, 3172960, 396620, 0, 100, 0, 0},
     {"single/nosip/prune", 1942, 55, 1698400, 212300, 9, 55, 0, 0},
-    {"single/sip/noprune", 969, 100, 3172960, 396620, 0, 100, 0, 0},
-    {"single/sip/prune", 969, 55, 1698400, 212300, 9, 55, 0, 0},
+    {"single/sip/noprune", 969, 100, 3172960, 396620, 0, 100, 20, 0},
+    {"single/sip/prune", 969, 55, 1698400, 212300, 9, 55, 11, 0},
     {"multi/nosip/noprune", 1942, 47, 1394720, 174340, 0, 47, 0, 0},
     {"multi/nosip/prune", 1942, 29, 804896, 100612, 9, 29, 0, 0},
     {"multi/sip/noprune", 969, 59, 1767168, 220896, 0, 59, 3, 0},
@@ -374,7 +414,10 @@ TEST(ReaderTest, IdentityAcrossReadersAndSwitches) {
         for (const IdentityIo& row : kIdentityIo) {
           if (config == row.config) expected = &row;
         }
-        for (int dop : {1, 4}) {
+        // dop 1 and 4 through ScanTable; dop 0 opens a ScanPipeline and, for
+        // the single-stage reader, arms SIP only after opening, as a probe
+        // scan opened before its join's build side ran.
+        for (int dop : {1, 4, 0}) {
           SCOPED_TRACE(config + " dop " + std::to_string(dop));
           StorageProfile profile;
           DecodeCache cache;  // default budget, fresh per scan
@@ -407,11 +450,21 @@ TEST(ReaderTest, IdentityAcrossReadersAndSwitches) {
           options.features.prune_blocks = prune;
           options.dop = dop;
           IoStats io;
-          const ScanResult result =
-              ScanTable(*table, filters, kIdentityOutputs, options, &io);
+          ScanResult result;
+          if (dop > 0) {
+            result = ScanTable(*table, filters, kIdentityOutputs, options, &io);
+            EXPECT_EQ(result.dop_used, dop);
+          } else {
+            const bool arm_late = reader == ReaderKind::kSingleStage;
+            ScanOptions opened = options;
+            if (arm_late) opened.sip = SemiJoinFilter();
+            ScanPipeline pipeline(*table, filters, kIdentityOutputs, opened, 0,
+                                  table->num_blocks(), &io);
+            if (arm_late) pipeline.ArmSip(options.sip);
+            result = pipeline.Drain(&io);
+          }
           EXPECT_EQ(result.row_ids, oracle.row_ids);
           EXPECT_EQ(result.materialized, oracle.materialized);
-          EXPECT_EQ(result.dop_used, dop);
 
           ASSERT_NE(expected, nullptr);
           EXPECT_EQ(result.rows_matched(), expected->rows_matched);

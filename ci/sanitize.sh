@@ -13,6 +13,9 @@
 # pipelines opened before they drain) and the optimizer tests (reader choice
 # under a block latency). The operator-DAG tests run queries whose serial
 # scans open before the tree runs, one beside a dop-2 scan's pool drainers.
+# The MLP, RBX synthetic-column, RBX golden-artifact and Zipf tests check the
+# index arithmetic of the blocked training kernels, the true-NDV bitmap and
+# the Zipf guide table.
 #
 # Usage: ci/sanitize.sh [thread|address|undefined] [build-dir]
 # BYTECARD_THREADS overrides the worker-pool sizing (default 4 here, so the
@@ -41,7 +44,7 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
            minihouse_specialize_test minihouse_encoding_test \
            incremental_test cardest_ndv_test routing_test \
            bytecard_facade_test bytecard_lifecycle_test bytecard_services_test \
-           minihouse_reader_test minihouse_optimizer_test
+           minihouse_reader_test minihouse_optimizer_test common_test
 
 # halt_on_error makes a race fail the ctest run instead of just logging;
 # tsan.supp documents the known libstdc++ instrumentation gaps we ignore.
@@ -51,6 +54,6 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 export BYTECARD_THREADS="${BYTECARD_THREADS:-4}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-  -R "ConcurrencyTest|RobustnessTest|ThreadPoolTest|ParallelMorselsTest|ParallelScanTest|ParallelJoinTest|ParallelAggregateTest|ParallelExecutorTest|ParallelOptimizerTest|OperatorDagTest|FeedbackFingerprintTest|FeedbackLogTest|FeedbackCacheTest|DriftDetectorTest|FeedbackCaptureTest|FeedbackConcurrencyTest|FeedbackByteCardTest|RequestFingerprintTest|InferenceSessionTest|SessionConcurrencyTest|SchedulerTest|SchedulerConcurrencyTest|ColumnDomainTest|DenseKeyIndexTest|AggSizingTest|PredicateKernelTest|DenseAggTest|ArrayJoinTest|SpecializationIdentityTest|MisSpecializationTest|EncodedBlockTest|EncodingPropertyTest|ZoneMapTest|DecodeCacheTest|DictionarySealTest|DomainFromZoneMapTest|EncodedScanTest|IngestDeltaTest|BnDeltaTest|FjDeltaTest|IncrementalMaintainerTest|IncrementalConcurrencyTest|HllSketchTest|RoutingClassTest|RoutingTableTest|RoutingIdentityTest|RouteMinerTest|RoutingConcurrencyTest|SchedulerSqlTest|ByteCardFacadeTest|ByteCardBootstrapTest|LifecycleTest|ModelForgeTest|ModelLoaderTest|ModelMonitorTest|ModelPreprocessorTest|ModelValidatorTest|ReaderTest|OptimizerTest"
+  -R "ConcurrencyTest|RobustnessTest|ThreadPoolTest|ParallelMorselsTest|ParallelScanTest|ParallelJoinTest|ParallelAggregateTest|ParallelExecutorTest|ParallelOptimizerTest|OperatorDagTest|FeedbackFingerprintTest|FeedbackLogTest|FeedbackCacheTest|DriftDetectorTest|FeedbackCaptureTest|FeedbackConcurrencyTest|FeedbackByteCardTest|RequestFingerprintTest|InferenceSessionTest|SessionConcurrencyTest|SchedulerTest|SchedulerConcurrencyTest|ColumnDomainTest|DenseKeyIndexTest|AggSizingTest|PredicateKernelTest|DenseAggTest|ArrayJoinTest|SpecializationIdentityTest|MisSpecializationTest|EncodedBlockTest|EncodingPropertyTest|ZoneMapTest|DecodeCacheTest|DictionarySealTest|DomainFromZoneMapTest|EncodedScanTest|IngestDeltaTest|BnDeltaTest|FjDeltaTest|IncrementalMaintainerTest|IncrementalConcurrencyTest|HllSketchTest|RoutingClassTest|RoutingTableTest|RoutingIdentityTest|RouteMinerTest|RoutingConcurrencyTest|SchedulerSqlTest|ByteCardFacadeTest|ByteCardBootstrapTest|LifecycleTest|ModelForgeTest|ModelLoaderTest|ModelMonitorTest|ModelPreprocessorTest|ModelValidatorTest|ReaderTest|OptimizerTest|MlpTest|RbxSyntheticTest|RbxGoldenTest|ZipfTest"
 
 echo "sanitize(${SANITIZER}): OK"

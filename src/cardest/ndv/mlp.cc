@@ -10,6 +10,38 @@ namespace bytecard::cardest {
 
 namespace {
 constexpr uint32_t kMlpFormatVersion = 1;
+
+// Dot4's lane count: Train() runs four examples' (or weights') sums side by
+// side.
+constexpr int64_t kLanes = 4;
+
+// Four dot products that share one operand, each summed in ascending order
+// from `init`: lane j computes init + x[0] * y_j[0] + x[1] * y_j[1] + ...
+// into out[j], where term t reads x[t * x_step] and
+// y[j * lane_gap + t * y_step]. The lanes' add chains are independent, so
+// their adds overlap where a single dot product waits on each one in turn.
+void Dot4(double init, const double* x, int64_t x_step, const double* y,
+          int64_t y_step, int64_t lane_gap, int64_t len, double* out) {
+  const double* y1 = y + lane_gap;
+  const double* y2 = y1 + lane_gap;
+  const double* y3 = y2 + lane_gap;
+  double s0 = init;
+  double s1 = init;
+  double s2 = init;
+  double s3 = init;
+  for (int64_t t = 0; t < len; ++t) {
+    const double xt = x[t * x_step];
+    const int64_t at = t * y_step;
+    s0 += xt * y[at];
+    s1 += xt * y1[at];
+    s2 += xt * y2[at];
+    s3 += xt * y3[at];
+  }
+  out[0] = s0;
+  out[1] = s1;
+  out[2] = s2;
+  out[3] = s3;
+}
 }  // namespace
 
 Mlp Mlp::Create(const std::vector<int>& layer_sizes, uint64_t seed) {
@@ -55,6 +87,10 @@ double Mlp::Train(const std::vector<std::vector<double>>& inputs,
                   const std::vector<double>& targets,
                   const TrainConfig& config) {
   BC_CHECK(inputs.size() == targets.size());
+  BC_CHECK(config.batch_size > 0);
+  for (const std::vector<double>& x : inputs) {
+    BC_CHECK(static_cast<int>(x.size()) == input_dim());
+  }
   if (inputs.empty()) return 0.0;
   const int64_t n = static_cast<int64_t>(inputs.size());
   const int num_weight_layers = static_cast<int>(weights_.size());
@@ -77,10 +113,26 @@ double Mlp::Train(const std::vector<std::vector<double>>& inputs,
   std::vector<int64_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
-  // Per-example activation storage (activations per layer).
+  // A minibatch's activations and deltas, unit-major: row u of acts[l] holds
+  // unit u of layer l for each example of the batch, in batch order, and
+  // deltas[l] does the same for layer l's outputs. Rows are `stride` wide,
+  // the batch rounded up to whole lanes. Columns past the batch's last
+  // example hold zeros or an earlier batch's values, which the lanes carry
+  // along but no gradient reads.
+  const int64_t stride =
+      (std::min<int64_t>(n, config.batch_size) + kLanes - 1) / kLanes * kLanes;
   std::vector<std::vector<double>> acts(layer_sizes_.size());
+  std::vector<std::vector<double>> deltas(num_weight_layers);
+  for (size_t l = 0; l < layer_sizes_.size(); ++l) {
+    acts[l].assign(static_cast<size_t>(layer_sizes_[l]) * stride, 0.0);
+    if (l > 0) deltas[l - 1].assign(acts[l].size(), 0.0);
+  }
   std::vector<std::vector<double>> grad_w(num_weight_layers);
   std::vector<std::vector<double>> grad_b(num_weight_layers);
+  for (int l = 0; l < num_weight_layers; ++l) {
+    grad_w[l].resize(weights_[l].size());
+    grad_b[l].resize(biases_[l].size());
+  }
 
   double last_epoch_loss = 0.0;
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
@@ -91,56 +143,76 @@ double Mlp::Train(const std::vector<std::vector<double>>& inputs,
       const int64_t batch_end =
           std::min<int64_t>(n, cursor + config.batch_size);
       const int64_t batch = batch_end - cursor;
-      for (int l = 0; l < num_weight_layers; ++l) {
-        grad_w[l].assign(weights_[l].size(), 0.0);
-        grad_b[l].assign(biases_[l].size(), 0.0);
+      const int64_t cols = (batch + kLanes - 1) / kLanes * kLanes;
+
+      for (int64_t k = 0; k < batch; ++k) {
+        const std::vector<double>& x = inputs[order[cursor + k]];
+        for (size_t i = 0; i < x.size(); ++i) acts[0][i * stride + k] = x[i];
       }
 
-      for (int64_t k = cursor; k < batch_end; ++k) {
-        const int64_t idx = order[k];
-        // Forward with activation capture.
-        acts[0] = inputs[idx];
-        for (int l = 0; l < num_weight_layers; ++l) {
-          const int in = layer_sizes_[l];
-          const int out = layer_sizes_[l + 1];
-          acts[l + 1].assign(out, 0.0);
-          const double* w = weights_[l].data();
-          for (int o = 0; o < out; ++o) {
-            double s = biases_[l][o];
-            const double* row = w + static_cast<size_t>(o) * in;
-            for (int i = 0; i < in; ++i) s += row[i] * acts[l][i];
-            acts[l + 1][o] =
-                (l + 1 < num_weight_layers) ? std::max(0.0, s) : s;
+      // Forward, kLanes examples at a time: each output's sum starts from
+      // its bias and adds the inputs in ascending order.
+      for (int l = 0; l < num_weight_layers; ++l) {
+        const int in = layer_sizes_[l];
+        const int out = layer_sizes_[l + 1];
+        const bool hidden = l + 1 < num_weight_layers;
+        for (int o = 0; o < out; ++o) {
+          const double* row = weights_[l].data() + static_cast<size_t>(o) * in;
+          double* z = acts[l + 1].data() + o * stride;
+          for (int64_t k = 0; k < cols; k += kLanes) {
+            Dot4(biases_[l][o], row, 1, acts[l].data() + k, stride, 1, in,
+                 z + k);
+          }
+          if (hidden) {
+            for (int64_t k = 0; k < cols; ++k) z[k] = std::max(0.0, z[k]);
           }
         }
-        const double pred = acts.back()[0];
-        const double err = pred - targets[idx];
+      }
+
+      // Loss, and the output delta, in example order.
+      double* out_delta = deltas.back().data();
+      for (int64_t k = 0; k < batch; ++k) {
+        const double err = acts.back()[k] - targets[order[cursor + k]];
         const double weight =
             err < 0.0 ? config.underestimation_penalty : 1.0;
         epoch_loss += weight * err * err;
+        out_delta[k] = 2.0 * weight * err;
+      }
 
-        // Backward.
-        std::vector<double> delta = {2.0 * weight * err};
-        for (int l = num_weight_layers - 1; l >= 0; --l) {
-          const int in = layer_sizes_[l];
-          const int out = layer_sizes_[l + 1];
-          for (int o = 0; o < out; ++o) {
-            grad_b[l][o] += delta[o];
-            double* grow = grad_w[l].data() + static_cast<size_t>(o) * in;
-            for (int i = 0; i < in; ++i) grow[i] += delta[o] * acts[l][i];
+      // Backward. Each gradient sums the batch in example order from 0.0;
+      // each back-propagated delta sums the outputs in ascending order from
+      // 0.0 and is zero where the ReLU gate is closed.
+      for (int l = num_weight_layers - 1; l >= 0; --l) {
+        const int in = layer_sizes_[l];
+        const int out = layer_sizes_[l + 1];
+        const double* a = acts[l].data();
+        for (int o = 0; o < out; ++o) {
+          const double* d = deltas[l].data() + o * stride;
+          double gb = 0.0;
+          for (int64_t k = 0; k < batch; ++k) gb += d[k];
+          grad_b[l][o] = gb;
+          double* grow = grad_w[l].data() + static_cast<size_t>(o) * in;
+          int i = 0;
+          for (; i + kLanes <= in; i += kLanes) {
+            Dot4(0.0, d, 1, a + i * stride, 1, stride, batch, grow + i);
           }
-          if (l == 0) break;
-          std::vector<double> prev_delta(in, 0.0);
-          const double* w = weights_[l].data();
-          for (int i = 0; i < in; ++i) {
-            if (acts[l][i] <= 0.0) continue;  // ReLU gate
-            double s = 0.0;
-            for (int o = 0; o < out; ++o) {
-              s += w[static_cast<size_t>(o) * in + i] * delta[o];
-            }
-            prev_delta[i] = s;
+          for (; i < in; ++i) {
+            double g = 0.0;
+            for (int64_t k = 0; k < batch; ++k) g += d[k] * a[i * stride + k];
+            grow[i] = g;
           }
-          delta.swap(prev_delta);
+        }
+        if (l == 0) break;
+        double* prev = deltas[l - 1].data();
+        for (int i = 0; i < in; ++i) {
+          double* p = prev + i * stride;
+          for (int64_t k = 0; k < cols; k += kLanes) {
+            Dot4(0.0, weights_[l].data() + i, in, deltas[l].data() + k, stride,
+                 1, out, p + k);
+          }
+          for (int64_t k = 0; k < cols; ++k) {
+            if (a[i * stride + k] <= 0.0) p[k] = 0.0;  // ReLU gate
+          }
         }
       }
 

@@ -1,8 +1,8 @@
 #include "cardest/ndv/rbx.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -82,9 +82,15 @@ NdvTrainingExample MakeSyntheticExample(int family, int64_t population_size,
     }
   }
 
-  // True NDV.
-  std::unordered_set<int64_t> distinct(population.begin(), population.end());
-  example.true_ndv = static_cast<int64_t>(distinct.size());
+  // True NDV, counted in a bitmap: every family draws non-negative values
+  // below max(N, 1e5) + 8, so the bitmap stays under 20 KB.
+  const auto [min_value, max_value] =
+      std::minmax_element(population.begin(), population.end());
+  BC_CHECK(*min_value >= 0);
+  std::vector<uint64_t> seen(static_cast<size_t>(*max_value / 64 + 1), 0);
+  for (int64_t v : population) seen[v >> 6] |= uint64_t{1} << (v & 63);
+  example.true_ndv = 0;
+  for (uint64_t word : seen) example.true_ndv += std::popcount(word);
 
   // Uniform sample without replacement.
   int64_t want = std::max<int64_t>(

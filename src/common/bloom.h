@@ -8,10 +8,12 @@
 
 namespace bytecard {
 
-// Split-block Bloom filter over int64 keys. Used by the executor's sideways
-// information passing (paper §3.1.2 lists SIP among ByteHouse's classical
-// optimization strategies): the build side of a join publishes its key set
-// so probe-side scans can drop non-joining rows — and whole blocks — early.
+// Classic Bloom filter over int64 keys: one bit array, probed at 7 positions
+// by double hashing, each a 64-bit `%` of the array size. Used by the
+// executor's sideways information passing (paper §3.1.2 lists SIP among
+// ByteHouse's classical optimization strategies): the build side of a join
+// publishes its key set so probe-side scans can drop non-joining rows — and
+// whole blocks — early.
 class BloomFilter {
  public:
   // Sized for `expected_keys` at ~10 bits/key (false-positive rate ~1%).

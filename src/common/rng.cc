@@ -1,6 +1,5 @@
 #include "common/rng.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -73,7 +72,7 @@ double Rng::NextGaussian() {
 Rng Rng::Fork() { return Rng(Next() ^ 0xd3f1e2c4b5a69788ULL); }
 
 ZipfDistribution::ZipfDistribution(uint64_t n, double skew) : n_(n) {
-  BC_CHECK(n > 0);
+  BC_CHECK(n > 0 && n <= UINT32_MAX);
   cdf_.resize(n);
   double total = 0.0;
   for (uint64_t k = 0; k < n; ++k) {
@@ -81,13 +80,25 @@ ZipfDistribution::ZipfDistribution(uint64_t n, double skew) : n_(n) {
     cdf_[k] = total;
   }
   for (auto& c : cdf_) c /= total;
+
+  uint64_t size = 1;
+  while (size < n) size <<= 1;
+  guide_.resize(size);
+  const double inv_size = 1.0 / static_cast<double>(size);
+  uint64_t k = 0;
+  for (uint64_t j = 0; j < size; ++j) {
+    const double bound = static_cast<double>(j) * inv_size;
+    while (k + 1 < n && cdf_[k] < bound) ++k;
+    guide_[j] = static_cast<uint32_t>(k);
+  }
 }
 
 uint64_t ZipfDistribution::Sample(Rng* rng) const {
   const double u = rng->NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return n_ - 1;
-  return static_cast<uint64_t>(it - cdf_.begin());
+  uint64_t k =
+      guide_[static_cast<size_t>(u * static_cast<double>(guide_.size()))];
+  while (k + 1 < n_ && cdf_[k] < u) ++k;
+  return k;
 }
 
 }  // namespace bytecard

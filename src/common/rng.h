@@ -49,7 +49,9 @@ class Rng {
 };
 
 // Samples from {0, .., n-1} with Zipf(skew) popularity: P(k) ~ 1/(k+1)^skew.
-// Precomputes the CDF once; Sample() is O(log n).
+// Precomputes the CDF and a guide table once. Sample() draws a uniform u and
+// returns the first k with cdf[k] >= u (n - 1 if there is none), in O(1)
+// expected steps.
 class ZipfDistribution {
  public:
   ZipfDistribution(uint64_t n, double skew);
@@ -60,6 +62,12 @@ class ZipfDistribution {
  private:
   uint64_t n_;
   std::vector<double> cdf_;
+  // guide_[j] is the first k with cdf_[k] >= j / guide_.size() (n - 1 if
+  // there is none). The size is the least power of two >= n, which makes
+  // u * size and j / size exact: the search for u starts at guide_[j] for
+  // j = floor(u * size), never past the answer, and steps over fewer than
+  // two CDF entries on average.
+  std::vector<uint32_t> guide_;
 };
 
 }  // namespace bytecard

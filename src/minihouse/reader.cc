@@ -100,8 +100,9 @@ void EmitRows(int64_t b, const std::vector<uint8_t>& selection,
 // in the same pass, before knowing what survived.
 //
 // Multi-stage: the SIP stage first (the semi-join filter is typically the
-// most selective predicate available), then one stage per filter in the
-// chosen order, then materialization. A block whose candidate set empties
+// most selective predicate available), then one stage per filter column, at
+// its first predicate's place in the chosen order, applying every predicate
+// on that column, then materialization. A block whose candidate set empties
 // runs no further stage. Materialization reads every needed column —
 // output columns AND filter columns (their values are part of the tuple).
 // This re-read of filter columns is exactly why multi-stage loses to
@@ -144,7 +145,18 @@ ScanPipeline::ScanPipeline(const Table& table, const Conjunction& filters,
     }
     BC_CHECK(order.size() == filters.size());
     if (has_sip) stages_.push_back({{sip_.column}, true, {}});
-    for (int f : order) stages_.push_back({{filters[f].column}, false, {f}});
+    for (int f : order) {
+      const int column = filters[f].column;
+      auto stage = std::find_if(stages_.begin(), stages_.end(),
+                                [column](const Stage& s) {
+                                  return !s.sip && s.reads[0] == column;
+                                });
+      if (stage == stages_.end()) {
+        stages_.push_back({{column}, false, {f}});
+      } else {
+        stage->filters.push_back(f);
+      }
+    }
     for (const ColumnPredicate& pred : filters) {
       if (std::find(tuple_columns_.begin(), tuple_columns_.end(),
                     pred.column) == tuple_columns_.end()) {

@@ -107,19 +107,21 @@ inline constexpr int kReadAheadBlocks = 3;
 // once per block; all predicates are applied in one pass. I/O is independent
 // of selectivity — the right choice when most rows survive.
 //
-// Multi-stage: stage k reads filter column k only for blocks that still hold
-// at least one candidate row; a final materialization stage re-reads all
+// Multi-stage: stage k reads filter column k, and applies every predicate
+// on it, only for blocks that still hold at least one candidate row; a
+// final materialization stage re-reads all
 // needed columns for surviving blocks to build tuples. Very cheap when an
 // early column kills whole blocks; for non-selective filters it pays roughly
 // one extra pass over the filter columns — the regression the paper's dynamic
 // reader selection avoids.
 //
 // Both readers run each block that zone maps do not prune through a chain
-// of stages — one stage for the single-stage reader; SIP, each filter, then
-// materialization for the multi-stage reader — and keep up to
-// kReadAheadBlocks blocks' chains in flight: a stage's reads are issued as
-// soon as the previous stage has run, so their storage latency overlaps the
-// evaluation of the blocks ahead (see StorageProfile and DESIGN.md §12).
+// of stages — one stage for the single-stage reader; SIP, one stage per
+// filter column, then materialization for the multi-stage reader — and keep
+// up to kReadAheadBlocks blocks' chains in flight: a stage's reads are
+// issued as soon as the previous stage has run, so their storage latency
+// overlaps the evaluation of the blocks ahead (see StorageProfile and
+// DESIGN.md §12).
 // At dop 1 this is one ScanPipeline, opened and drained at once; at dop > 1
 // one per morsel.
 ScanResult ScanTable(const Table& table, const Conjunction& filters,

@@ -164,16 +164,6 @@ TEST_F(ByteCardFacadeTest, ImplementsEstimatorInterface) {
   EXPECT_EQ(estimator->Name(), "bytecard");
 }
 
-// FNV-1a, 64-bit: a stable fingerprint of one artifact's bytes.
-uint64_t Fnv1a64(const std::string& bytes) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 // Pins what the default configuration produces, bit for bit: every trained
 // artifact (BN binning and training-row cap, FactorJoin bucket count), the
 // monitor's bootstrap verdicts and probe generator, the RBX featurization
@@ -201,7 +191,7 @@ TEST_F(ByteCardFacadeTest, DefaultConfigurationPinned) {
     EXPECT_EQ(artifacts[i].kind, expected[i].kind);
     EXPECT_EQ(artifacts[i].name, expected[i].name);
     EXPECT_EQ(bytes.value().size(), expected[i].size);
-    EXPECT_EQ(Fnv1a64(bytes.value()), expected[i].hash);
+    EXPECT_EQ(testutil::Fnv1a64(bytes.value()), expected[i].hash);
   }
 
   std::shared_ptr<const EstimatorSnapshot> snap = bytecard_->snapshot();

@@ -3,14 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cardest/ndv/freq_profile.h"
 #include "cardest/ndv/hll.h"
 #include "cardest/ndv/mlp.h"
 #include "cardest/ndv/rbx.h"
 #include "common/rng.h"
+#include "common/serde.h"
+#include "test_util.h"
 
 namespace bytecard::cardest {
 namespace {
@@ -152,6 +157,206 @@ TEST(MlpTest, CorruptArtifactRejected) {
 TEST(MlpTest, ValidateWeightsFindsNonFinite) {
   Mlp mlp = Mlp::Create({2, 4, 1}, 23);
   EXPECT_TRUE(mlp.ValidateWeights().ok());
+}
+
+// A network's parameters, read back from its serialized form.
+struct MlpParams {
+  std::vector<int> sizes;
+  std::vector<std::vector<double>> weights;  // [layer], row-major [out][in]
+  std::vector<std::vector<double>> biases;   // [layer][out]
+};
+
+MlpParams ParamsOf(const Mlp& mlp) {
+  BufferWriter writer;
+  mlp.Serialize(&writer);
+  BufferReader reader(writer.buffer());
+  MlpParams params;
+  uint32_t version = 0;
+  uint64_t num_sizes = 0;
+  EXPECT_TRUE(reader.ReadU32(&version).ok());
+  EXPECT_TRUE(reader.ReadU64(&num_sizes).ok());
+  for (uint64_t s = 0; s < num_sizes; ++s) {
+    int64_t size = 0;
+    EXPECT_TRUE(reader.ReadI64(&size).ok());
+    params.sizes.push_back(static_cast<int>(size));
+  }
+  params.weights.resize(num_sizes - 1);
+  params.biases.resize(num_sizes - 1);
+  for (uint64_t l = 0; l + 1 < num_sizes; ++l) {
+    EXPECT_TRUE(reader.ReadDoubleVec(&params.weights[l]).ok());
+    EXPECT_TRUE(reader.ReadDoubleVec(&params.biases[l]).ok());
+  }
+  return params;
+}
+
+// Minibatch Adam, one example at a time through forward and backward: the
+// reference Mlp::Train must equal bit for bit. Each output's sum starts from
+// its bias and adds inputs in ascending order, each gradient sums the batch
+// in example order, and each back-propagated delta sums outputs in ascending
+// order from 0.0 under the ReLU gate.
+double ReferenceTrain(MlpParams* net,
+                      const std::vector<std::vector<double>>& inputs,
+                      const std::vector<double>& targets,
+                      const Mlp::TrainConfig& config) {
+  const int64_t n = static_cast<int64_t>(inputs.size());
+  const int layers = static_cast<int>(net->weights.size());
+  std::vector<std::vector<double>> mw(layers), vw(layers), mb(layers),
+      vb(layers);
+  for (int l = 0; l < layers; ++l) {
+    mw[l].assign(net->weights[l].size(), 0.0);
+    vw[l].assign(net->weights[l].size(), 0.0);
+    mb[l].assign(net->biases[l].size(), 0.0);
+    vb[l].assign(net->biases[l].size(), 0.0);
+  }
+  int64_t adam_t = 0;
+  Rng rng(config.seed);
+  std::vector<int64_t> order(n);
+  for (int64_t i = 0; i < n; ++i) order[i] = i;
+
+  double last_epoch_loss = 0.0;
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    rng.Shuffle(&order);
+    double epoch_loss = 0.0;
+    for (int64_t cursor = 0; cursor < n; cursor += config.batch_size) {
+      const int64_t batch_end =
+          std::min<int64_t>(n, cursor + config.batch_size);
+      std::vector<std::vector<double>> grad_w(layers), grad_b(layers);
+      for (int l = 0; l < layers; ++l) {
+        grad_w[l].assign(net->weights[l].size(), 0.0);
+        grad_b[l].assign(net->biases[l].size(), 0.0);
+      }
+      for (int64_t k = cursor; k < batch_end; ++k) {
+        const int64_t idx = order[k];
+        std::vector<std::vector<double>> acts = {inputs[idx]};
+        for (int l = 0; l < layers; ++l) {
+          const int in = net->sizes[l];
+          const int out = net->sizes[l + 1];
+          std::vector<double> next(out);
+          for (int o = 0; o < out; ++o) {
+            double s = net->biases[l][o];
+            for (int i = 0; i < in; ++i) {
+              s += net->weights[l][static_cast<size_t>(o) * in + i] *
+                   acts[l][i];
+            }
+            next[o] = l + 1 < layers ? std::max(0.0, s) : s;
+          }
+          acts.push_back(std::move(next));
+        }
+        const double err = acts.back()[0] - targets[idx];
+        const double weight =
+            err < 0.0 ? config.underestimation_penalty : 1.0;
+        epoch_loss += weight * err * err;
+
+        std::vector<double> delta = {2.0 * weight * err};
+        for (int l = layers - 1; l >= 0; --l) {
+          const int in = net->sizes[l];
+          const int out = net->sizes[l + 1];
+          for (int o = 0; o < out; ++o) {
+            grad_b[l][o] += delta[o];
+            for (int i = 0; i < in; ++i) {
+              grad_w[l][static_cast<size_t>(o) * in + i] +=
+                  delta[o] * acts[l][i];
+            }
+          }
+          if (l == 0) break;
+          std::vector<double> prev(in, 0.0);
+          for (int i = 0; i < in; ++i) {
+            if (acts[l][i] <= 0.0) continue;
+            double s = 0.0;
+            for (int o = 0; o < out; ++o) {
+              s += net->weights[l][static_cast<size_t>(o) * in + i] *
+                   delta[o];
+            }
+            prev[i] = s;
+          }
+          delta = std::move(prev);
+        }
+      }
+
+      ++adam_t;
+      const double bc1 = 1.0 - std::pow(0.9, static_cast<double>(adam_t));
+      const double bc2 = 1.0 - std::pow(0.999, static_cast<double>(adam_t));
+      const double inv_batch = 1.0 / static_cast<double>(batch_end - cursor);
+      auto adam = [&](std::vector<double>* params, std::vector<double>* m,
+                      std::vector<double>* v, const std::vector<double>& g) {
+        for (size_t i = 0; i < params->size(); ++i) {
+          const double gi = g[i] * inv_batch;
+          (*m)[i] = 0.9 * (*m)[i] + (1.0 - 0.9) * gi;
+          (*v)[i] = 0.999 * (*v)[i] + (1.0 - 0.999) * gi * gi;
+          (*params)[i] -= config.learning_rate * ((*m)[i] / bc1) /
+                          (std::sqrt((*v)[i] / bc2) + 1e-8);
+        }
+      };
+      for (int l = 0; l < layers; ++l) {
+        adam(&net->weights[l], &mw[l], &vw[l], grad_w[l]);
+        adam(&net->biases[l], &mb[l], &vb[l], grad_b[l]);
+      }
+    }
+    last_epoch_loss = epoch_loss / static_cast<double>(n);
+  }
+  return last_epoch_loss;
+}
+
+struct MlpTrainCase {
+  std::vector<int> sizes;
+  int64_t examples;
+  int batch_size;
+  double underestimation_penalty;
+};
+
+// Widths that are and are not multiples of a kernel's block, a 17-wide
+// (frequency-profile) input, a 1-wide input, no hidden layer, and example
+// counts that leave a partial last batch (of 22, 5, 1 and 3 examples).
+const MlpTrainCase kMlpTrainCases[] = {
+    {{17, 64, 64, 32, 16, 1}, 150, 64, 1.0},
+    {{17, 13, 7, 1}, 37, 16, 4.0},
+    {{1, 5, 1}, 10, 3, 4.0},
+    {{6, 1}, 19, 8, 1.0},
+};
+
+TEST(MlpTest, TrainMatchesPerExampleReference) {
+  for (const MlpTrainCase& c : kMlpTrainCases) {
+    SCOPED_TRACE("input " + std::to_string(c.sizes.front()) + ", " +
+                 std::to_string(c.examples) + " examples");
+    Rng rng(static_cast<uint64_t>(c.examples) * 31 + c.sizes.size());
+    std::vector<std::vector<double>> inputs(c.examples);
+    std::vector<double> targets(c.examples);
+    for (int64_t k = 0; k < c.examples; ++k) {
+      // Mixed signs, so the ReLU gate closes on some units.
+      for (int i = 0; i < c.sizes.front(); ++i) {
+        inputs[k].push_back(rng.NextGaussian());
+      }
+      targets[k] = 2.0 * rng.NextGaussian();
+    }
+    Mlp::TrainConfig config;
+    config.epochs = 5;
+    config.batch_size = c.batch_size;
+    config.learning_rate = 1e-2;
+    config.underestimation_penalty = c.underestimation_penalty;
+    config.seed = 29;
+
+    Mlp mlp = Mlp::Create(c.sizes, 37);
+    MlpParams reference = ParamsOf(mlp);
+    const double loss = mlp.Train(inputs, targets, config);
+    const double reference_loss =
+        ReferenceTrain(&reference, inputs, targets, config);
+    EXPECT_EQ(loss, reference_loss);
+
+    const MlpParams trained = ParamsOf(mlp);
+    ASSERT_EQ(trained.weights.size(), reference.weights.size());
+    for (size_t l = 0; l < trained.weights.size(); ++l) {
+      ASSERT_EQ(trained.weights[l].size(), reference.weights[l].size());
+      for (size_t i = 0; i < trained.weights[l].size(); ++i) {
+        EXPECT_EQ(trained.weights[l][i], reference.weights[l][i])
+            << "layer " << l << " weight " << i;
+      }
+      ASSERT_EQ(trained.biases[l].size(), reference.biases[l].size());
+      for (size_t o = 0; o < trained.biases[l].size(); ++o) {
+        EXPECT_EQ(trained.biases[l][o], reference.biases[l][o])
+            << "layer " << l << " bias " << o;
+      }
+    }
+  }
 }
 
 // --- RBX ------------------------------------------------------------------------
@@ -303,6 +508,35 @@ TEST(RbxTrainTest, TrainOnExplicitExamples) {
 TEST(RbxTrainTest, EmptyExamplesRejected) {
   RbxTrainOptions options;
   EXPECT_FALSE(RbxModel::TrainOnExamples({}, options).ok());
+}
+
+// Golden artifacts: example generation (Zipf draws, true-NDV counts) and
+// training must reproduce these bytes exactly. A faster kernel that moves a
+// single rounding changes the hash.
+TEST(RbxGoldenTest, SmallGridArtifactPinned) {
+  RbxTrainOptions options;
+  options.population_sizes = {20000, 150000};
+  options.sample_rates = {0.01, 0.1};
+  options.replicas = 2;
+  options.epochs = 6;
+  options.seed = 7;
+  auto model = RbxModel::TrainWorkloadIndependent(options);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  BufferWriter writer;
+  model.value().Serialize(&writer);
+  EXPECT_EQ(testutil::Fnv1a64(writer.buffer()), 0x9e5e4e11923ff831ULL);
+}
+
+// The grid, epochs and seed ByteCard::Bootstrap trains with by default.
+TEST(RbxGoldenTest, DefaultGridArtifactPinned) {
+  RbxTrainOptions options;
+  options.seed = 1234 ^ 0x5bd1e995;
+  auto model = RbxModel::TrainWorkloadIndependent(options);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  BufferWriter writer;
+  model.value().Serialize(&writer);
+  EXPECT_EQ(writer.buffer().size(), 130248u);
+  EXPECT_EQ(testutil::Fnv1a64(writer.buffer()), 0xcdc0ab239e75cb82ULL);
 }
 
 

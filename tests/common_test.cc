@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/serde.h"
@@ -174,6 +177,39 @@ TEST(ZipfTest, UniformWhenSkewZero) {
   for (int i = 0; i < n; ++i) ++counts[zipf.Sample(&rng)];
   for (int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / n, 0.1, 0.02);
+  }
+}
+
+// Every draw equals a binary search of the CDF for the same uniform: the
+// first k with cdf[k] >= u, or n - 1 past the end. The CDF is rebuilt here
+// term by term as the distribution defines it.
+TEST(ZipfTest, MatchesLowerBoundReference) {
+  constexpr int kDraws = 1'000'000;
+  for (uint64_t n : {1ULL, 2ULL, 7ULL, 1000ULL, 99999ULL}) {
+    for (double skew : {0.0, 0.8, 1.3}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " skew " +
+                   std::to_string(skew));
+      std::vector<double> cdf(n);
+      double total = 0.0;
+      for (uint64_t k = 0; k < n; ++k) {
+        total += 1.0 / std::pow(static_cast<double>(k + 1), skew);
+        cdf[k] = total;
+      }
+      for (double& c : cdf) c /= total;
+
+      const ZipfDistribution zipf(n, skew);
+      Rng sampled(n * 7 + static_cast<uint64_t>(skew * 10));
+      Rng reference = sampled;
+      int64_t mismatches = 0;
+      for (int i = 0; i < kDraws; ++i) {
+        const double u = reference.NextDouble();
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        const uint64_t expected =
+            it == cdf.end() ? n - 1 : static_cast<uint64_t>(it - cdf.begin());
+        mismatches += zipf.Sample(&sampled) != expected;
+      }
+      EXPECT_EQ(mismatches, 0);
+    }
   }
 }
 

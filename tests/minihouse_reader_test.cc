@@ -218,6 +218,53 @@ TEST(ReaderTest, SingleStageReadsEachColumnOnce) {
   EXPECT_LT(sipped.rows_matched(), one_pass.rows_matched());
 }
 
+// The multi-stage chain gives each filter column one stage, at its first
+// predicate's place in the filter order, and applies all of that column's
+// predicates there: `mid >= 2 AND mid <= 7` reads what `mid BETWEEN 2 AND 7`
+// reads.
+TEST(ReaderTest, MultiStageReadsEachFilterColumnOnce) {
+  auto table = MakeTable(kBlockRows * 2);
+  ColumnPredicate mid_low;
+  mid_low.column = 1;
+  mid_low.op = CompareOp::kGe;
+  mid_low.operand = 2;
+  ColumnPredicate mid_high = mid_low;
+  mid_high.op = CompareOp::kLe;
+  mid_high.operand = 7;
+  ColumnPredicate mid_between = mid_low;
+  mid_between.op = CompareOp::kBetween;
+  mid_between.operand2 = 7;
+  ScanOptions multi;
+  multi.reader = ReaderKind::kMultiStage;
+  multi.features.prune_blocks = false;
+
+  IoStats range_io;
+  IoStats between_io;
+  const ScanResult range =
+      ScanTable(*table, {mid_low, mid_high}, {2}, multi, &range_io);
+  const ScanResult between =
+      ScanTable(*table, {mid_between}, {2}, multi, &between_io);
+  EXPECT_EQ(range.rows_matched(), 4917);
+  EXPECT_EQ(range.row_ids, between.row_ids);
+  EXPECT_EQ(range.materialized, between.materialized);
+  // "mid" in its stage, then "mid" and "payload" to materialize, per block.
+  EXPECT_EQ(range_io.blocks_read, 2 * 3);
+  EXPECT_EQ(between_io.blocks_read, 2 * 3);
+
+  // With "sel" ordered between them, the "mid" stage runs first and holds
+  // both range predicates; "sel" empties block 1 in the second stage, so
+  // only block 0 reads its three columns to materialize.
+  IoStats split_io;
+  const Conjunction split = {mid_low, SelectiveFilter()[0], mid_high};
+  multi.filter_order = {0, 1, 2};
+  const ScanResult split_result =
+      ScanTable(*table, split, {2}, multi, &split_io);
+  EXPECT_EQ(split_result.rows_matched(),
+            ScanTable(*table, split, {2}, ScanOptions(), nullptr)
+                .rows_matched());
+  EXPECT_EQ(split_io.blocks_read, 2 + 2 + 3);
+}
+
 // Read-ahead overlaps the reads of up to kReadAheadBlocks blocks: a scan of
 // N blocks whose chains have S stages waits at least
 // ceil(N / kReadAheadBlocks) * S block latencies, since every read waits its

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -17,6 +18,16 @@
 #include "minihouse/query.h"
 
 namespace bytecard::testutil {
+
+// FNV-1a, 64-bit: a stable fingerprint of one artifact's bytes.
+inline uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
 
 // An empty scratch directory under the system temp dir, removed on
 // destruction. The name carries the process id: ctest runs every TEST as its

@@ -15,7 +15,8 @@
 # scans open before the tree runs, one beside a dop-2 scan's pool drainers.
 # The MLP, RBX synthetic-column, RBX golden-artifact and Zipf tests check the
 # index arithmetic of the blocked training kernels, the true-NDV bitmap and
-# the Zipf guide table.
+# the Zipf guide table. The executor tests pin every ExecStats counter,
+# including the dop-4 legs whose operators run on pool drainers.
 #
 # Usage: ci/sanitize.sh [thread|address|undefined] [build-dir]
 # BYTECARD_THREADS overrides the worker-pool sizing (default 4 here, so the
@@ -44,7 +45,8 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
            minihouse_specialize_test minihouse_encoding_test \
            incremental_test cardest_ndv_test routing_test \
            bytecard_facade_test bytecard_lifecycle_test bytecard_services_test \
-           minihouse_reader_test minihouse_optimizer_test common_test
+           minihouse_reader_test minihouse_optimizer_test common_test \
+           minihouse_executor_test
 
 # halt_on_error makes a race fail the ctest run instead of just logging;
 # tsan.supp documents the known libstdc++ instrumentation gaps we ignore.
@@ -54,6 +56,6 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 export BYTECARD_THREADS="${BYTECARD_THREADS:-4}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-  -R "ConcurrencyTest|RobustnessTest|ThreadPoolTest|ParallelMorselsTest|ParallelScanTest|ParallelJoinTest|ParallelAggregateTest|ParallelExecutorTest|ParallelOptimizerTest|OperatorDagTest|FeedbackFingerprintTest|FeedbackLogTest|FeedbackCacheTest|DriftDetectorTest|FeedbackCaptureTest|FeedbackConcurrencyTest|FeedbackByteCardTest|RequestFingerprintTest|InferenceSessionTest|SessionConcurrencyTest|SchedulerTest|SchedulerConcurrencyTest|ColumnDomainTest|DenseKeyIndexTest|AggSizingTest|PredicateKernelTest|DenseAggTest|ArrayJoinTest|SpecializationIdentityTest|MisSpecializationTest|EncodedBlockTest|EncodingPropertyTest|ZoneMapTest|DecodeCacheTest|DictionarySealTest|DomainFromZoneMapTest|EncodedScanTest|IngestDeltaTest|BnDeltaTest|FjDeltaTest|IncrementalMaintainerTest|IncrementalConcurrencyTest|HllSketchTest|RoutingClassTest|RoutingTableTest|RoutingIdentityTest|RouteMinerTest|RoutingConcurrencyTest|SchedulerSqlTest|ByteCardFacadeTest|ByteCardBootstrapTest|LifecycleTest|ModelForgeTest|ModelLoaderTest|ModelMonitorTest|ModelPreprocessorTest|ModelValidatorTest|ReaderTest|OptimizerTest|MlpTest|RbxSyntheticTest|RbxGoldenTest|ZipfTest"
+  -R "ConcurrencyTest|RobustnessTest|ThreadPoolTest|ParallelMorselsTest|ParallelScanTest|ParallelJoinTest|ParallelAggregateTest|ParallelExecutorTest|ParallelOptimizerTest|OperatorDagTest|FeedbackFingerprintTest|FeedbackLogTest|FeedbackCacheTest|DriftDetectorTest|FeedbackCaptureTest|FeedbackConcurrencyTest|FeedbackByteCardTest|RequestFingerprintTest|InferenceSessionTest|SessionConcurrencyTest|SchedulerTest|SchedulerConcurrencyTest|ColumnDomainTest|DenseKeyIndexTest|AggSizingTest|PredicateKernelTest|DenseAggTest|ArrayJoinTest|SpecializationIdentityTest|MisSpecializationTest|EncodedBlockTest|EncodingPropertyTest|ZoneMapTest|DecodeCacheTest|DictionarySealTest|DomainFromZoneMapTest|EncodedScanTest|IngestDeltaTest|BnDeltaTest|FjDeltaTest|IncrementalMaintainerTest|IncrementalConcurrencyTest|HllSketchTest|RoutingClassTest|RoutingTableTest|RoutingIdentityTest|RouteMinerTest|RoutingConcurrencyTest|SchedulerSqlTest|ByteCardFacadeTest|ByteCardBootstrapTest|LifecycleTest|ModelForgeTest|ModelLoaderTest|ModelMonitorTest|ModelPreprocessorTest|ModelValidatorTest|ReaderTest|OptimizerTest|MlpTest|RbxSyntheticTest|RbxGoldenTest|ZipfTest|ExecutorTest|ExecStatsTest"
 
 echo "sanitize(${SANITIZER}): OK"

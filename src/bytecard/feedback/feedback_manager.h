@@ -68,9 +68,6 @@ class FeedbackManager : public minihouse::QueryFeedbackHook,
   void set_serve_from_cache(bool serve) {
     serve_from_cache_.store(serve, std::memory_order_relaxed);
   }
-  bool serve_from_cache() const {
-    return serve_from_cache_.load(std::memory_order_relaxed);
-  }
 
   uint64_t last_published_version() const {
     return last_published_version_.load(std::memory_order_relaxed);

@@ -57,7 +57,10 @@ double EstimatorSnapshot::Estimate(const cardest::CardEstRequest& request,
     const std::string cls = request.RouteClass(session);
     const routing::RouteDecision* route = routing_->Find(cls);
     if (route != nullptr) {
-      if (counters != nullptr) counters->route_classes_seen.insert(cls);
+      if (counters != nullptr &&
+          counters->route_classes_seen.insert(cls).second) {
+        ++counters->route_classes;
+      }
       if (route->family != RouteFamily::kCachedActual) family = route->family;
     }
   }

@@ -19,15 +19,15 @@
 
 namespace bytecard {
 
-// Per-query counters the snapshot's estimation methods fill in. One instance
-// per pinned view (single-threaded); pass nullptr when not accounting.
-struct SnapshotCounters {
+// Per-query counters the snapshot's estimation methods fill in: the routing
+// counters the pinned view reports (all zero while no routing table is live,
+// which is also how the byte-identity invariant is asserted in tests) and the
+// traditional-fallback count. One instance per pinned view
+// (single-threaded); pass nullptr when not accounting.
+struct SnapshotCounters : minihouse::RoutingStats {
   int64_t fallback_estimates = 0;
-  // Adaptive-routing accounting (all zero while no routing table is live,
-  // which is also how the byte-identity invariant is asserted in tests).
-  int64_t routed_estimates = 0;   // answered by a mined non-general family
-  int64_t route_fallbacks = 0;    // mined family inapplicable -> general path
-  std::set<std::string> route_classes_seen;  // distinct classes with a route
+  // The distinct classes with a route; route_classes is its size.
+  std::set<std::string> route_classes_seen;
 };
 
 // One immutable, atomically-swappable unit of serving state: the per-table
@@ -106,7 +106,6 @@ class EstimatorSnapshot {
   bool IsHealthy(const std::string& table) const;
   // Null when the snapshot carries no model of that kind.
   const FactorJoinEngine* fj_engine() const { return fj_engine_.get(); }
-  const RbxNdvEngine* rbx_engine() const { return rbx_engine_.get(); }
   // The NDV sketch catalog (null until incremental maintenance publishes
   // one). Immutable per snapshot; ColumnNdvImpl consults it for
   // unfiltered NDV questions.
@@ -281,12 +280,7 @@ class SnapshotEstimator : public minihouse::CardinalityEstimator {
     return counters_.fallback_estimates;
   }
   minihouse::RoutingStats routing_stats() const override {
-    minihouse::RoutingStats stats;
-    stats.route_classes =
-        static_cast<int64_t>(counters_.route_classes_seen.size());
-    stats.routed_estimates = counters_.routed_estimates;
-    stats.route_fallbacks = counters_.route_fallbacks;
-    return stats;
+    return counters_;
   }
   minihouse::QueryFeedbackHook* feedback_hook() const override {
     return hook_;

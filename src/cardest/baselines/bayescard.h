@@ -39,7 +39,6 @@ class BayesCardModel {
   double EstimateCount(const minihouse::BoundQuery& query) const;
 
   const BayesNetModel& network() const { return bn_; }
-  double population_estimate() const { return population_estimate_; }
 
   void Serialize(BufferWriter* writer) const;
   static Result<BayesCardModel> Deserialize(BufferReader* reader);

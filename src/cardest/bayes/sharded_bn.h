@@ -31,14 +31,6 @@ class ShardedBnEnsemble {
   // Sum of per-shard counts: sum_s rows_s * P_s(filters).
   double EstimateCount(const minihouse::Conjunction& filters) const;
 
-  // Per-shard context access (for monitoring individual shard models).
-  const BnInferenceContext& shard_context(int shard) const {
-    return *contexts_[shard];
-  }
-  const BayesNetModel& shard_model(int shard) const {
-    return *models_[shard];
-  }
-
  private:
   // unique_ptr keeps model addresses stable for the contexts pointing at them.
   std::vector<std::unique_ptr<BayesNetModel>> models_;

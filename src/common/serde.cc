@@ -37,14 +37,4 @@ Status BufferReader::ReadI64Vec(std::vector<int64_t>* out) {
   return ReadRaw(out->data(), n * sizeof(int64_t));
 }
 
-Status BufferReader::ReadU32Vec(std::vector<uint32_t>* out) {
-  uint64_t n = 0;
-  BC_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kMaxElements || n * sizeof(uint32_t) > remaining()) {
-    return Status::OutOfRange("u32 vector truncated");
-  }
-  out->resize(n);
-  return ReadRaw(out->data(), n * sizeof(uint32_t));
-}
-
 }  // namespace bytecard

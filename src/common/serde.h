@@ -38,11 +38,6 @@ class BufferWriter {
     AppendRaw(v.data(), v.size() * sizeof(int64_t));
   }
 
-  void WriteU32Vec(const std::vector<uint32_t>& v) {
-    WriteU64(v.size());
-    AppendRaw(v.data(), v.size() * sizeof(uint32_t));
-  }
-
   const std::string& buffer() const { return buffer_; }
   std::string Release() { return std::move(buffer_); }
 
@@ -70,7 +65,6 @@ class BufferReader {
   Status ReadString(std::string* out);
   Status ReadDoubleVec(std::vector<double>* out);
   Status ReadI64Vec(std::vector<int64_t>* out);
-  Status ReadU32Vec(std::vector<uint32_t>* out);
 
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }

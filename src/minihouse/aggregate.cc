@@ -134,9 +134,6 @@ struct PartialAgg {
   int64_t num_groups() const {
     return dense != nullptr ? dense->num_groups() : table.num_groups();
   }
-  int64_t capacity() const {
-    return dense != nullptr ? dense->capacity() : table.capacity();
-  }
   int64_t KeyComponent(int64_t g, int c) const {
     return dense != nullptr ? dense->KeyOf(g) : table.KeyComponent(g, c);
   }
@@ -289,7 +286,6 @@ AggregateResult HashAggregate(const Relation& input,
   }
 
   result.num_groups = final_part->num_groups();
-  result.final_capacity = final_part->capacity();
 
   result.group_keys.resize(key_columns.size());
   for (size_t k = 0; k < key_columns.size(); ++k) {

@@ -37,7 +37,6 @@ struct DenseAggSpec {
 struct AggregateResult {
   int64_t num_groups = 0;
   int64_t resize_count = 0;
-  int64_t final_capacity = 0;
   // Kernel specialization: whether the dense-array index was engaged, and
   // how many partitions a runtime domain-guard violation degraded back to
   // the generic hash index.

@@ -78,7 +78,7 @@ std::chrono::steady_clock::time_point Column::IssueRead(int64_t b,
     }
   }
   if (io != nullptr) {
-    io->AddBlock(rows, bytes_per_row());
+    io->AddBlock(rows);
     if (sealed_block) ++io->encoded_blocks;
   }
   return landed;

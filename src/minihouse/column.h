@@ -161,8 +161,6 @@ class Column {
     return end > begin ? end - begin : 0;
   }
 
-  int64_t bytes_per_row() const { return 8; }
-
   // --- Encoded-storage introspection ------------------------------------
   // Sealed block `b`, or nullptr for raw-tail / unsealed blocks.
   const EncodedBlock* encoded_block(int64_t b) const {

@@ -44,7 +44,6 @@ struct StorageProfile {
 // Figure 6a reports the blocks_read totals.
 struct IoStats {
   int64_t blocks_read = 0;
-  int64_t bytes_read = 0;
   int64_t rows_scanned = 0;
   // Encoded-storage accounting (DESIGN.md §12). blocks_pruned counts whole
   // blocks skipped via zone maps before any I/O was charged; encoded_blocks
@@ -55,15 +54,13 @@ struct IoStats {
   int64_t decode_cache_hits = 0;
   int64_t decode_cache_evictions = 0;
 
-  void AddBlock(int64_t rows, int64_t bytes_per_row) {
+  void AddBlock(int64_t rows) {
     blocks_read += 1;
-    bytes_read += rows * bytes_per_row;
     rows_scanned += rows;
   }
 
   IoStats& operator+=(const IoStats& other) {
     blocks_read += other.blocks_read;
-    bytes_read += other.bytes_read;
     rows_scanned += other.rows_scanned;
     blocks_pruned += other.blocks_pruned;
     encoded_blocks += other.encoded_blocks;

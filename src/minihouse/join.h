@@ -20,7 +20,6 @@ class JoinHashTable {
  public:
   JoinHashTable(const Relation& build, const std::vector<int>& keys);
 
-  int64_t num_build_rows() const { return static_cast<int64_t>(next_.size()); }
   size_t slot_count() const { return slots_.size(); }
 
   static uint64_t HashRowKeys(const Relation& rel, const std::vector<int>& keys,

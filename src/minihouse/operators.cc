@@ -77,7 +77,7 @@ Result<Relation> ScanOp::Execute() {
     scanned = ScanTable(*ref_.table, ref_.filters, output_schema_columns_,
                         Options(), &stats_.io);
   }
-  stats_.dop_used = scanned.dop_used;
+  stats_.threads_used = scanned.dop_used;
   stats_.parallel_tasks = scanned.parallel_tasks;
   stats_.sip_filtered = sip_.bloom != nullptr;
   // Resident footprint at scan end: the table's stored bytes plus whatever
@@ -95,8 +95,7 @@ Result<Relation> ScanOp::Execute() {
   // Authoritative count: a scan projecting zero payload columns (COUNT(*)
   // with no joins or keys on this table) still reports its cardinality.
   rel.rows = scanned.rows_matched();
-  stats_.rows_out = rel.num_rows();
-  stats_.values_out = rel.num_values();
+  SetOutput(rel);
   return rel;
 }
 
@@ -127,8 +126,7 @@ Result<Relation> ProjectOp::Execute() {
   }
   stats_.columns_pruned =
       static_cast<int64_t>(in.columns.size() - keep_slots_.size());
-  stats_.rows_out = out.num_rows();
-  stats_.values_out = out.num_values();
+  SetOutput(out);
   return out;
 }
 
@@ -176,21 +174,22 @@ Result<Relation> HashJoinOp::Execute() {
   }
 
   BC_ASSIGN_OR_RETURN(Relation probe, probe_->Execute());
-  stats_.probe_rows = probe.num_rows();
+  stats_.probe_rows_materialized = probe.num_rows();
 
   JoinRunInfo info;
   BC_ASSIGN_OR_RETURN(Relation out,
                       HashJoin(build, probe, build_keys_, probe_keys_, dop_,
                                &info, ctx_->morsel_policy(), array_spec_));
-  stats_.dop_used = info.dop_used;
+  stats_.threads_used = info.dop_used;
   stats_.parallel_tasks = info.parallel_tasks;
   // "Specialized" means the compiler's pick was attempted — a despecialized
   // build (out-of-domain key met while building the array index) still
   // counts as an attempt, and additionally as one degraded morsel.
-  stats_.specialized = info.specialized || info.despecialized;
+  stats_.array_join_ops = info.specialized || info.despecialized ? 1 : 0;
+  stats_.specialized_ops = stats_.array_join_ops;
   stats_.despecialized_morsels = info.despecialized ? 1 : 0;
-  stats_.rows_out = out.num_rows();
-  stats_.values_out = out.num_values();
+  stats_.intermediate_rows = out.num_rows();
+  SetOutput(out);
   return out;
 }
 
@@ -218,16 +217,12 @@ Result<Relation> AggregateOp::Execute() {
   BC_ASSIGN_OR_RETURN(Relation in, child_->Execute());
   result_ = HashAggregate(in, key_slots_, aggs_, ndv_hint_, dop_,
                           ctx_->morsel_policy(), dense_spec_);
-  stats_.dop_used = result_.dop_used;
+  stats_.threads_used = result_.dop_used;
   stats_.parallel_tasks = result_.parallel_tasks;
   stats_.agg_resize_count = result_.resize_count;
-  stats_.agg_final_capacity = result_.final_capacity;
-  stats_.agg_merge_groups = result_.merge_groups;
-  stats_.specialized = result_.specialized;
+  stats_.dense_agg_ops = result_.specialized ? 1 : 0;
+  stats_.specialized_ops = stats_.dense_agg_ops;
   stats_.despecialized_morsels = result_.despecialized_morsels;
-  stats_.rows_out = result_.num_groups;
-  stats_.values_out =
-      result_.num_groups * static_cast<int64_t>(key_slots_.size());
 
   Relation groups;
   groups.column_ids = output_ids_;
@@ -237,6 +232,7 @@ Result<Relation> AggregateOp::Execute() {
   }
   groups.columns = result_.group_keys;
   groups.rows = result_.num_groups;
+  SetOutput(groups);
   return groups;
 }
 
@@ -300,11 +296,25 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
   }
 
   // Runtime-feedback stamping: attach to each operator the estimation
-  // question its output cardinality answers. Filterless scans carry no
-  // question (the optimizer never priced them), and join steps are looked up
-  // by subset key so the connectivity fixup above cannot misattribute an
-  // estimate to the wrong prefix.
+  // question its output cardinality answers, as the observation it becomes.
+  // Filterless scans carry no question (the optimizer never priced them),
+  // and join steps are looked up by subset key so the connectivity fixup
+  // above cannot misattribute an estimate to the wrong prefix.
   const bool capture = plan.feedback != nullptr;
+  auto make_stamp = [&](FeedbackKind kind,
+                        const cardest::CardEstRequest& request,
+                        std::string fingerprint, double estimated,
+                        const std::vector<int>& subset) {
+    OperatorFeedback stamp;
+    stamp.kind = kind;
+    stamp.fingerprint = std::move(fingerprint);
+    stamp.estimated = estimated;
+    stamp.tables.reserve(subset.size());
+    for (int t : subset) stamp.tables.push_back(query.tables[t].table->name());
+    stamp.route_class = request.RouteClass();
+    stamp.replay = MakeReplaySpec(query, subset, kind);
+    return stamp;
+  };
   auto make_scan = [&](int t) {
     return std::make_unique<ScanOp>(query, t, plan.scans[t], plan.features,
                                     ctx);
@@ -321,16 +331,11 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
     if (ref.filters.empty()) return;
     const auto request =
         cardest::CardEstRequest::Selectivity(*ref.table, ref.filters);
-    FeedbackStamp fs;
-    fs.stamped = true;
-    fs.kind = FeedbackKind::kScan;
-    fs.fingerprint = request.Fingerprint();
-    fs.estimated = plan.scans[t].estimated_selectivity *
-                   static_cast<double>(ref.table->num_rows());
-    fs.tables = {ref.table->name()};
-    fs.route_class = request.RouteClass();
-    fs.replay = MakeReplaySpec(query, {t}, FeedbackKind::kScan);
-    scan_op->SetFeedbackStamp(std::move(fs));
+    scan_op->SetFeedbackStamp(make_stamp(
+        FeedbackKind::kScan, request, request.Fingerprint(),
+        plan.scans[t].estimated_selectivity *
+            static_cast<double>(ref.table->num_rows()),
+        {t}));
   };
 
   std::vector<ScanOp*> scans;
@@ -408,23 +413,14 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
       // The canonical fingerprint is both the join_estimates key (the
       // optimizer memoed under it) and the stamp the executor reports under.
       const auto request = cardest::CardEstRequest::JoinCount(query, subset);
-      const std::string fingerprint = request.Fingerprint();
+      std::string fingerprint = request.Fingerprint();
       auto est = plan.join_estimates.find(fingerprint);
       // Unpriced prefixes (join ordering off, fallback orders) carry no
       // estimate and produce no observation.
       if (est != plan.join_estimates.end()) {
-        FeedbackStamp fs;
-        fs.stamped = true;
-        fs.kind = FeedbackKind::kJoin;
-        fs.fingerprint = fingerprint;
-        fs.estimated = est->second;
-        fs.tables.reserve(subset.size());
-        for (int q : subset) {
-          fs.tables.push_back(query.tables[q].table->name());
-        }
-        fs.route_class = request.RouteClass();
-        fs.replay = MakeReplaySpec(query, subset, FeedbackKind::kJoin);
-        join->SetFeedbackStamp(std::move(fs));
+        join->SetFeedbackStamp(make_stamp(FeedbackKind::kJoin, request,
+                                          std::move(fingerprint), est->second,
+                                          subset));
       }
     }
     // Array-index join eligibility: single key pair, and at least one input
@@ -471,6 +467,8 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
         op = std::make_unique<ProjectOp>(std::move(op), std::move(keep_slots));
       }
     }
+    // The step ships the join's output, or the projection of it.
+    op->MarkJoinStepOutput();
   }
 
   // Root aggregation: group keys and aggregate inputs resolved against the
@@ -527,20 +525,11 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
   // question (hint > 0 means EstimateGroupNdv ran and sized the hash table).
   if (capture && !query.group_by.empty() && plan.group_ndv_hint > 0) {
     const auto request = cardest::CardEstRequest::GroupNdv(query);
-    FeedbackStamp fs;
-    fs.stamped = true;
-    fs.kind = FeedbackKind::kGroupNdv;
-    fs.fingerprint = request.Fingerprint();
-    fs.estimated = static_cast<double>(plan.group_ndv_hint);
-    fs.tables.reserve(query.tables.size());
-    for (const BoundTableRef& ref : query.tables) {
-      fs.tables.push_back(ref.table->name());
-    }
-    fs.route_class = request.RouteClass();
     std::vector<int> all_tables(query.tables.size());
     std::iota(all_tables.begin(), all_tables.end(), 0);
-    fs.replay = MakeReplaySpec(query, all_tables, FeedbackKind::kGroupNdv);
-    dag.root->SetFeedbackStamp(std::move(fs));
+    dag.root->SetFeedbackStamp(make_stamp(
+        FeedbackKind::kGroupNdv, request, request.Fingerprint(),
+        static_cast<double>(plan.group_ndv_hint), all_tables));
   }
   return dag;
 }

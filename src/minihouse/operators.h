@@ -21,47 +21,17 @@
 
 namespace bytecard::minihouse {
 
-// What one operator observed while executing. The executor driver walks the
-// compiled tree after execution and merges these into the query's ExecStats;
-// operators never touch global state.
-struct OperatorStats {
-  IoStats io;                    // scans only
-  int dop_used = 1;              // realized width (1 = ran serially)
-  int64_t parallel_tasks = 0;    // morsels/partitions through the pool
-  int64_t rows_out = 0;          // rows this operator produced
-  int64_t values_out = 0;        // rows_out x output width
-  int64_t probe_rows = 0;        // joins: probe-side input rows
-  int64_t columns_pruned = 0;    // projects: slots dropped
-  int64_t agg_resize_count = 0;  // aggregation hash-table accounting
-  int64_t agg_final_capacity = 0;
-  int64_t agg_merge_groups = 0;
+// What one operator observed while executing: its share of the query's
+// counters, filled where it computes them, plus what feedback capture reads
+// per node. The executor sums the tree's counters into the query's ExecStats
+// after execution; operators never touch global state.
+struct OperatorStats : OperatorCounters {
+  int64_t rows_out = 0;  // rows this operator produced
   // Scans: a SIP Bloom filter pruned rows before materialization, so rows_out
   // undercounts the filter's true cardinality. Feedback capture must skip
   // such scans (join outputs stay exact — Bloom filters have no false
   // negatives, so every SIP-dropped row would have been dropped by the join).
   bool sip_filtered = false;
-  // Kernel specialization (DESIGN.md §11): the compiler gave this operator a
-  // specialized kernel; despecialized_morsels counts runtime-guard firings
-  // (partitions/builds that degraded to the generic path mid-execution).
-  bool specialized = false;
-  int64_t despecialized_morsels = 0;
-  // Scans: resident footprint sampled after the scan — the table's stored
-  // (encoded) bytes plus the shared decode cache's decoded bytes. ExecStats
-  // keeps the max across scans.
-  int64_t bytes_resident = 0;
-};
-
-// The estimation question an operator's output answers, attached by the DAG
-// compiler when runtime feedback is on. After execution, {fingerprint,
-// estimated, stats().rows_out} becomes one OperatorFeedback observation.
-struct FeedbackStamp {
-  bool stamped = false;
-  FeedbackKind kind = FeedbackKind::kScan;
-  std::string fingerprint;          // canonical cross-query subplan key
-  double estimated = -1.0;          // cardinality the plan was built on
-  std::vector<std::string> tables;  // base tables (cache invalidation scope)
-  std::string route_class;          // operand-free template (request.h)
-  ReplaySpec replay;                // replayable estimation question (miner)
 };
 
 enum class OpKind { kScan, kHashJoin, kProject, kAggregate };
@@ -87,14 +57,36 @@ class PhysicalOperator {
 
   const OperatorStats& stats() const { return stats_; }
 
-  // Feedback capture (set at compile time, read by the executor's
-  // post-execution walk; unset when feedback is off).
-  void SetFeedbackStamp(FeedbackStamp stamp) { feedback_ = std::move(stamp); }
-  const FeedbackStamp& feedback_stamp() const { return feedback_; }
+  // Feedback capture: the observation this operator's output becomes, with
+  // the estimation question it answers (kind, fingerprint, estimate, tables,
+  // route class, replay) set at compile time; the executor fills in the
+  // actual count after execution. Unset when feedback is off or the
+  // operator answers no priced question.
+  void SetFeedbackStamp(OperatorFeedback stamp) {
+    feedback_ = std::move(stamp);
+  }
+  const std::optional<OperatorFeedback>& feedback_stamp() const {
+    return feedback_;
+  }
+
+  // Marks this operator as the end of a join step — the join, or the
+  // ProjectOp the compiler put above it — so its output counts as the
+  // intermediate result the step ships downstream.
+  void MarkJoinStepOutput() { join_step_output_ = true; }
 
  protected:
+  // Records this operator's output (see MarkJoinStepOutput).
+  void SetOutput(const Relation& out) {
+    stats_.rows_out = out.num_rows();
+    if (join_step_output_) {
+      stats_.intermediate_values = out.num_values();
+      stats_.peak_intermediate_values = out.num_values();
+    }
+  }
+
   OperatorStats stats_;
-  FeedbackStamp feedback_;
+  std::optional<OperatorFeedback> feedback_;
+  bool join_step_output_ = false;
 };
 
 // Leaf: scans one bound table, materializing exactly the columns some

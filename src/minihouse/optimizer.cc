@@ -115,91 +115,66 @@ EstimationContext::EstimationContext(CardinalityEstimator* root,
       hook_(pinned_->feedback_hook()),
       use_session_(use_session) {}
 
-double EstimationContext::Selectivity(const Table& table,
-                                      const Conjunction& filters) {
-  // The per-query memo key *is* the cross-query feedback fingerprint for a
-  // single filtered table, so one lookup string serves both layers.
-  const cardest::CardEstRequest request =
-      cardest::CardEstRequest::Selectivity(table, filters);
-  std::string key = request.Fingerprint(session());
-  auto it = selectivity_memo_.find(key);
-  if (it != selectivity_memo_.end()) {
-    ++memo_hits_;
-    return it->second;
+double EstimationContext::Lookup(const cardest::CardEstRequest& request,
+                                 Memo* memo, bool cacheable) {
+  // One fingerprint serves as per-query memo key, feedback-cache key, and
+  // (via the plan's join_estimates copy) the operator stamp.
+  const bool consult_feedback = cacheable && hook_ != nullptr;
+  std::string key;
+  if (memo != nullptr || consult_feedback) {
+    key = request.Fingerprint(session());
   }
-  if (hook_ != nullptr) {
-    double actual = 0.0;
-    if (hook_->LookupActual(key, &actual)) {
-      ++feedback_hits_;
-      const double rows = static_cast<double>(table.num_rows());
-      const double sel =
-          rows > 0 ? std::clamp(actual / rows, 0.0, 1.0) : 0.0;
-      feedback_served_.insert(key);
-      selectivity_memo_.emplace(std::move(key), sel);
-      return sel;
+  if (memo != nullptr) {
+    auto it = memo->find(key);
+    if (it != memo->end()) {
+      ++memo_hits_;
+      return it->second;
     }
   }
-  ++estimator_calls_;
-  const double sel = pinned_->Estimate(request, session());
-  selectivity_memo_.emplace(std::move(key), sel);
-  return sel;
+  double value = 0.0;
+  if (consult_feedback && hook_->LookupActual(key, &value)) {
+    ++feedback_hits_;
+    if (request.target == cardest::CardEstTarget::kSelectivity) {
+      const double rows = static_cast<double>(request.table->num_rows());
+      value = rows > 0 ? std::clamp(value / rows, 0.0, 1.0) : 0.0;
+    }
+    feedback_served_.insert(key);
+  } else {
+    ++estimator_calls_;
+    value = pinned_->Estimate(request, session());
+  }
+  if (memo != nullptr) memo->emplace(std::move(key), value);
+  return value;
+}
+
+double EstimationContext::Selectivity(const Table& table,
+                                      const Conjunction& filters) {
+  return Lookup(cardest::CardEstRequest::Selectivity(table, filters),
+                &selectivity_memo_, true);
 }
 
 double EstimationContext::JoinCardinality(
     const BoundQuery& query, const std::vector<int>& table_subset) {
-  // One fingerprint serves as per-query memo key, feedback-cache key, and
-  // (via the plan's join_estimates copy) the operator stamp.
-  const cardest::CardEstRequest request =
-      cardest::CardEstRequest::JoinCount(query, table_subset);
-  std::string key = request.Fingerprint(session());
-  auto it = join_memo_.find(key);
-  if (it != join_memo_.end()) {
-    ++memo_hits_;
-    return it->second;
-  }
-  if (hook_ != nullptr) {
-    double actual = 0.0;
-    if (hook_->LookupActual(key, &actual)) {
-      ++feedback_hits_;
-      feedback_served_.insert(key);
-      join_memo_.emplace(std::move(key), actual);
-      return actual;
-    }
-  }
-  ++estimator_calls_;
-  const double card = pinned_->Estimate(request, session());
-  join_memo_.emplace(std::move(key), card);
-  return card;
+  return Lookup(cardest::CardEstRequest::JoinCount(query, table_subset),
+                &join_memo_, true);
 }
 
 double EstimationContext::GroupNdv(const BoundQuery& query) {
-  const cardest::CardEstRequest request =
-      cardest::CardEstRequest::GroupNdv(query);
-  if (hook_ != nullptr && !query.group_by.empty()) {
-    const std::string fingerprint = request.Fingerprint(session());
-    double actual = 0.0;
-    if (hook_->LookupActual(fingerprint, &actual)) {
-      ++feedback_hits_;
-      feedback_served_.insert(fingerprint);
-      return actual;
-    }
-  }
-  ++estimator_calls_;
-  return pinned_->Estimate(request, session());
+  // Asked once per plan, so not memoized; a query without GROUP BY has no
+  // fingerprint worth rendering for the cache.
+  return Lookup(cardest::CardEstRequest::GroupNdv(query), nullptr,
+                !query.group_by.empty());
 }
 
 EstimationStats EstimationContext::stats() const {
   EstimationStats stats;
+  static_cast<RoutingStats&>(stats) = pinned_->routing_stats();
   stats.estimator_calls = estimator_calls_;
   stats.memo_hits = memo_hits_;
   stats.fallback_estimates = pinned_->FallbackEstimates();
   stats.feedback_hits = feedback_hits_;
   stats.probe_cache_hits = session_.stats().probe_cache_hits;
   stats.snapshot_version = pinned_->SnapshotVersion();
-  const RoutingStats routing = pinned_->routing_stats();
-  stats.route_classes = routing.route_classes;
-  stats.routed_estimates = routing.routed_estimates;
-  stats.route_fallbacks = routing.route_fallbacks;
   return stats;
 }
 
@@ -240,7 +215,7 @@ TableScanPlan Optimizer::PlanScan(const BoundTableRef& ref,
   // Dynamic reader selection (paper §5.1.2): multi-stage pays off exactly
   // when filters eliminate most rows early; otherwise its extra passes lose.
   plan.reader =
-      plan.estimated_selectivity <= options_.multi_stage_selectivity_threshold
+      plan.estimated_selectivity <= kMultiStageSelectivityThreshold
           ? ReaderKind::kMultiStage
           : ReaderKind::kSingleStage;
 

@@ -96,8 +96,9 @@ class CardinalityEstimator {
   virtual QueryFeedbackHook* feedback_hook() const { return nullptr; }
 };
 
-// Estimation-path accounting for one planned query (lands in ExecStats).
-struct EstimationStats {
+// Estimation-path accounting for one planned query, including the pinned
+// view's routing counters (ExecStats inherits all of it).
+struct EstimationStats : RoutingStats {
   int64_t estimator_calls = 0;    // estimates actually forwarded to the model
   int64_t memo_hits = 0;          // estimates answered from the per-query memo
   int64_t fallback_estimates = 0; // estimates answered by the traditional path
@@ -108,10 +109,6 @@ struct EstimationStats {
   int64_t probe_cache_hits = 0;
   int64_t planning_nanos = 0;     // wall time inside Optimizer::Plan
   uint64_t snapshot_version = 0;  // model snapshot the whole plan was built on
-  // Adaptive-routing accounting (zeros without a live routing table).
-  int64_t route_classes = 0;      // distinct route classes hit while planning
-  int64_t routed_estimates = 0;   // estimates answered by a routed family
-  int64_t route_fallbacks = 0;    // routed family inapplicable -> general
 };
 
 // Per-query estimation scope: pins one model snapshot for the lifetime of a
@@ -170,16 +167,28 @@ class EstimationContext {
     return feedback_served_;
   }
 
-  // Counters so far, including the pinned view's fallback count.
+  // Counters so far, including the pinned view's fallback and routing
+  // counts.
   EstimationStats stats() const;
 
  private:
+  using Memo = std::unordered_map<std::string, double>;
+
+  // The one lookup path behind Selectivity, JoinCardinality and GroupNdv:
+  // the per-query `memo` (none when null), then the feedback cache (when a
+  // hook is present and the request is `cacheable`), then the pinned
+  // estimator. The request's fingerprint is rendered only when the memo or
+  // the cache needs it. A cached actual answers a selectivity request as a
+  // fraction of its table's rows.
+  double Lookup(const cardest::CardEstRequest& request, Memo* memo,
+                bool cacheable);
+
   std::shared_ptr<CardinalityEstimator> pinned_;
   QueryFeedbackHook* hook_ = nullptr;
   cardest::InferenceSession session_;
   bool use_session_ = true;
-  std::unordered_map<std::string, double> selectivity_memo_;
-  std::unordered_map<std::string, double> join_memo_;
+  Memo selectivity_memo_;
+  Memo join_memo_;
   std::unordered_set<std::string> feedback_served_;
   int64_t estimator_calls_ = 0;
   int64_t memo_hits_ = 0;
@@ -218,10 +227,11 @@ struct PhysicalPlan {
   std::unordered_set<std::string> feedback_served;
 };
 
+// Scans whose estimated selectivity falls at or below this fraction read with
+// the multi-stage reader (paper §5.1.2).
+inline constexpr double kMultiStageSelectivityThreshold = 0.15;
+
 struct OptimizerOptions {
-  // Use the multi-stage reader when estimated selectivity falls at or below
-  // this fraction (paper §5.1.2 threshold).
-  double multi_stage_selectivity_threshold = 0.15;
   // Column-order enumeration early-stop (paper §5.1.1): once the chosen
   // prefix is at least this selective, later stages see so few rows that
   // further conjunction probing cannot pay off; remaining filters keep

@@ -1,6 +1,7 @@
 #ifndef BYTECARD_MINIHOUSE_QUERY_CONTEXT_H_
 #define BYTECARD_MINIHOUSE_QUERY_CONTEXT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -10,73 +11,80 @@
 
 namespace bytecard::minihouse {
 
-// Everything the benches observe about one query execution. Owned by the
-// query's QueryContext — never shared between queries — and filled by the
-// executor's deterministic post-execution merge over the operator tree, so
-// concurrent queries cannot race on any counter here.
-struct ExecStats {
-  IoStats io;
-  int64_t agg_resize_count = 0;
-  int64_t agg_final_capacity = 0;
-  int64_t intermediate_rows = 0;  // summed join-output sizes
-  // Rows materialized by probe-side scans (what SIP prunes).
+// What a query's operators count while they run. Each operator fills its
+// own counters (OperatorStats) where it computes them; the executor sums them
+// over the finished tree with +=, which adds every field but the three
+// high-water marks.
+struct OperatorCounters {
+  IoStats io;  // scans: block reads, pruning, decode-cache traffic
+  // Parallel execution: the widest dop an operator ran at (1 = serial; a
+  // max) and the morsels/partitions executed through the thread pool.
+  int threads_used = 1;
+  int64_t parallel_tasks = 0;
+  // Kernel specialization (DESIGN.md §11). specialized_ops counts operators
+  // the compiler gave a specialized kernel, whether or not it later degraded
+  // (dense_agg_ops + array_join_ops); despecialized_morsels counts runtime-
+  // guard firings — aggregation partitions and join builds that fell back to
+  // the generic path mid-execution.
+  int64_t specialized_ops = 0;
+  int64_t dense_agg_ops = 0;
+  int64_t array_join_ops = 0;
+  int64_t despecialized_morsels = 0;
+  // Joins: output rows, and probe-side rows the scans materialized (what SIP
+  // prunes).
+  int64_t intermediate_rows = 0;
   int64_t probe_rows_materialized = 0;
-  // Late-projection accounting. intermediate_values sums, over join steps,
-  // rows x width of what actually flows downstream (after any ProjectOp);
-  // peak_intermediate_values is the largest single step. columns_pruned
-  // counts slots dropped by ProjectOps across the query.
+  // Late projection. The operator that ends a join step (the join, or the
+  // ProjectOp above it) reports rows x width of what the step ships
+  // downstream: summed as intermediate_values, the largest step as
+  // peak_intermediate_values (a max). columns_pruned counts slots ProjectOps
+  // dropped.
   int64_t intermediate_values = 0;
   int64_t peak_intermediate_values = 0;
   int64_t columns_pruned = 0;
-  // Parallel execution: max dop any operator ran at (1 = fully serial) and
-  // total morsels/partitions executed through the thread pool.
-  int threads_used = 1;
-  int64_t parallel_tasks = 0;
-  // Partial groups folded during parallel aggregation merges (0 when the
-  // aggregation ran serially).
-  int64_t agg_merge_groups = 0;
-  double exec_ms = 0.0;           // execution only
-  double plan_ms = 0.0;           // planning_nanos in milliseconds
+  int64_t agg_resize_count = 0;  // aggregation hash-table growths
+  // Scans (DESIGN.md §12): stored table bytes + decode-cache residency at
+  // scan end — the footprint the scale bench bounds (a max).
+  int64_t bytes_resident = 0;
+
+  OperatorCounters& operator+=(const OperatorCounters& other) {
+    io += other.io;
+    threads_used = std::max(threads_used, other.threads_used);
+    parallel_tasks += other.parallel_tasks;
+    specialized_ops += other.specialized_ops;
+    dense_agg_ops += other.dense_agg_ops;
+    array_join_ops += other.array_join_ops;
+    despecialized_morsels += other.despecialized_morsels;
+    intermediate_rows += other.intermediate_rows;
+    probe_rows_materialized += other.probe_rows_materialized;
+    intermediate_values += other.intermediate_values;
+    peak_intermediate_values =
+        std::max(peak_intermediate_values, other.peak_intermediate_values);
+    columns_pruned += other.columns_pruned;
+    agg_resize_count += other.agg_resize_count;
+    bytes_resident = std::max(bytes_resident, other.bytes_resident);
+    return *this;
+  }
+};
+
+// Everything the benches observe about one query execution: the plan's
+// estimation counters, its operators' summed counters, and what only the
+// query as a whole has. Owned by the query's QueryContext — never shared
+// between queries — and filled by the executor after the operator tree
+// finishes, so concurrent queries cannot race on any counter here.
+struct ExecStats : EstimationStats, OperatorCounters {
+  double exec_ms = 0.0;  // execution only
+  double plan_ms = 0.0;  // planning_nanos in milliseconds
   // Scheduler accounting (0/false for queries run outside the scheduler):
   // time between Submit and the start of execution, and the admission
   // decision the estimator's intermediate-cardinality prediction drove.
   double queue_ms = 0.0;
   bool heavy_lane = false;
-  // Estimation-path accounting (copied from the plan's EstimationStats).
-  int64_t estimator_calls = 0;
-  int64_t memo_hits = 0;
-  int64_t fallback_estimates = 0;
-  int64_t feedback_hits = 0;      // estimates served from the feedback cache
-  // Per-query inference-session probes answered from the session memo (BN
-  // probes / FactorJoin bucket vectors reused across join-order subsets).
-  int64_t probe_cache_hits = 0;
-  int64_t planning_nanos = 0;     // wall time inside Optimizer::Plan, ns
-  uint64_t snapshot_version = 0;  // model snapshot the plan was built on
-  // Adaptive routing (all zero without a live mined routing table): distinct
-  // route classes planning touched, estimates answered by a routed family,
-  // and routed estimates that degraded to the general path.
-  int64_t route_classes = 0;
-  int64_t routed_estimates = 0;
-  int64_t route_fallbacks = 0;
   // Runtime-feedback capture for this query (0/1.0 when feedback is off):
   // estimate-vs-actual observations emitted and the worst per-operator
   // q-error among them.
   int64_t feedback_records = 0;
   double max_op_qerror = 1.0;
-  // Kernel specialization (DESIGN.md §11). specialized_ops counts operators
-  // the compiler gave a specialized kernel (whether or not it later
-  // degraded); despecialized_morsels counts runtime-guard firings — morsels
-  // (aggregation partitions, join builds) that fell back to the generic
-  // path mid-execution. The per-kind counters break specialized_ops down.
-  int64_t specialized_ops = 0;
-  int64_t despecialized_morsels = 0;
-  int64_t dense_agg_ops = 0;
-  int64_t array_join_ops = 0;
-  // Encoded storage (DESIGN.md §12; pruned blocks, encoded reads and
-  // decode-cache traffic are in `io`). bytes_resident: max over scans of
-  // stored table bytes + decode-cache residency — the footprint the scale
-  // bench bounds.
-  int64_t bytes_resident = 0;
 };
 
 // The per-query bundle the whole execution stack is parameterized by: the
@@ -122,8 +130,8 @@ class QueryContext {
 
   common::TaskLane lane() const { return policy_.lane; }
 
-  // This query's private stats; merged deterministically by the executor
-  // after the operator tree finishes.
+  // This query's private stats; filled by the executor after the operator
+  // tree finishes.
   ExecStats* mutable_stats() { return &stats_; }
   const ExecStats& stats() const { return stats_; }
 

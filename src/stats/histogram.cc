@@ -109,13 +109,6 @@ double EquiHeightHistogram::Selectivity(
   return std::clamp(sel, 0.0, 1.0);
 }
 
-std::vector<int64_t> EquiHeightHistogram::UpperBounds() const {
-  std::vector<int64_t> bounds;
-  bounds.reserve(buckets_.size());
-  for (const Bucket& b : buckets_) bounds.push_back(b.hi);
-  return bounds;
-}
-
 void EquiHeightHistogram::Serialize(BufferWriter* writer) const {
   writer->WriteU64(static_cast<uint64_t>(total_rows_));
   writer->WriteU64(static_cast<uint64_t>(total_distinct_));

@@ -41,13 +41,8 @@ class EquiHeightHistogram {
   double Selectivity(const minihouse::ColumnPredicate& pred) const;
 
   int64_t total_rows() const { return total_rows_; }
-  int64_t total_distinct() const { return total_distinct_; }
   const std::vector<Bucket>& buckets() const { return buckets_; }
   bool empty() const { return buckets_.empty(); }
-
-  // Bucket boundaries as a sorted vector of inclusive upper bounds (used by
-  // the FactorJoin join-bucket construction).
-  std::vector<int64_t> UpperBounds() const;
 
   void Serialize(BufferWriter* writer) const;
   static Result<EquiHeightHistogram> Deserialize(BufferReader* reader);

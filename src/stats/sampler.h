@@ -25,7 +25,6 @@ class TableSample {
                            int64_t max_rows, Rng* rng);
 
   int64_t num_rows() const { return num_rows_; }
-  int64_t table_rows() const { return table_rows_; }
   double rate() const {
     return table_rows_ == 0
                ? 0.0

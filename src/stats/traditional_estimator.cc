@@ -33,7 +33,6 @@ std::unique_ptr<SketchStatistics> SketchStatistics::Build(
   for (const std::string& name : db.TableNames()) {
     const Table* table = db.FindTable(name).value();
     TableStats ts;
-    ts.rows = table->num_rows();
     ts.histograms.resize(table->num_columns());
     ts.ndv.resize(table->num_columns(), 0.0);
     for (int c = 0; c < table->num_columns(); ++c) {
@@ -67,11 +66,6 @@ double SketchStatistics::ColumnNdv(const std::string& table,
     return 1.0;
   }
   return std::max(1.0, it->second.ndv[column]);
-}
-
-int64_t SketchStatistics::TableRows(const std::string& table) const {
-  auto it = tables_.find(table);
-  return it == tables_.end() ? 0 : it->second.rows;
 }
 
 // ---------------------------------------------------------------------------

@@ -26,11 +26,9 @@ class SketchStatistics {
   const EquiHeightHistogram* FindHistogram(const std::string& table,
                                            int column) const;
   double ColumnNdv(const std::string& table, int column) const;
-  int64_t TableRows(const std::string& table) const;
 
  private:
   struct TableStats {
-    int64_t rows = 0;
     std::vector<EquiHeightHistogram> histograms;  // per column
     std::vector<double> ndv;                      // per column
   };

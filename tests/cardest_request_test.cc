@@ -411,8 +411,8 @@ TEST(RequestFingerprintTest, MemoFeedbackAndStampKeysAgree) {
   while (!walk.empty()) {
     const minihouse::PhysicalOperator* op = walk.back();
     walk.pop_back();
-    if (op->feedback_stamp().stamped) {
-      stamped.insert(op->feedback_stamp().fingerprint);
+    if (op->feedback_stamp()) {
+      stamped.insert(op->feedback_stamp()->fingerprint);
     }
     for (size_t i = 0; i < op->num_children(); ++i) {
       walk.push_back(op->child(i));

@@ -246,21 +246,16 @@ TEST(SerdeTest, RoundTripVectors) {
   BufferWriter writer;
   const std::vector<double> dv = {1.5, -2.5, 0.0};
   const std::vector<int64_t> iv = {9, -9, 1LL << 50};
-  const std::vector<uint32_t> uv = {1, 2, 3, 4};
   writer.WriteDoubleVec(dv);
   writer.WriteI64Vec(iv);
-  writer.WriteU32Vec(uv);
 
   BufferReader reader(writer.buffer());
   std::vector<double> dv2;
   std::vector<int64_t> iv2;
-  std::vector<uint32_t> uv2;
   ASSERT_TRUE(reader.ReadDoubleVec(&dv2).ok());
   ASSERT_TRUE(reader.ReadI64Vec(&iv2).ok());
-  ASSERT_TRUE(reader.ReadU32Vec(&uv2).ok());
   EXPECT_EQ(dv2, dv);
   EXPECT_EQ(iv2, iv);
-  EXPECT_EQ(uv2, uv);
 }
 
 TEST(SerdeTest, TruncatedBufferFailsCleanly) {

@@ -169,17 +169,20 @@ TEST_F(IntegrationTest, NdvHintCutsResizes) {
 TEST_F(IntegrationTest, MultiStageDecisionsSaveIoOverall) {
   // Force single-stage everywhere vs ByteCard-driven dynamic choice.
   minihouse::Optimizer dynamic;
-  minihouse::OptimizerOptions single_only_options;
-  single_only_options.multi_stage_selectivity_threshold = -1.0;  // never
-  minihouse::Optimizer single_only(single_only_options);
 
   int64_t dynamic_io = 0;
   int64_t single_io = 0;
   int executed = 0;
   for (const auto& wq : workload_->queries) {
     if (!wq.aggregate) continue;
-    auto a = minihouse::PlanAndExecute(wq.query, dynamic, bytecard_);
-    auto b = minihouse::PlanAndExecute(wq.query, single_only, bytecard_);
+    minihouse::PhysicalPlan plan = dynamic.Plan(wq.query, bytecard_);
+    auto a = minihouse::ExecuteQuery(wq.query, plan);
+    // The same plan with every scan read in a single stage.
+    for (minihouse::TableScanPlan& scan : plan.scans) {
+      scan.reader = minihouse::ReaderKind::kSingleStage;
+      scan.filter_order.clear();
+    }
+    auto b = minihouse::ExecuteQuery(wq.query, plan);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     dynamic_io += a.value().stats.io.blocks_read;

@@ -382,7 +382,6 @@ BoundQuery ProbeQuery(const Database& db, bool filter_build) {
 
 void ExpectSameIo(const IoStats& a, const IoStats& b) {
   EXPECT_EQ(a.blocks_read, b.blocks_read);
-  EXPECT_EQ(a.bytes_read, b.bytes_read);
   EXPECT_EQ(a.rows_scanned, b.rows_scanned);
   EXPECT_EQ(a.blocks_pruned, b.blocks_pruned);
   EXPECT_EQ(a.encoded_blocks, b.encoded_blocks);

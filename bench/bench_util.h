@@ -4,6 +4,8 @@
 #ifndef BYTECARD_BENCH_BENCH_UTIL_H_
 #define BYTECARD_BENCH_BENCH_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -97,8 +99,6 @@ struct BenchContextOptions {
   int agg_queries = 0;
   bool build_bytecard = true;
   bool build_traditional = true;
-  // RBX is workload-independent: benches share one cached artifact.
-  std::string rbx_cache_dir = "bench_model_cache";
 };
 
 inline std::string WorkloadNameOf(const std::string& dataset) {
@@ -107,22 +107,40 @@ inline std::string WorkloadNameOf(const std::string& dataset) {
   return "AEOLUS-Online";
 }
 
-// Trains (or reuses) the shared workload-independent RBX artifact and
-// returns its path.
-inline std::string SharedRbxArtifact(const std::string& cache_dir) {
-  namespace fs = std::filesystem;
-  ModelForgeService forge(cache_dir);
-  auto artifacts = forge.ListArtifacts();
-  if (artifacts.ok()) {
-    for (const ModelArtifact& a : artifacts.value()) {
-      if (a.kind == "rbx") return a.path;
+// This process's model store: a fresh directory, removed at exit. Every
+// bench reports models trained by the run that prints them, never artifacts
+// an earlier run or another bench left behind.
+inline const std::string& BenchModelDir() {
+  struct Dir {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("bytecard_bench_" + std::to_string(::getpid())))
+            .string();
+
+    Dir() {
+      std::filesystem::remove_all(path);
+      std::filesystem::create_directories(path);
     }
-  }
-  cardest::RbxTrainOptions options;
-  options.seed = BenchSeed();
-  auto artifact = forge.TrainRbx(options);
-  BC_CHECK_OK(artifact.status());
-  return artifact.value().path;
+    ~Dir() { std::filesystem::remove_all(path); }
+    Dir(const Dir&) = delete;
+    Dir& operator=(const Dir&) = delete;
+  };
+  static const Dir dir;
+  return dir.path;
+}
+
+// The workload-independent RBX artifact: trained once per process, with
+// BenchSeed(), and shared by every context.
+inline const ModelArtifact& SharedRbxArtifact() {
+  static const ModelArtifact artifact = [] {
+    ModelForgeService forge(BenchModelDir());
+    cardest::RbxTrainOptions options;
+    options.seed = BenchSeed();
+    auto trained = forge.TrainRbx(options);
+    BC_CHECK_OK(trained.status());
+    return trained.value();
+  }();
+  return artifact;
 }
 
 inline BenchContext BuildBenchContext(const std::string& dataset,
@@ -149,10 +167,9 @@ inline BenchContext BuildBenchContext(const std::string& dataset,
     for (const auto& wq : ctx.workload.queries) hint.push_back(wq.query);
     ByteCard::Options bc_options;
     bc_options.seed = BenchSeed();
-    bc_options.pretrained_rbx_path =
-        SharedRbxArtifact(options.rbx_cache_dir);
-    const std::string dir = "bench_model_cache/" + dataset;
-    auto bc = ByteCard::Bootstrap(*ctx.db, hint, dir, bc_options);
+    bc_options.pretrained_rbx_path = SharedRbxArtifact().path;
+    auto bc = ByteCard::Bootstrap(*ctx.db, hint,
+                                  BenchModelDir() + "/" + dataset, bc_options);
     BC_CHECK_OK(bc.status());
     ctx.bytecard = std::move(bc).value();
   }

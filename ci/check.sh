@@ -62,6 +62,61 @@ echo "== bench smoke: adaptive routing (mined dispatch) =="
 # writes BENCH_adaptive_routing.json (smoke scale).
 (cd "${BUILD_DIR}/bench" && ./bench_adaptive_routing --smoke)
 
+echo "== accuracy gate: q-error cells (Tables 1 and 2, Figure 7) =="
+# Default scale and seed: q-errors repeat exactly for a seed, so every cell
+# must stay within 1% of the committed BENCH_accuracy.json. A cell more than
+# 1% better fails too: the committed file is then stale and would let a
+# later change give the gain back unnoticed. On every workload ByteCard's
+# COUNT and RBX's NDV P99 must beat the traditional methods' (Table 1 ->
+# Table 2); that ordering holds at this configuration, not at every scale.
+(cd "${BUILD_DIR}/bench" &&
+  env -u BYTECARD_SCALE -u BYTECARD_SEED ./bench_accuracy > /dev/null)
+python3 - "${REPO_ROOT}/BENCH_accuracy.json" \
+  "${BUILD_DIR}/bench/BENCH_accuracy.json" <<'EOF'
+import json, sys
+committed, run = (json.load(open(path)) for path in sys.argv[1:3])
+
+def counts(result):
+    return {(result["scale"], result["seed"], w["name"], key): w[key]
+            for w in result["workloads"]
+            for key in ("count_queries", "ndv_probes")}
+
+def cells(result):
+    return {(w["name"], target, method, quantile): value
+            for w in result["workloads"] for target in ("count", "ndv")
+            for method, quantiles in w[target].items()
+            for quantile, value in quantiles.items()}
+
+errors = []
+if counts(run) != counts(committed):
+    errors.append(f"scale, seed, workloads or counts differ: "
+                  f"{counts(run)} != committed {counts(committed)}")
+want, got = cells(committed), cells(run)
+if want.keys() != got.keys():
+    errors.append(f"cells {sorted(got)} != committed {sorted(want)}")
+for cell in sorted(want.keys() & got.keys()):
+    name = " ".join(cell)
+    if got[cell] > want[cell] * 1.01:
+        errors.append(f"{name} {got[cell]:.6g} is >1% worse than committed "
+                      f"{want[cell]:.6g}")
+    elif got[cell] < want[cell] * 0.99:
+        errors.append(f"{name} {got[cell]:.6g} is >1% better than committed "
+                      f"{want[cell]:.6g}: regenerate BENCH_accuracy.json "
+                      "in the same change")
+for w in run["workloads"]:
+    for target, learned, traditional in (("count", "bytecard", "sketch"),
+                                         ("ndv", "rbx", "hll")):
+        ours = w[target][learned]["p99"]
+        theirs = w[target][traditional]["p99"]
+        if not ours < theirs:
+            errors.append(f"{w['name']} {target} P99: {learned} {ours:.6g} "
+                          f"does not beat {traditional} {theirs:.6g}")
+for error in errors:
+    print("accuracy gate:", error)
+print("accuracy gate:", "FAILED" if errors else "OK", f"({len(want)} cells)")
+sys.exit(1 if errors else 0)
+EOF
+
 echo "== perfbench smoke: stats-adhoc runner =="
 # Builds the repository benchmark's runner from this checkout and runs one
 # short stats-adhoc window; fails unless every query answered correctly.

@@ -243,7 +243,6 @@ Result<int> ByteCard::RefreshModels() {
 
   BC_ASSIGN_OR_RETURN(std::shared_ptr<const EstimatorSnapshot> snapshot,
                       builder.Finish());
-  const uint64_t version = snapshot->version();
   snapshot_.Publish(std::move(snapshot));
   for (const LoadedModel* model : applied) {
     loader_->CommitLoaded(model->kind, model->name, model->timestamp);
@@ -258,7 +257,7 @@ Result<int> ByteCard::RefreshModels() {
     }
   }
   if (feedback_owned_ != nullptr) {
-    feedback_owned_->OnSnapshotPublished(version);
+    feedback_owned_->OnSnapshotPublished();
     for (const LoadedModel* model : applied) {
       if (model->kind == "bn") {
         feedback_owned_->OnTableHealthChanged(model->name);
@@ -360,7 +359,7 @@ Result<uint64_t> ByteCard::ApplyIngestDelta(
   // accumulating across delta publishes (OnIncrementalPublish, not
   // OnSnapshotPublished).
   if (feedback_owned_ != nullptr) {
-    feedback_owned_->OnIncrementalPublish(delta.table, version);
+    feedback_owned_->OnIncrementalPublish(delta.table);
   }
   incremental_->RecordPublish(timer.ElapsedSeconds(), delta);
   return version;
@@ -406,12 +405,11 @@ Status ByteCard::PublishTableHealth(const std::string& table, bool healthy) {
   }
   BC_ASSIGN_OR_RETURN(std::shared_ptr<const EstimatorSnapshot> snapshot,
                       builder.Finish());
-  const uint64_t version = snapshot->version();
   snapshot_.Publish(std::move(snapshot));
-  if (feedback_owned_ != nullptr) {
-    feedback_owned_->OnSnapshotPublished(version);
-    feedback_owned_->OnTableHealthChanged(table);
-  }
+  // Only the drift window restarts: a health flip swaps one table's model
+  // and changes no table's data, so the cached actuals stay exact (the same
+  // reason MineRoutes keeps them).
+  if (feedback_owned_ != nullptr) feedback_owned_->OnTableHealthChanged(table);
   return Status::Ok();
 }
 

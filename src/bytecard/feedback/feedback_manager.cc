@@ -55,14 +55,9 @@ void FeedbackManager::OnIngest(const IngestionEvent& event) {
   }
 }
 
-void FeedbackManager::OnSnapshotPublished(uint64_t version) {
-  last_published_version_.store(version, std::memory_order_relaxed);
-  cache_.InvalidateAll();
-}
+void FeedbackManager::OnSnapshotPublished() { cache_.InvalidateAll(); }
 
-void FeedbackManager::OnIncrementalPublish(const std::string& table,
-                                           uint64_t version) {
-  last_published_version_.store(version, std::memory_order_relaxed);
+void FeedbackManager::OnIncrementalPublish(const std::string& table) {
   cache_.InvalidateTable(table);
 }
 

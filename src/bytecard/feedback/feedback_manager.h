@@ -48,16 +48,17 @@ class FeedbackManager : public minihouse::QueryFeedbackHook,
   void OnIngest(const IngestionEvent& event) override;
 
   // --- Lifecycle signals (called by the ByteCard facade) --------------------
-  // A new estimator snapshot was published: all cached actuals refer to plans
-  // of a retired regime — flush.
-  void OnSnapshotPublished(uint64_t version);
+  // Retrained models were published (RefreshModels): all cached actuals
+  // refer to plans of a retired regime — flush. Health flips and mined
+  // routes publish snapshots too, but change no table's data and keep them.
+  void OnSnapshotPublished();
   // A delta-updated snapshot was published by the incremental maintainer for
   // one ingested table. Only that table's cached actuals are stale (its epoch
   // was already bumped by OnIngest; this bumps again in case the publish
   // lagged further batches), and crucially the drift windows are NOT reset:
   // drift must keep accumulating across incremental publishes so the
   // demote→full-retrain safety net still fires when deltas degrade.
-  void OnIncrementalPublish(const std::string& table, uint64_t version);
+  void OnIncrementalPublish(const std::string& table);
   // `table`'s model was demoted or re-promoted: its drift window reflects the
   // previous regime — reset so the verdict restarts clean.
   void OnTableHealthChanged(const std::string& table);
@@ -69,10 +70,6 @@ class FeedbackManager : public minihouse::QueryFeedbackHook,
     serve_from_cache_.store(serve, std::memory_order_relaxed);
   }
 
-  uint64_t last_published_version() const {
-    return last_published_version_.load(std::memory_order_relaxed);
-  }
-
   FeedbackLog& log() { return log_; }
   FeedbackCache& cache() { return cache_; }
   OnlineDriftDetector& drift() { return drift_; }
@@ -82,7 +79,6 @@ class FeedbackManager : public minihouse::QueryFeedbackHook,
   FeedbackCache cache_;
   OnlineDriftDetector drift_;
   std::atomic<bool> serve_from_cache_{true};
-  std::atomic<uint64_t> last_published_version_{0};
   // Specialization vetoes: fingerprint → base tables the subplan touches
   // (the ingest-invalidation scope, same idea as the cache's table index).
   // Unbounded in principle but keyed by mis-specializations, which stale

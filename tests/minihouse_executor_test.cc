@@ -381,7 +381,7 @@ TEST(ExecStatsTest, StatsCountersUnchanged) {
           {"bytecard/feedback1", 0x31330a1bb22e87feULL},
           {"bytecard/feedback2", 0x6346320ae44930ccULL},
           {"bytecard/routed", 0xc443af298f17c8d6ULL},
-          {"bytecard/scheduler", 0xb586186e7e195954ULL},
+          {"bytecard/scheduler", 0x8abe9d674723a124ULL},
           {"sketch/dop1", 0x7656a7ac50945dc4ULL},
           {"sketch/dop1/no-ndv-hint", 0x03e5fad20bd869a1ULL},
           {"sketch/dop1/prune", 0x5eae9f651531cc40ULL},
@@ -411,7 +411,7 @@ TEST(ExecStatsTest, ImdbCountersUnchanged) {
           {"bytecard/feedback1", 0xf5f31eb9bd34874fULL},
           {"bytecard/feedback2", 0xb224175d867ea764ULL},
           {"bytecard/routed", 0x4f2af511c2a29c24ULL},
-          {"bytecard/scheduler", 0xdb105b0bf1efdffbULL},
+          {"bytecard/scheduler", 0x97a8558a4dd78965ULL},
           {"sketch/dop1", 0x251b60c3e9d49527ULL},
           {"sketch/dop1/no-ndv-hint", 0x751bce862f3b9527ULL},
           {"sketch/dop1/prune", 0x110acec05b0ba718ULL},
@@ -441,7 +441,7 @@ TEST(ExecStatsTest, AeolusCountersUnchanged) {
           {"bytecard/feedback1", 0x0be898a9a0151881ULL},
           {"bytecard/feedback2", 0xfa3840598aa7bc75ULL},
           {"bytecard/routed", 0x182c838db1820463ULL},
-          {"bytecard/scheduler", 0x1ca5a479ab6a4e47ULL},
+          {"bytecard/scheduler", 0xe36bd85af53d1d13ULL},
           {"sketch/dop1", 0x1d2410c0ce6e7f5fULL},
           {"sketch/dop1/no-ndv-hint", 0x3a758391a6c7bebbULL},
           {"sketch/dop1/prune", 0xc90971a15c2aa4ecULL},

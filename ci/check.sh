@@ -117,17 +117,23 @@ print("accuracy gate:", "FAILED" if errors else "OK", f"({len(want)} cells)")
 sys.exit(1 if errors else 0)
 EOF
 
-echo "== perfbench smoke: stats-adhoc runner =="
+echo "== perfbench smoke: stats-adhoc and aeolus-live runners =="
 # Builds the repository benchmark's runner from this checkout and runs one
-# short stats-adhoc window; fails unless every query answered correctly.
-# A src/ interface change that breaks the runner fails here.
-(cd "${REPO_ROOT}" &&
-  python3 perfbench/run.py --workload stats-adhoc --seed 1 --seconds 1 \
-    --trace 0 | tail -n 1 |
-  python3 -c 'import json, sys
+# short window of each workload; fails unless every query answered
+# correctly. A src/ interface change that breaks the runner fails here.
+# aeolus-live is the one workload where an ingest batch lands between a
+# query's plan and its execution: its replica check fails a run that
+# answers from a scan opened before the batch.
+for workload in stats-adhoc aeolus-live; do
+  (cd "${REPO_ROOT}" &&
+    python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
+      --trace 0 | tail -n 1 |
+    python3 -c 'import json, sys
 r = json.loads(sys.stdin.read())
-print("perfbench smoke:", {k: r[k] for k in ("correct", "attempted", "failed")})
-sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)')
+print("perfbench smoke:", sys.argv[1],
+      {k: r[k] for k in ("correct", "attempted", "failed")})
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "${workload}")
+done
 
 echo "== sanitizer: thread =="
 "${REPO_ROOT}/ci/sanitize.sh" thread

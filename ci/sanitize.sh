@@ -11,8 +11,14 @@
 # probes, and the demotion publish path), the reader tests (the
 # read-ahead pipeline and its per-slot selection state, at dop 1 and 4, and
 # pipelines opened before they drain) and the optimizer tests (reader choice
-# under a block latency). The operator-DAG tests run queries whose serial
-# scans open before the tree runs, one beside a dop-2 scan's pool drainers.
+# under a block latency; which scans a plan opens, and that a context
+# planned twice or never executed drops them, which ASan's leak check
+# watches). The operator-DAG tests run queries whose serial scans open
+# before the tree runs, one beside a dop-2 scan's pool drainers, and scans
+# opened while planning, taken over or dropped at execution
+# (ScansOpenedWhilePlanning*, EditedPlanDropsTheScanOpenedWhilePlanning);
+# the scheduler tests add an ingest batch between plan and execution
+# (IngestBetweenPlanAndRunReopensTheIngestedScan).
 # The MLP, RBX synthetic-column, RBX golden-artifact and Zipf tests check the
 # index arithmetic of the blocked training kernels, the true-NDV bitmap and
 # the Zipf guide table. The executor tests pin every ExecStats counter,

@@ -22,10 +22,12 @@ namespace bytecard::feedback {
 // and an ingest batch into table T just bumps T's epoch (O(1), no scan).
 // Entries whose recorded epoch lags the table's current epoch are stale —
 // Lookup drops them lazily, and stats() reports them as invalidated, so the
-// observable contract matches the old eager per-table scan exactly. A new
-// estimator snapshot from retrain/demotion still flushes wholesale (the
-// workload regime changed; cheap full drop keeps that rule obviously safe),
-// but incremental delta publishes bump only the ingested table's epoch.
+// observable contract matches the old eager per-table scan exactly. Picking
+// up retrained models (ByteCard::RefreshModels) still flushes wholesale
+// (InvalidateAll; cheap full drop keeps that rule obviously safe). Other
+// snapshot publishes keep the entries: a health flip (demotion or
+// re-promotion) or a mined routing table changes no table's data, and an
+// incremental delta publish bumps only the ingested table's epoch.
 class FeedbackCache {
  public:
   struct Options {

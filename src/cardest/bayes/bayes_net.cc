@@ -1,6 +1,7 @@
 #include "cardest/bayes/bayes_net.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
 
@@ -223,8 +224,13 @@ Result<BayesNetModel> BayesNetModel::Deserialize(BufferReader* reader) {
 // Inference context
 // ---------------------------------------------------------------------------
 
+namespace {
+std::atomic<uint64_t> g_next_context_id{1};
+}  // namespace
+
 BnInferenceContext::BnInferenceContext(const BayesNetModel* model)
-    : model_(model) {
+    : model_(model),
+      id_(g_next_context_id.fetch_add(1, std::memory_order_relaxed)) {
   const int n = model->num_nodes();
   children_.assign(n, {});
   for (int v = 0; v < n; ++v) {
@@ -325,8 +331,11 @@ namespace {
 // Planner-call memo: one optimizer pass asks for the same (context, filters)
 // selectivity dozens of times (column ordering probes, every join-order
 // subset). thread_local keeps inference lock-free across query threads.
+// Entries are keyed on the context's id, not its address: a context built
+// where a destroyed one lived (one per call on the stack, or a reallocated
+// engine context) must not inherit its answers.
 struct SelectivityCacheEntry {
-  const void* context = nullptr;
+  uint64_t context = 0;  // no context has id 0
   uint64_t key = 0;
   double selectivity = 0.0;
 };
@@ -358,10 +367,8 @@ double BnInferenceContext::EstimateSelectivity(
   thread_local std::vector<SelectivityCacheEntry> cache(
       kSelectivityCacheSlots);
   const uint64_t key = HashConjunction(filters);
-  SelectivityCacheEntry& slot =
-      cache[(key ^ reinterpret_cast<uintptr_t>(this)) %
-            kSelectivityCacheSlots];
-  if (slot.context == this && slot.key == key) return slot.selectivity;
+  SelectivityCacheEntry& slot = cache[(key ^ id_) % kSelectivityCacheSlots];
+  if (slot.context == id_ && slot.key == key) return slot.selectivity;
 
   const std::vector<std::vector<double>> evidence = BuildEvidence(filters);
   std::vector<std::vector<double>> up;
@@ -373,7 +380,7 @@ double BnInferenceContext::EstimateSelectivity(
   double z = 0.0;
   for (int b = 0; b < root.num_bins(); ++b) z += prior[b] * up[root_][b];
   z = std::clamp(z, 0.0, 1.0);
-  slot = {this, key, z};
+  slot = {id_, key, z};
   return z;
 }
 

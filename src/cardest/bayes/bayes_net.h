@@ -129,6 +129,10 @@ class BnInferenceContext {
                   std::vector<std::vector<double>>* child_sum) const;
 
   const BayesNetModel* model_;
+  // Unique to this context for the life of the process: the key of its
+  // entries in the thread-local selectivity memo, which a context built
+  // later at this one's address must not answer from.
+  uint64_t id_;
   int root_ = 0;
   std::vector<int> topo_;                  // parents before children
   std::vector<std::vector<int>> children_;

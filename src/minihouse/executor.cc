@@ -1,6 +1,7 @@
 #include "minihouse/executor.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -48,11 +49,16 @@ Result<ExecResult> ExecuteQuery(const BoundQuery& query,
   // window: a concurrent ingest batch (append + re-seal under the exclusive
   // latch) waits rather than swapping blocks under a running scan.
   TableReadGuard table_guard(query);
+  // The scans opened while planning leave the context here, under the latch:
+  // each scan takes over its own if it still matches, and the rest are
+  // dropped, unread, when this returns.
+  std::vector<OpenedScan> planned = ctx->TakeOpenedScans();
   BC_ASSIGN_OR_RETURN(CompiledDag dag, CompileOperatorDag(query, plan, ctx));
-  // One read wait per query rather than one per scan: every scan that can
-  // issues its first reads now, in the order the tree will drain them, so
-  // their latency overlaps the joins and scans that run first.
-  for (ScanOp* scan : dag.scans) scan->Open();
+  // One read wait per query rather than one per scan: every scan that can,
+  // and was not opened while planning, issues its first reads now, in the
+  // order the tree will drain them, so their latency overlaps the joins and
+  // scans that run first.
+  for (ScanOp* scan : dag.scans) scan->Open(&planned);
   BC_ASSIGN_OR_RETURN(Relation groups, dag.root->Execute());
   (void)groups;  // the relational view; benches consume the AggregateResult
 

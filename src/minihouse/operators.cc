@@ -57,14 +57,28 @@ ScanOptions ScanOp::Options() const {
   return options;
 }
 
-void ScanOp::Open() {
+void ScanOp::Open(std::vector<OpenedScan>* planned) {
   BC_DCHECK(!opened_);
+  if (planned != nullptr) {
+    auto scan = std::find_if(
+        planned->begin(), planned->end(),
+        [this](const OpenedScan& s) { return s.ref == &ref_; });
+    if (scan != planned->end() && scan->pipeline != nullptr &&
+        scan_plan_.reader == ReaderKind::kSingleStage &&
+        scan_plan_.dop == 1 && scan->features == features_ &&
+        scan->table_rows == ref_.table->num_rows()) {
+      stats_.io += scan->io;
+      opened_ = std::move(scan->pipeline);
+      return;
+    }
+  }
   if (scan_plan_.dop > 1 ||
       (sip_expected_ && scan_plan_.reader != ReaderKind::kSingleStage)) {
     return;
   }
-  opened_.emplace(*ref_.table, ref_.filters, output_schema_columns_,
-                  Options(), 0, ref_.table->num_blocks(), &stats_.io);
+  opened_ = std::make_unique<ScanPipeline>(
+      *ref_.table, ref_.filters, output_schema_columns_, Options(), 0,
+      ref_.table->num_blocks(), &stats_.io);
 }
 
 Result<Relation> ScanOp::Execute() {

@@ -131,7 +131,14 @@ class ScanOp : public PhysicalOperator {
   // column (the probe join key, an output column): in a multi-stage chain
   // SIP would become the first stage. A scan planned at dop > 1, or not
   // opened, opens when it executes. ExecuteQuery opens every scan.
-  void Open();
+  //
+  // `planned` holds the scans opened while planning
+  // (QueryContext::TakeOpenedScans). The scan takes over the pipeline opened
+  // for its table ref, and the IoStats opening charged, instead of opening
+  // its own, if its plan is still single-stage at dop 1 with the same
+  // switches and the table still has the rows it had at opening (tables
+  // only grow, so an ingest batch since then always moves the count).
+  void Open(std::vector<OpenedScan>* planned = nullptr);
 
   Result<Relation> Execute() override;
 
@@ -145,7 +152,7 @@ class ScanOp : public PhysicalOperator {
   ExecFeatures features_;
   bool sip_expected_ = false;
   SemiJoinFilter sip_;
-  std::optional<ScanPipeline> opened_;
+  std::unique_ptr<ScanPipeline> opened_;
   std::vector<int> output_schema_columns_;  // schema indices, ascending
   std::vector<ColumnId> output_ids_;
   std::vector<std::string> output_names_;

@@ -178,39 +178,46 @@ EstimationStats EstimationContext::stats() const {
   return stats;
 }
 
+// Zone-map tier (DESIGN.md §12): block min/max give a sound selectivity
+// upper bound for free (no estimator call, one pass over block metadata).
+// Clamping the estimate with it makes reader choice, dop, and admission
+// pruning-aware even when the learned model overestimates — e.g. a range
+// predicate on a clustered column that zone maps prove touches a few blocks.
+//
+// The same pass counts the blocks the scan reads. Short scans on
+// latency-bound storage read in one stage: when every block the scan reads
+// fits in one read-ahead round, nothing overlaps a multi-stage chain's
+// stages, so it waits one full read latency per stage against the
+// single-stage reader's one, and each block that survives costs it more
+// reads, as it re-reads the filter columns. A scan without filters reads in
+// one stage too.
+Optimizer::ScanBounds Optimizer::BoundScan(const BoundTableRef& ref) const {
+  ScanBounds bounds;
+  if (ref.filters.empty()) {
+    bounds.single_stage = true;
+    return bounds;
+  }
+  int64_t blocks = 0;
+  bounds.selectivity =
+      ZoneMapSelectivityBound(*ref.table, ref.filters, &blocks);
+  if (!options_.features.prune_blocks) blocks = ref.table->num_blocks();
+  const StorageProfile* storage = ref.table->storage_profile();
+  bounds.single_stage =
+      storage != nullptr &&
+      storage->block_latency_nanos.load(std::memory_order_relaxed) > 0 &&
+      blocks <= kReadAheadBlocks;
+  return bounds;
+}
+
 TableScanPlan Optimizer::PlanScan(const BoundTableRef& ref,
+                                  const ScanBounds& bounds,
                                   EstimationContext* ctx) const {
   TableScanPlan plan;
-  if (ref.filters.empty()) {
-    plan.reader = ReaderKind::kSingleStage;
-    return plan;
-  }
+  if (ref.filters.empty()) return plan;
 
-  plan.estimated_selectivity = ctx->Selectivity(*ref.table, ref.filters);
-
-  // Zone-map tier (DESIGN.md §12): block min/max give a sound selectivity
-  // upper bound for free (no estimator call, one pass over block metadata).
-  // Clamping here makes reader choice, dop, and admission pruning-aware even
-  // when the learned model overestimates — e.g. a range predicate on a
-  // clustered column that zone maps prove touches a few blocks.
-  int64_t blocks = 0;
-  plan.estimated_selectivity =
-      std::min(plan.estimated_selectivity,
-               ZoneMapSelectivityBound(*ref.table, ref.filters, &blocks));
-  if (!options_.features.prune_blocks) blocks = ref.table->num_blocks();
-
-  // Short scans on latency-bound storage read in one stage (DESIGN.md §12):
-  // when every block the scan reads fits in one read-ahead round, nothing
-  // overlaps a multi-stage chain's stages, so it waits one full read latency
-  // per stage against the single-stage reader's one, and each block that
-  // survives costs it more reads, as it re-reads the filter columns.
-  const StorageProfile* storage = ref.table->storage_profile();
-  if (storage != nullptr &&
-      storage->block_latency_nanos.load(std::memory_order_relaxed) > 0 &&
-      blocks <= kReadAheadBlocks) {
-    plan.reader = ReaderKind::kSingleStage;
-    return plan;
-  }
+  plan.estimated_selectivity = std::min(
+      ctx->Selectivity(*ref.table, ref.filters), bounds.selectivity);
+  if (bounds.single_stage) return plan;
 
   // Dynamic reader selection (paper §5.1.2): multi-stage pays off exactly
   // when filters eliminate most rows early; otherwise its extra passes lose.
@@ -352,13 +359,49 @@ int Optimizer::PickDop(double estimated_work_rows) const {
   return static_cast<int>(std::clamp<int64_t>(dop, 1, options_.max_dop));
 }
 
-PhysicalPlan Optimizer::Plan(const BoundQuery& query,
-                             EstimationContext* ctx) const {
+PhysicalPlan Optimizer::PlanQuery(const BoundQuery& query,
+                                  EstimationContext* ctx,
+                                  QueryContext* opened) const {
   Stopwatch timer;
-  PhysicalPlan plan;
-  plan.scans.reserve(query.tables.size());
+  const int n = query.num_tables();
+  std::vector<ScanBounds> bounds;
+  bounds.reserve(n);
   for (const BoundTableRef& ref : query.tables) {
-    plan.scans.push_back(PlanScan(ref, ctx));
+    bounds.push_back(BoundScan(ref));
+  }
+  if (opened != nullptr) {
+    // Read while planning (DESIGN.md §12): a scan whose reader needs no
+    // estimate, and whose dop is 1 whatever the estimate (its work, rows in
+    // plus rows out, is at most twice its rows, and PickDop is monotone),
+    // opens now, reading what its ScanOp will: the required columns, the
+    // plan's switches, every block, and no SIP filter (a join arms that at
+    // execution). Its first reads are then in flight while the estimators
+    // run.
+    std::vector<OpenedScan> scans;
+    for (int t = 0; t < n; ++t) {
+      const BoundTableRef& ref = query.tables[t];
+      const int64_t rows = ref.table->num_rows();
+      if (!bounds[t].single_stage ||
+          PickDop(2.0 * static_cast<double>(rows)) != 1) {
+        continue;
+      }
+      OpenedScan& scan = scans.emplace_back();
+      scan.ref = &ref;
+      scan.table_rows = rows;
+      scan.features = options_.features;
+      ScanOptions scan_options;
+      scan_options.features = options_.features;
+      scan.pipeline = std::make_unique<ScanPipeline>(
+          *ref.table, ref.filters, RequiredScanColumns(query, t), scan_options,
+          0, ref.table->num_blocks(), &scan.io);
+    }
+    opened->SetOpenedScans(std::move(scans));
+  }
+
+  PhysicalPlan plan;
+  plan.scans.reserve(n);
+  for (int t = 0; t < n; ++t) {
+    plan.scans.push_back(PlanScan(query.tables[t], bounds[t], ctx));
   }
   std::vector<double> prefix_cards;
   plan.join_order = PlanJoinOrder(query, ctx, &prefix_cards);
@@ -372,7 +415,6 @@ PhysicalPlan Optimizer::Plan(const BoundQuery& query,
   // during planning (scan selectivities, join prefix cardinalities), so this
   // issues zero additional estimator or memo probes — estimation accounting
   // is byte-identical to a serial plan.
-  const int n = query.num_tables();
   plan.join_dop.assign(n, 1);
   if (options_.max_dop > 1 && n > 0) {
     auto scan_output_rows = [&](int t) {
@@ -421,15 +463,20 @@ PhysicalPlan Optimizer::Plan(const BoundQuery& query,
 }
 
 PhysicalPlan Optimizer::Plan(const BoundQuery& query,
+                             EstimationContext* ctx) const {
+  return PlanQuery(query, ctx, nullptr);
+}
+
+PhysicalPlan Optimizer::Plan(const BoundQuery& query,
                              CardinalityEstimator* estimator) const {
   EstimationContext ctx(estimator);
-  return Plan(query, &ctx);
+  return PlanQuery(query, &ctx, nullptr);
 }
 
 PhysicalPlan Optimizer::Plan(const BoundQuery& query,
                              QueryContext* ctx) const {
   BC_CHECK(ctx != nullptr && ctx->estimation() != nullptr);
-  return Plan(query, ctx->estimation());
+  return PlanQuery(query, ctx->estimation(), ctx);
 }
 
 }  // namespace bytecard::minihouse

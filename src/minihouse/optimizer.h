@@ -292,12 +292,26 @@ class Optimizer {
 
   // Plans inside a query context's estimation scope (which must exist): the
   // per-query entry point the scheduler and executor use. The pin lives as
-  // long as the context — through execution.
+  // long as the context — through execution. Before its first estimate it
+  // opens, into the context, the scan of every table whose reader and dop
+  // need no estimate (a single-stage scan at dop 1), so their first reads
+  // overlap planning; ExecuteQuery takes them over (DESIGN.md §12).
   PhysicalPlan Plan(const BoundQuery& query, QueryContext* ctx) const;
 
  private:
-  TableScanPlan PlanScan(const BoundTableRef& ref,
+  // What a scan's plan knows before any estimate, from one pass over its
+  // table's zone maps.
+  struct ScanBounds {
+    double selectivity = 1.0;   // the zone-map selectivity upper bound
+    bool single_stage = false;  // the reader needs no estimate
+  };
+  ScanBounds BoundScan(const BoundTableRef& ref) const;
+  TableScanPlan PlanScan(const BoundTableRef& ref, const ScanBounds& bounds,
                          EstimationContext* ctx) const;
+  // Plans `query`; when `opened` is non-null, first opens into it the scans
+  // whose plan needs no estimate.
+  PhysicalPlan PlanQuery(const BoundQuery& query, EstimationContext* ctx,
+                         QueryContext* opened) const;
   // Plans the join order; when `prefix_cards` is non-null, records the
   // estimated cardinality of each left-deep prefix as it is grown (entry i =
   // output of join step i+1). These are the cardinalities the greedy search

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "minihouse/io_stats.h"
@@ -87,6 +89,17 @@ struct ExecStats : EstimationStats, OperatorCounters {
   double max_op_qerror = 1.0;
 };
 
+// A scan opened while planning (Optimizer::Plan, DESIGN.md §12): its
+// read-ahead pipeline, the IoStats opening charged, and what its ScanOp must
+// still match at execution to take it over (ScanOp::Open).
+struct OpenedScan {
+  const BoundTableRef* ref = nullptr;  // the query table it was opened for
+  int64_t table_rows = 0;              // the table's row count at opening
+  ExecFeatures features;               // the switches it reads with
+  IoStats io;                          // reads issued and blocks pruned
+  std::unique_ptr<ScanPipeline> pipeline;
+};
+
 // The per-query bundle the whole execution stack is parameterized by: the
 // query's estimation scope (pinned model snapshot + InferenceSession), its
 // scheduling lane, its morsel budget, and its private ExecStats. One context
@@ -98,6 +111,14 @@ struct ExecStats : EstimationStats, OperatorCounters {
 // optionally SetAdmission from the scheduler's classification → plan →
 // compile → execute → read stats. The context must outlive execution; the
 // snapshot pin is released when the context dies.
+//
+// Planning through the context also opens the scans whose plan needs no
+// estimate, so their first reads are in flight while the estimators run,
+// and keeps them here until ExecuteQuery takes them all, under its read
+// latch; each ScanOp drains the one opened for it if it still matches, and
+// the rest are dropped with their reads uncounted. A second Plan drops the
+// first plan's scans, as does the context's death. The planned query must
+// stay alive and unchanged from Plan to ExecuteQuery.
 class QueryContext {
  public:
   // A context with no estimation scope: plain execution of a pre-built plan
@@ -135,11 +156,21 @@ class QueryContext {
   ExecStats* mutable_stats() { return &stats_; }
   const ExecStats& stats() const { return stats_; }
 
+  // The scans opened while planning (see the class comment). Set replaces,
+  // and so drops, those already held; Take leaves none.
+  void SetOpenedScans(std::vector<OpenedScan> scans) {
+    opened_scans_ = std::move(scans);
+  }
+  std::vector<OpenedScan> TakeOpenedScans() {
+    return std::exchange(opened_scans_, {});
+  }
+
  private:
   std::unique_ptr<EstimationContext> estimation_;
   common::MorselBudget budget_;           // defaults to kUnlimited
   common::MorselPolicy policy_{common::TaskLane::kFast, &budget_};
   ExecStats stats_;
+  std::vector<OpenedScan> opened_scans_;
 };
 
 }  // namespace bytecard::minihouse

@@ -53,6 +53,8 @@ struct ExecFeatures {
   // any I/O, when some filter's range cannot overlap its min/max. Only
   // blocks_read/blocks_pruned change.
   bool prune_blocks = true;
+
+  bool operator==(const ExecFeatures&) const = default;
 };
 
 struct ScanOptions {

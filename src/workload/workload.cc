@@ -109,7 +109,11 @@ Result<Workload> BuildWorkload(const minihouse::Database& db,
   return workload;
 }
 
-Result<WorkloadStats> ComputeWorkloadStats(const Workload& workload) {
+Result<WorkloadStats> ComputeWorkloadStats(
+    const Workload& workload, const std::vector<int64_t>& true_counts) {
+  if (true_counts.size() != workload.queries.size()) {
+    return Status::InvalidArgument("one true count per workload query");
+  }
   WorkloadStats stats;
   stats.num_queries = static_cast<int>(workload.queries.size());
   stats.num_join_templates = workload.num_join_templates;
@@ -119,7 +123,8 @@ Result<WorkloadStats> ComputeWorkloadStats(const Workload& workload) {
   stats.max_joined_tables = workload.queries[0].num_tables;
   bool first_card = true;
 
-  for (const WorkloadQuery& wq : workload.queries) {
+  for (size_t q = 0; q < workload.queries.size(); ++q) {
+    const WorkloadQuery& wq = workload.queries[q];
     stats.min_joined_tables = std::min(stats.min_joined_tables, wq.num_tables);
     stats.max_joined_tables = std::max(stats.max_joined_tables, wq.num_tables);
     if (wq.aggregate) {
@@ -131,8 +136,7 @@ Result<WorkloadStats> ComputeWorkloadStats(const Workload& workload) {
           wq.num_group_keys);
       stats.max_group_keys = std::max(stats.max_group_keys, wq.num_group_keys);
     }
-    BC_ASSIGN_OR_RETURN(const int64_t truth, TrueCount(wq.query));
-    const double t = static_cast<double>(truth);
+    const double t = static_cast<double>(true_counts[q]);
     if (first_card) {
       stats.min_true_cardinality = stats.max_true_cardinality = t;
       first_card = false;

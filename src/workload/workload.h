@@ -40,7 +40,9 @@ Result<Workload> BuildWorkload(const minihouse::Database& db,
 // Dataset name for a workload name ("JOB-Hybrid" -> "imdb", ...).
 Result<std::string> DatasetOf(const std::string& workload_name);
 
-// Table 5's row set, computed from a workload plus the truth oracle.
+// Table 5's row set, computed from a workload and the true COUNT(*) of each
+// of its queries (true_counts[i] = TrueCount(workload.queries[i].query)),
+// which the caller has counted once for its own use too.
 struct WorkloadStats {
   int num_queries = 0;
   int num_join_templates = 0;
@@ -53,7 +55,8 @@ struct WorkloadStats {
   int queries_at_max_tables = 0;
   int queries_at_max_group_keys = 0;
 };
-Result<WorkloadStats> ComputeWorkloadStats(const Workload& workload);
+Result<WorkloadStats> ComputeWorkloadStats(
+    const Workload& workload, const std::vector<int64_t>& true_counts);
 
 }  // namespace bytecard::workload
 

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "cardest/bayes/bayes_net.h"
 #include "cardest/bayes/chow_liu.h"
@@ -237,6 +238,43 @@ TEST_F(BnTest, FlatIndexMatchesTreeWalk) {
     EXPECT_NEAR(context_->EstimateSelectivity(filters),
                 context_->EstimateSelectivityTreeWalk(filters), 1e-9);
   }
+}
+
+// The thread-local selectivity memo never answers a context with a dead
+// one's estimates: two contexts built one after the other in the same place
+// (as BayesCardModel::EstimateCount builds one on the stack per call), over
+// models where a < 5 keeps 5% and 50% of the rows, each give their own
+// model's answer.
+TEST_F(BnTest, SelectivityCacheNeverServesADeadContext) {
+  auto train = [](int64_t distinct) {
+    minihouse::Table table(
+        "uniform",
+        minihouse::TableSchema({{"a", minihouse::DataType::kInt64},
+                                {"b", minihouse::DataType::kInt64}}));
+    for (int64_t i = 0; i < 10000; ++i) {
+      table.mutable_column(0)->AppendInt(i % distinct);
+      table.mutable_column(1)->AppendInt(i % 7);
+    }
+    BC_CHECK_OK(table.Seal());
+    BnTrainOptions options;
+    options.max_train_rows = 0;  // all rows
+    auto model = BayesNetModel::Train(table, options);
+    BC_CHECK_OK(model.status());
+    return std::move(model).value();
+  };
+  const BayesNetModel hundred = train(100);
+  const BayesNetModel ten = train(10);
+  const minihouse::Conjunction filters = {Pred(0, CompareOp::kLt, 5)};
+  std::optional<BnInferenceContext> context;
+  context.emplace(&hundred);
+  const BnInferenceContext* first = &*context;
+  EXPECT_NEAR(context->EstimateSelectivity(filters), 0.05, 0.01);
+  context.reset();
+  context.emplace(&ten);
+  ASSERT_EQ(&*context, first);
+  EXPECT_NEAR(context->EstimateSelectivity(filters),
+              context->EstimateSelectivityTreeWalk(filters), 1e-9);
+  EXPECT_NEAR(context->EstimateSelectivity(filters), 0.5, 0.05);
 }
 
 TEST_F(BnTest, RootAndTopologicalOrderFrozen) {

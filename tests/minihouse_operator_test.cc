@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -524,6 +525,248 @@ TEST(OperatorDagTest, PruningCostsNoEstimatorCalls) {
   Result<ExecResult> result = ExecuteQuery(query, plan1);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(est1.calls, before);
+}
+
+// --- Reading while planning --------------------------------------------------
+
+// A CountingEstimator whose every answer takes `nap`.
+class SleepingEstimator : public CountingEstimator {
+ public:
+  explicit SleepingEstimator(std::chrono::nanoseconds nap) : nap_(nap) {}
+  double EstimateSelectivity(const Table& table,
+                             const Conjunction& filters) override {
+    std::this_thread::sleep_for(nap_);
+    return CountingEstimator::EstimateSelectivity(table, filters);
+  }
+  double EstimateJoinCardinality(const BoundQuery& query,
+                                 const std::vector<int>& subset) override {
+    std::this_thread::sleep_for(nap_);
+    return CountingEstimator::EstimateJoinCardinality(query, subset);
+  }
+  double EstimateGroupNdv(const BoundQuery& query) override {
+    std::this_thread::sleep_for(nap_);
+    return CountingEstimator::EstimateGroupNdv(query);
+  }
+
+ private:
+  std::chrono::nanoseconds nap_;
+};
+
+// SELECT SUM(dim.id) FROM dim WHERE dim.category <= 2: one filtered
+// one-block table, and a plan that asks one estimate.
+BoundQuery FilteredDimQuery(const Database& db) {
+  BoundTableRef dim;
+  dim.table = db.FindTable("dim").value();
+  dim.alias = "dim";
+  dim.filters = {{1, "category", CompareOp::kLe, 2, 0, {}}};
+  BoundQuery query;
+  query.tables = {dim};
+  query.aggs = {{AggFunc::kSum, 0, 0}};
+  return query;
+}
+
+// A short filtered scan's reader and dop need no estimate, so planning
+// through a QueryContext opens it before its estimate: the read and the
+// estimate wait together, and plan plus execute take about one latency L
+// where opening at execution takes two.
+TEST(OperatorDagTest, ScansOpenedWhilePlanningOverlapEstimation) {
+  auto db = BuildThreeTableDb();
+  constexpr auto kLatency = 100ms;
+  db->SetStorageBlockLatencyNanos(std::chrono::nanoseconds(kLatency).count());
+  const BoundQuery query = FilteredDimQuery(*db);
+  ASSERT_EQ(query.tables[0].table->num_blocks(), 1);
+  const Result<ExecResult> reference =
+      ExecuteQuery(query, MakePlan(query, true, true, 1));
+  ASSERT_TRUE(reference.ok());
+
+  SleepingEstimator estimator(kLatency);
+  const auto start = std::chrono::steady_clock::now();
+  QueryContext qctx(&estimator);
+  const PhysicalPlan plan = Optimizer().Plan(query, &qctx);
+  const Result<ExecResult> result = ExecuteQuery(query, plan, &qctx);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(estimator.calls, 1);
+  EXPECT_EQ(SortedGroups(result.value().agg),
+            SortedGroups(reference.value().agg));
+  EXPECT_GE(elapsed, kLatency);
+  EXPECT_LT(elapsed, 2 * kLatency);
+}
+
+// build(id 0..12287, tag = id % 10), three blocks, and a probe of
+// `probe_blocks` blocks (key = row * 7 % 24576, val = row % 13): half the
+// probe keys find a build row, and build.id is clustered, so a bound on it
+// prunes whole blocks.
+std::unique_ptr<Database> BuildPlanningDb(int64_t probe_blocks) {
+  auto db = std::make_unique<Database>();
+  auto build = std::make_unique<Table>(
+      "build", TableSchema({{"id", DataType::kInt64},
+                            {"tag", DataType::kInt64}}));
+  for (int64_t i = 0; i < 3 * kBlockRows; ++i) {
+    build->mutable_column(0)->AppendInt(i);
+    build->mutable_column(1)->AppendInt(i % 10);
+  }
+  BC_CHECK_OK(build->Seal());
+  BC_CHECK_OK(db->AddTable(std::move(build)));
+  auto probe = std::make_unique<Table>(
+      "probe", TableSchema({{"key", DataType::kInt64},
+                            {"val", DataType::kInt64}}));
+  for (int64_t r = 0; r < probe_blocks * kBlockRows; ++r) {
+    probe->mutable_column(0)->AppendInt(r * 7 % (6 * kBlockRows));
+    probe->mutable_column(1)->AppendInt(r % 13);
+  }
+  BC_CHECK_OK(probe->Seal());
+  BC_CHECK_OK(db->AddTable(std::move(probe)));
+  db->SetStorageBlockLatencyNanos(std::chrono::nanoseconds(200us).count());
+  return db;
+}
+
+// build JOIN probe ON build.id = probe.key WHERE build.id >= 4096 AND
+// probe.val <= 9, GROUP BY build.tag, SUM(probe.val); `armed` adds
+// build.tag = 0, which keeps a build side small enough for the join to arm
+// SIP. Tables: 0 = build, 1 = probe.
+BoundQuery PlanningQuery(const Database& db, bool armed) {
+  BoundTableRef build;
+  build.table = db.FindTable("build").value();
+  build.alias = "build";
+  build.filters = {{0, "id", CompareOp::kGe, kBlockRows, 0, {}}};
+  if (armed) build.filters.push_back({1, "tag", CompareOp::kEq, 0, 0, {}});
+  BoundTableRef probe;
+  probe.table = db.FindTable("probe").value();
+  probe.alias = "probe";
+  probe.filters = {{1, "val", CompareOp::kLe, 9, 0, {}}};
+  BoundQuery query;
+  query.tables = {build, probe};
+  query.joins = {{0, 0, 1, 0}};
+  query.group_by = {{0, 1}};
+  query.aggs = {{AggFunc::kSum, 1, 1}};
+  return query;
+}
+
+// A scan opened while planning returns the rows and charges the IoStats of
+// the same plan's scan opened at execution: SIP off, declined (the join's
+// runtime size test) or armed; zone-map pruning on and off; a probe of one,
+// three or four blocks; max_dop 1 and 2. What opens is exactly what the
+// rule allows: at max_dop 1 the three-block build side, pruned or not, and
+// a probe of at most three blocks (four need an estimate to pick a reader);
+// at max_dop 2 only the one-block probe, as the others could run at dop 2.
+// Each run gets a fresh database, so both start from an empty decode cache.
+TEST(OperatorDagTest, ScansOpenedWhilePlanningMatchScansOpenedAtExecution) {
+  const char* const kSipNames[] = {"off", "declined", "armed"};
+  for (int64_t probe_blocks : {1, 3, 4}) {
+    for (int max_dop : {1, 2}) {
+      for (int sip : {0, 1, 2}) {
+        for (bool prune : {false, true}) {
+          SCOPED_TRACE(std::to_string(probe_blocks) + " probe blocks/dop " +
+                       std::to_string(max_dop) + "/sip " + kSipNames[sip] +
+                       (prune ? "/prune" : "/noprune"));
+          const bool armed = sip == 2;
+          struct Run {
+            std::vector<int> opened;  // tables opened while planning
+            std::vector<GroupRow> groups;
+            std::vector<OperatorStats> scans;
+          };
+          auto run = [&](bool take_over) {
+            auto db = BuildPlanningDb(probe_blocks);
+            const BoundQuery query = PlanningQuery(*db, armed);
+            OptimizerOptions options;
+            options.max_dop = max_dop;
+            options.features.sip = sip > 0;
+            options.features.prune_blocks = prune;
+            CountingEstimator estimator;
+            QueryContext qctx(&estimator);
+            const PhysicalPlan plan = Optimizer(options).Plan(query, &qctx);
+            std::vector<OpenedScan> opened = qctx.TakeOpenedScans();
+            Run out;
+            for (const OpenedScan& scan : opened) {
+              out.opened.push_back(
+                  static_cast<int>(scan.ref - query.tables.data()));
+            }
+            if (!take_over) opened.clear();
+            Result<CompiledDag> dag = CompileOperatorDag(query, plan, &qctx);
+            BC_CHECK_OK(dag.status());
+            for (ScanOp* scan : dag.value().scans) scan->Open(&opened);
+            BC_CHECK_OK(dag.value().root->Execute().status());
+            out.groups = SortedGroups(dag.value().root->TakeResult());
+            for (ScanOp* scan : dag.value().scans) {
+              out.scans.push_back(scan->stats());
+            }
+            return out;
+          };
+          const Run early = run(true);
+          const Run reference = run(false);
+          std::vector<int> expected_opened;
+          if (max_dop == 1) expected_opened.push_back(0);
+          if (probe_blocks == 1 || (max_dop == 1 && probe_blocks <= 3)) {
+            expected_opened.push_back(1);
+          }
+          EXPECT_EQ(early.opened, expected_opened);
+          EXPECT_EQ(early.groups, reference.groups);
+          EXPECT_FALSE(reference.groups.empty());
+          ASSERT_EQ(early.scans.size(), 2u);
+          ASSERT_EQ(reference.scans.size(), 2u);
+          for (size_t i = 0; i < early.scans.size(); ++i) {
+            EXPECT_EQ(early.scans[i].rows_out, reference.scans[i].rows_out);
+            EXPECT_EQ(early.scans[i].sip_filtered,
+                      reference.scans[i].sip_filtered);
+            ExpectSameIo(early.scans[i].io, reference.scans[i].io);
+            EXPECT_EQ(early.scans[i].io.blocks_pruned > 0, prune && i == 0);
+          }
+          EXPECT_EQ(reference.scans[1].sip_filtered, armed);
+        }
+      }
+    }
+  }
+}
+
+// SELECT fact.bucket, SUM(fact.value) FROM fact WHERE fact.value <= 24
+// GROUP BY fact.bucket. Table 0 = fact.
+BoundQuery FilteredFactQuery(const Database& db) {
+  BoundTableRef fact;
+  fact.table = db.FindTable("fact").value();
+  fact.alias = "fact";
+  fact.filters = {{1, "value", CompareOp::kLe, 24, 0, {}}};
+  BoundQuery query;
+  query.tables = {fact};
+  query.group_by = {{0, 2}};
+  query.aggs = {{AggFunc::kSum, 0, 1}};
+  return query;
+}
+
+// A plan is a value its caller may edit before executing it: a scan opened
+// while planning whose plan became multi-stage or dop 2 is dropped, and the
+// scan runs as a fresh open of the edited plan does, with its reads,
+// stages and drainers.
+TEST(OperatorDagTest, EditedPlanDropsTheScanOpenedWhilePlanning) {
+  for (bool multi_stage : {true, false}) {
+    SCOPED_TRACE(multi_stage ? "multi-stage" : "dop 2");
+    auto run = [&](bool planned_here) {
+      auto db = BuildThreeTableDb(3 * kBlockRows);
+      db->SetStorageBlockLatencyNanos(std::chrono::nanoseconds(200us).count());
+      const BoundQuery query = FilteredFactQuery(*db);
+      CountingEstimator estimator;
+      QueryContext qctx(&estimator);
+      PhysicalPlan plan = Optimizer().Plan(query, &qctx);
+      if (multi_stage) {
+        plan.scans[0].reader = ReaderKind::kMultiStage;
+      } else {
+        plan.scans[0].dop = 2;
+      }
+      Result<ExecResult> result = planned_here
+                                      ? ExecuteQuery(query, plan, &qctx)
+                                      : ExecuteQuery(query, plan);
+      BC_CHECK_OK(result.status());
+      return std::move(result).value();
+    };
+    const ExecResult edited = run(true);
+    const ExecResult reference = run(false);
+    EXPECT_EQ(SortedGroups(edited.agg), SortedGroups(reference.agg));
+    EXPECT_GT(reference.agg.num_groups, 0);
+    ExpectSameIo(edited.stats.io, reference.stats.io);
+    EXPECT_EQ(edited.stats.threads_used, reference.stats.threads_used);
+    EXPECT_EQ(edited.stats.parallel_tasks, reference.stats.parallel_tasks);
+    EXPECT_EQ(reference.stats.threads_used, multi_stage ? 1 : 2);
+  }
 }
 
 }  // namespace

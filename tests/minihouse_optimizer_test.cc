@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "minihouse/optimizer.h"
+#include "minihouse/query_context.h"
 #include "test_util.h"
 
 namespace bytecard::minihouse {
@@ -171,6 +173,44 @@ TEST(OptimizerTest, ShortScansOnLatencyBoundStorageReadInOneStage) {
   EXPECT_EQ(long_plan.scans[0].reader, ReaderKind::kMultiStage);
   EXPECT_EQ(long_plan.scans[0].filter_order.size(), 3u);
   EXPECT_GT(long_estimator.selectivity_calls, 1);
+}
+
+// Planning through a QueryContext opens there the scans whose reader and
+// dop need no estimate: without a block latency only the unfiltered one,
+// with one the short filtered one too. Planning through the bare
+// estimation scope opens nothing, planning again drops the first plan's
+// scans, and a context dropped unexecuted takes its scans with it (ASan's
+// leak check runs this suite).
+TEST(OptimizerTest, PlanningThroughAQueryContextOpensScansThatNeedNoEstimate) {
+  auto db = testutil::BuildToyDatabase();
+  BoundQuery query;
+  query.tables = {MakeRef(db->FindTable("fact").value(), 1),
+                  MakeRef(db->FindTable("dim").value(), 0)};
+  FakeEstimator estimator;
+  const Optimizer optimizer;
+  auto opened = [&](QueryContext* qctx) {
+    std::vector<int> tables;
+    for (const OpenedScan& scan : qctx->TakeOpenedScans()) {
+      tables.push_back(static_cast<int>(scan.ref - query.tables.data()));
+    }
+    return tables;
+  };
+
+  QueryContext qctx(&estimator);
+  optimizer.Plan(query, qctx.estimation());
+  EXPECT_TRUE(opened(&qctx).empty());
+  optimizer.Plan(query, &qctx);
+  optimizer.Plan(query, &qctx);
+  EXPECT_EQ(opened(&qctx), std::vector<int>{1});
+  EXPECT_TRUE(opened(&qctx).empty());
+
+  db->SetStorageBlockLatencyNanos(200000);
+  {
+    QueryContext unexecuted(&estimator);
+    optimizer.Plan(query, &unexecuted);
+  }
+  optimizer.Plan(query, &qctx);
+  EXPECT_EQ(opened(&qctx), (std::vector<int>{0, 1}));
 }
 
 TEST(OptimizerTest, EarlyStopLimitsEnumerationProbes) {

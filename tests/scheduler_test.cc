@@ -202,6 +202,64 @@ TEST(SchedulerTest, DestructorDrainsUnredeemedTickets) {
   EXPECT_EQ(tickets.size(), 16u);
 }
 
+// The scheduler plans in Submit and executes in Run, each in its own read
+// latch window, so an ingest batch may land between them. Run then drops the
+// scan opened while planning over the ingested table and opens it afresh,
+// and takes over the one over the untouched table: the query answers as a
+// fresh plan does, with the IoStats of scans opened at execution.
+TEST(SchedulerTest, IngestBetweenPlanAndRunReopensTheIngestedScan) {
+  struct Run {
+    GroupRow before;  // the answer before the ingest
+    GroupRow answer;
+    GroupRow fresh;   // a fresh plan and execute after the ingest
+    minihouse::IoStats io;
+  };
+  auto run = [](bool planning_context) {
+    SketchFixture f = BuildSketchFixture();
+    f.db->SetStorageBlockLatencyNanos(200 * 1000);
+    const BoundQuery query = GroupedJoinQuery(*f.db, 20);
+    const minihouse::Optimizer optimizer;
+    Run out;
+    auto before = minihouse::PlanAndExecute(query, optimizer,
+                                            f.estimator.get());
+    BC_CHECK_OK(before.status());
+    out.before = SortedFlatten(before.value().agg);
+
+    minihouse::QueryContext planned(f.estimator.get());
+    const minihouse::PhysicalPlan plan = optimizer.Plan(query, &planned);
+    minihouse::Table* fact = f.db->FindMutableTable("fact").value();
+    for (int64_t i = 0; i < 50; ++i) {
+      fact->mutable_column(0)->AppendInt(i);
+      fact->mutable_column(1)->AppendInt(i % 20);
+      fact->mutable_column(2)->AppendInt(i % 20 / 10);
+    }
+    BC_CHECK_OK(fact->Seal());
+    minihouse::QueryContext fresh_context;
+    auto result = minihouse::ExecuteQuery(
+        query, plan, planning_context ? &planned : &fresh_context);
+    BC_CHECK_OK(result.status());
+    out.answer = SortedFlatten(result.value().agg);
+    out.io = result.value().stats.io;
+    auto fresh = minihouse::PlanAndExecute(query, optimizer,
+                                           f.estimator.get());
+    BC_CHECK_OK(fresh.status());
+    out.fresh = SortedFlatten(fresh.value().agg);
+    return out;
+  };
+  const Run handed_over = run(true);
+  const Run reopened = run(false);
+  EXPECT_NE(handed_over.answer, handed_over.before);
+  EXPECT_EQ(handed_over.answer, handed_over.fresh);
+  EXPECT_EQ(handed_over.answer, reopened.answer);
+  EXPECT_EQ(handed_over.io.blocks_read, reopened.io.blocks_read);
+  EXPECT_EQ(handed_over.io.rows_scanned, reopened.io.rows_scanned);
+  EXPECT_EQ(handed_over.io.blocks_pruned, reopened.io.blocks_pruned);
+  EXPECT_EQ(handed_over.io.encoded_blocks, reopened.io.encoded_blocks);
+  EXPECT_EQ(handed_over.io.decode_cache_hits, reopened.io.decode_cache_hits);
+  EXPECT_EQ(handed_over.io.decode_cache_evictions,
+            reopened.io.decode_cache_evictions);
+}
+
 // --- Lifecycle vs. serving races ---------------------------------------------
 // Satellite of the snapshot architecture: RefreshModels / RetrainTable /
 // ProcessFeedback publish successor snapshots and ingest feedback WHILE 8

@@ -370,7 +370,13 @@ TEST(WorkloadTest, BuildAllThreeWorkloads) {
     EXPECT_EQ(workload.value().dataset, c.dataset);
     EXPECT_GT(workload.value().num_join_templates, 0);
 
-    auto stats = ComputeWorkloadStats(workload.value());
+    std::vector<int64_t> truths;
+    for (const WorkloadQuery& wq : workload.value().queries) {
+      auto truth = TrueCount(wq.query);
+      ASSERT_TRUE(truth.ok());
+      truths.push_back(truth.value());
+    }
+    auto stats = ComputeWorkloadStats(workload.value(), truths);
     ASSERT_TRUE(stats.ok());
     EXPECT_GE(stats.value().min_joined_tables, 2);
     EXPECT_GT(stats.value().max_true_cardinality, 0.0);

@@ -170,7 +170,7 @@ struct ScalePoint {
   int64_t blocks_read = 0;
   int64_t decode_cache_hits = 0;
   int64_t decode_cache_evictions = 0;
-  int64_t bytes_resident = 0;   // table encoded bytes + decode cache peak
+  int64_t bytes_resident = 0;   // table bytes + decode cache, max over probes
   double scan_millis = 0.0;
 };
 
@@ -214,7 +214,12 @@ ScalePoint RunScalePoint(double scale, int64_t cache_budget) {
     point.blocks_read += stats.io.blocks_read;
     point.decode_cache_hits += stats.io.decode_cache_hits;
     point.decode_cache_evictions += stats.io.decode_cache_evictions;
-    point.bytes_resident = std::max(point.bytes_resident, stats.bytes_resident);
+    // Resident footprint after the probe: the scanned table's stored bytes
+    // plus whatever the decode cache holds.
+    const Table& scanned = *query.value().tables[0].table;
+    point.bytes_resident =
+        std::max(point.bytes_resident,
+                 scanned.MemoryBytes() + db->decode_cache()->ResidentBytes());
   }
   point.scan_millis = timer.ElapsedSeconds() * 1e3;
   return point;

@@ -16,6 +16,12 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}"
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 
+echo "== reachability: src/ functions only tests reach =="
+# Builds src/, the benches, the examples and perfbench/'s runner at -O0 with
+# --gc-sections in build-unreached/, and fails unless the src/ functions no
+# binary keeps are exactly those ci/unreached.txt lists with their reasons.
+"${REPO_ROOT}/ci/unreached.sh"
+
 echo "== bench smoke: planning latency (inference sessions) =="
 # Tiny scale: asserts internally that session-on/off estimates and results
 # are byte-identical and that the session actually served probes.

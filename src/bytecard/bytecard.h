@@ -273,7 +273,6 @@ class ByteCard : public minihouse::CardinalityEstimator {
   // the monitor reach serving only at the next publish (use SetTableHealth
   // or ProbeTable to demote/promote a live model).
   ModelMonitor* mutable_monitor() { return &monitor_; }
-  const ModelValidator& validator() const { return validator_; }
 
  private:
   explicit ByteCard(Options options) : options_(std::move(options)) {}

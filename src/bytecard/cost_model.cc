@@ -9,8 +9,6 @@
 namespace bytecard {
 
 namespace {
-constexpr uint32_t kCostFormatVersion = 1;
-
 double Log1p(double v) { return std::log1p(std::max(0.0, v)); }
 }  // namespace
 
@@ -88,74 +86,6 @@ double LearnedCostModel::PredictMs(
   const double log_ms = network_.Predict(features);
   return std::max(0.0, std::expm1(std::max(0.0, log_ms)));
 }
-
-void LearnedCostModel::Serialize(BufferWriter* writer) const {
-  writer->WriteU32(kCostFormatVersion);
-  network_.Serialize(writer);
-}
-
-Result<LearnedCostModel> LearnedCostModel::Deserialize(BufferReader* reader) {
-  uint32_t version = 0;
-  BC_RETURN_IF_ERROR(reader->ReadU32(&version));
-  if (version != kCostFormatVersion) {
-    return Status::InvalidModel("unsupported cost-model artifact version");
-  }
-  LearnedCostModel model;
-  BC_ASSIGN_OR_RETURN(model.network_, cardest::Mlp::Deserialize(reader));
-  return model;
-}
-
-// ---------------------------------------------------------------------------
-// CostModelEngine
-// ---------------------------------------------------------------------------
-
-Status CostModelEngine::LoadModel(const std::string& artifact_bytes) {
-  BufferReader reader(artifact_bytes);
-  BC_ASSIGN_OR_RETURN(model_, LearnedCostModel::Deserialize(&reader));
-  context_ready_ = false;
-  return Status::Ok();
-}
-
-Status CostModelEngine::Validate() const { return model_.Validate(); }
-
-Status CostModelEngine::InitContext() {
-  BC_RETURN_IF_ERROR(Validate());
-  context_ready_ = true;
-  return Status::Ok();
-}
-
-Result<FeatureVector> CostModelEngine::FeaturizeAst(
-    const minihouse::BoundQuery& ast) const {
-  (void)ast;
-  return Status::Unimplemented(
-      "cost featurization needs the physical plan; use FeaturizePlan");
-}
-
-FeatureVector CostModelEngine::FeaturizePlan(
-    const minihouse::BoundQuery& query, const minihouse::PhysicalPlan& plan,
-    minihouse::CardinalityEstimator* estimator) const {
-  FeatureVector features;
-  features.dense = BuildCostFeatures(query, plan, estimator);
-  return features;
-}
-
-Result<double> CostModelEngine::Estimate(const FeatureVector& features) const {
-  if (!context_ready_) {
-    return Status::Internal("CostModelEngine: InitContext not called");
-  }
-  if (static_cast<int>(features.dense.size()) != kCostFeatureDim) {
-    return Status::InvalidArgument("cost feature vector has wrong dimension");
-  }
-  return model_.PredictMs(features.dense);
-}
-
-int64_t CostModelEngine::ModelSizeBytes() const {
-  BufferWriter writer;
-  model_.Serialize(&writer);
-  return static_cast<int64_t>(writer.buffer().size());
-}
-
-// ---------------------------------------------------------------------------
 
 Result<std::vector<CostTrace>> CollectCostTraces(
     const std::vector<minihouse::BoundQuery>& queries,

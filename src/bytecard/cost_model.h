@@ -1,12 +1,9 @@
 #ifndef BYTECARD_BYTECARD_COST_MODEL_H_
 #define BYTECARD_BYTECARD_COST_MODEL_H_
 
-#include <string>
 #include <vector>
 
-#include "bytecard/inference_engine.h"
 #include "cardest/ndv/mlp.h"
-#include "common/serde.h"
 #include "common/status.h"
 #include "minihouse/executor.h"
 #include "minihouse/optimizer.h"
@@ -15,10 +12,7 @@
 namespace bytecard {
 
 // The learning-based cost model the paper's "Future Directions" section
-// commits to (§7): a query-driven regressor over runtime traces, deployed
-// through the same Inference Engine abstraction as the CardEst models so the
-// kernel-side integration story (load -> validate -> initContext ->
-// featurize -> estimate) is identical.
+// commits to (§7): a query-driven regressor over runtime traces.
 //
 // Featurization combines plan shape with the cardinality estimates already
 // available at planning time — exactly the "runtime traces and query plan
@@ -56,41 +50,8 @@ class LearnedCostModel {
   // Predicted execution milliseconds for the featurized plan.
   double PredictMs(const std::vector<double>& features) const;
 
-  Status Validate() const { return network_.ValidateWeights(); }
-
-  void Serialize(BufferWriter* writer) const;
-  static Result<LearnedCostModel> Deserialize(BufferReader* reader);
-
  private:
   cardest::Mlp network_;
-};
-
-// Inference-Engine adapter, proving the abstraction carries non-CardEst
-// models as the paper intends: LoadModel/Validate/InitContext plug into the
-// same Model Loader / Validator machinery.
-class CostModelEngine : public CardEstInferenceEngine {
- public:
-  CostModelEngine() = default;
-
-  std::string name() const override { return "learned_cost"; }
-  Status LoadModel(const std::string& artifact_bytes) override;
-  Status Validate() const override;
-  Status InitContext() override;
-  Result<FeatureVector> FeaturizeAst(
-      const minihouse::BoundQuery& ast) const override;
-  Result<double> Estimate(const FeatureVector& features) const override;
-  int64_t ModelSizeBytes() const override;
-
-  // Plan-aware featurization (the AST alone is not enough for cost).
-  FeatureVector FeaturizePlan(
-      const minihouse::BoundQuery& query, const minihouse::PhysicalPlan& plan,
-      minihouse::CardinalityEstimator* estimator) const;
-
-  const LearnedCostModel& model() const { return model_; }
-
- private:
-  LearnedCostModel model_;
-  bool context_ready_ = false;
 };
 
 // Trace collection helper: plans and executes every query, recording

@@ -28,8 +28,8 @@ Result<FeatureVector> CardEstInferenceEngine::FeaturizeSqlQuery(
 // ---------------------------------------------------------------------------
 
 Status BnCountEngine::LoadModel(const std::string& artifact_bytes) {
-  BufferReader reader(artifact_bytes);
-  BC_ASSIGN_OR_RETURN(model_, cardest::BayesNetModel::Deserialize(&reader));
+  BC_ASSIGN_OR_RETURN(
+      model_, DeserializeArtifact<cardest::BayesNetModel>(artifact_bytes));
   context_.reset();  // stale context must not outlive the old model
   return Status::Ok();
 }
@@ -83,8 +83,8 @@ int64_t BnCountEngine::ModelSizeBytes() const {
 // ---------------------------------------------------------------------------
 
 Status FactorJoinEngine::LoadModel(const std::string& artifact_bytes) {
-  BufferReader reader(artifact_bytes);
-  BC_ASSIGN_OR_RETURN(model_, cardest::FactorJoinModel::Deserialize(&reader));
+  BC_ASSIGN_OR_RETURN(
+      model_, DeserializeArtifact<cardest::FactorJoinModel>(artifact_bytes));
   estimator_.reset();
   return Status::Ok();
 }
@@ -141,8 +141,8 @@ int64_t FactorJoinEngine::ModelSizeBytes() const {
 // ---------------------------------------------------------------------------
 
 Status RbxNdvEngine::LoadModel(const std::string& artifact_bytes) {
-  BufferReader reader(artifact_bytes);
-  BC_ASSIGN_OR_RETURN(model_, cardest::RbxModel::Deserialize(&reader));
+  BC_ASSIGN_OR_RETURN(model_,
+                      DeserializeArtifact<cardest::RbxModel>(artifact_bytes));
   context_ready_ = false;
   return Status::Ok();
 }

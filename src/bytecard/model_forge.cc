@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "common/logging.h"
@@ -15,8 +14,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Artifact filename: <kind>.<name>.<timestamp>.model — name may contain '@'
-// (shard suffix) but not '.' or '/'.
+// Artifact filename: <kind>.<name>.<timestamp>.model — name may not contain
+// '.' or '/'.
 std::string SanitizeName(const std::string& name) {
   std::string out = name;
   for (char& c : out) {
@@ -84,54 +83,6 @@ Result<ModelArtifact> ModelForgeService::TrainTableBn(
                  timer.ElapsedSeconds());
 }
 
-Result<std::vector<ModelArtifact>> ModelForgeService::TrainShardedBn(
-    const minihouse::Table& table, int shard_column, int num_shards,
-    const cardest::BnTrainOptions& options) {
-  if (shard_column < 0 || shard_column >= table.num_columns()) {
-    return Status::InvalidArgument("shard column out of range");
-  }
-  if (num_shards <= 0) {
-    return Status::InvalidArgument("num_shards must be positive");
-  }
-
-  // Segment rows by hash of the shard key, then materialize per-shard tables
-  // and run the routine training on each.
-  const minihouse::Column& key = table.column(shard_column);
-  std::vector<std::vector<int64_t>> shard_rows(num_shards);
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    uint64_t h = static_cast<uint64_t>(key.NumericAt(r));
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    shard_rows[h % static_cast<uint64_t>(num_shards)].push_back(r);
-  }
-
-  std::vector<ModelArtifact> artifacts;
-  for (int s = 0; s < num_shards; ++s) {
-    if (shard_rows[s].empty()) continue;
-    minihouse::Table shard(table.name() + "@shard" + std::to_string(s),
-                           table.schema());
-    for (int c = 0; c < table.num_columns(); ++c) {
-      const minihouse::Column& src = table.column(c);
-      minihouse::Column* dst = shard.mutable_column(c);
-      if (src.type() == minihouse::DataType::kArray) {
-        for (size_t i = 0; i < shard_rows[s].size(); ++i) dst->AppendArray({});
-        continue;
-      }
-      for (int64_t r : shard_rows[s]) {
-        if (src.type() == minihouse::DataType::kFloat64) {
-          dst->AppendDouble(src.DoubleAt(r));
-        } else {
-          dst->AppendInt(src.NumericAt(r));
-        }
-      }
-    }
-    BC_RETURN_IF_ERROR(shard.Seal());
-    BC_ASSIGN_OR_RETURN(ModelArtifact artifact,
-                        TrainTableBn(shard, options));
-    artifacts.push_back(std::move(artifact));
-  }
-  return artifacts;
-}
-
 Result<ModelArtifact> ModelForgeService::TrainFactorJoin(
     const minihouse::Database& db,
     const std::vector<std::vector<cardest::JoinKeyRef>>& key_groups,
@@ -161,9 +112,8 @@ Result<ModelArtifact> ModelForgeService::FineTuneRbx(
     const std::vector<cardest::NdvTrainingExample>& problematic,
     uint64_t seed) {
   BC_ASSIGN_OR_RETURN(std::string bytes, ReadArtifactBytes(artifact.path));
-  BufferReader reader(bytes);
   BC_ASSIGN_OR_RETURN(cardest::RbxModel model,
-                      cardest::RbxModel::Deserialize(&reader));
+                      DeserializeArtifact<cardest::RbxModel>(bytes));
   Stopwatch timer;
   BC_RETURN_IF_ERROR(model.FineTune(problematic, seed));
   BufferWriter writer;
@@ -204,20 +154,6 @@ Result<std::vector<ModelArtifact>> ModelForgeService::ListArtifacts() const {
               return a.timestamp > b.timestamp;
             });
   return artifacts;
-}
-
-Result<int> ModelForgeService::PurgeSuperseded(int keep) {
-  if (keep < 1) return Status::InvalidArgument("keep must be >= 1");
-  BC_ASSIGN_OR_RETURN(std::vector<ModelArtifact> artifacts, ListArtifacts());
-  std::map<std::pair<std::string, std::string>, int> seen;
-  int removed = 0;
-  for (const ModelArtifact& artifact : artifacts) {
-    const int rank = ++seen[{artifact.kind, artifact.name}];
-    if (rank <= keep) continue;
-    std::error_code ec;
-    if (fs::remove(artifact.path, ec) && !ec) ++removed;
-  }
-  return removed;
 }
 
 }  // namespace bytecard

@@ -41,13 +41,6 @@ class ModelForgeService {
   Result<ModelArtifact> TrainTableBn(const minihouse::Table& table,
                                      const cardest::BnTrainOptions& options);
 
-  // Shard-specialized training (paper §4.3): partitions the table's rows by
-  // hash(shard key column) and trains one BN per shard, published as
-  // "<table>@shard<k>".
-  Result<std::vector<ModelArtifact>> TrainShardedBn(
-      const minihouse::Table& table, int shard_column, int num_shards,
-      const cardest::BnTrainOptions& options);
-
   // FactorJoin bucket construction over the catalog's join patterns.
   Result<ModelArtifact> TrainFactorJoin(
       const minihouse::Database& db,
@@ -67,10 +60,6 @@ class ModelForgeService {
 
   // Artifacts currently in the store, newest first within each (kind, name).
   Result<std::vector<ModelArtifact>> ListArtifacts() const;
-
-  // Data lifecycle: drops artifacts superseded by >= `keep` newer versions
-  // of the same (kind, name). Returns how many files were removed.
-  Result<int> PurgeSuperseded(int keep);
 
  private:
   Result<ModelArtifact> Publish(const std::string& kind,

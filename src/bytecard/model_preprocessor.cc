@@ -18,24 +18,6 @@ minihouse::MlType ModelPreprocessor::MapType(minihouse::DataType type) {
   return minihouse::MlType::kUnsupported;
 }
 
-std::vector<ColumnModelInfo> ModelPreprocessor::AnalyzeCatalog(
-    const minihouse::Database& db) {
-  std::vector<ColumnModelInfo> info;
-  for (const std::string& name : db.TableNames()) {
-    const minihouse::Table* table = db.FindTable(name).value();
-    for (int c = 0; c < table->num_columns(); ++c) {
-      ColumnModelInfo row;
-      row.table = name;
-      row.column = c;
-      row.column_name = table->schema().column(c).name;
-      row.ml_type = MapType(table->schema().column(c).type);
-      row.selected = row.ml_type != minihouse::MlType::kUnsupported;
-      info.push_back(std::move(row));
-    }
-  }
-  return info;
-}
-
 std::vector<int> ModelPreprocessor::SelectedColumns(
     const minihouse::Table& table) {
   std::vector<int> columns;

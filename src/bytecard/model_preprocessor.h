@@ -1,8 +1,6 @@
 #ifndef BYTECARD_BYTECARD_MODEL_PREPROCESSOR_H_
 #define BYTECARD_BYTECARD_MODEL_PREPROCESSOR_H_
 
-#include <map>
-#include <string>
 #include <vector>
 
 #include "cardest/factorjoin/join_bucket.h"
@@ -11,15 +9,6 @@
 #include "minihouse/schema.h"
 
 namespace bytecard {
-
-// One row of the model_preprocessor_info system table (paper §4.4.1).
-struct ColumnModelInfo {
-  std::string table;
-  int column = -1;
-  std::string column_name;
-  minihouse::MlType ml_type = minihouse::MlType::kUnsupported;
-  bool selected = false;  // column selection verdict
-};
 
 // The Model Preprocessor (paper §4.4.1): runs in the analyzer/optimizer,
 // producing the metadata ModelForge trains from.
@@ -33,11 +22,6 @@ struct ColumnModelInfo {
 //    constraints, so patterns come from observed queries).
 class ModelPreprocessor {
  public:
-  // Column selection + type mapping over the whole catalog; the result is
-  // the model_preprocessor_info system table's contents.
-  static std::vector<ColumnModelInfo> AnalyzeCatalog(
-      const minihouse::Database& db);
-
   // Join-pattern collection: join-key equivalence classes (transitive over
   // all queries' equi-join edges), keyed by table name + column index.
   static std::vector<std::vector<cardest::JoinKeyRef>> CollectJoinPatterns(

@@ -1,68 +1,24 @@
 #include "bytecard/model_validator.h"
 
+#include <string>
+
 #include "bytecard/inference_engine.h"
 
 namespace bytecard {
 
 Status ModelValidator::CheckModelSize(int64_t size_bytes) const {
-  if (size_bytes > options_.max_model_bytes) {
+  if (size_bytes > kMaxModelBytes) {
     return Status::ResourceExhausted(
         "model size " + std::to_string(size_bytes) +
-        " exceeds per-model cap " +
-        std::to_string(options_.max_model_bytes));
+        " exceeds per-model cap " + std::to_string(kMaxModelBytes));
   }
   return Status::Ok();
 }
 
-void ModelValidator::ReclaimUntilFits(int64_t incoming,
-                                      std::vector<std::string>* evicted) {
-  while (total_bytes_ + incoming > options_.max_total_bytes && !lru_.empty()) {
-    const std::string victim = lru_.back();
-    if (evicted != nullptr) evicted->push_back(victim);
-    Evict(victim);
-  }
-}
-
-Status ModelValidator::Admit(const std::string& model_key,
-                             const CardEstInferenceEngine& engine,
-                             std::vector<std::string>* evicted) {
+Status ModelValidator::Admit(const CardEstInferenceEngine& engine) const {
   // Health detector first: never admit a structurally broken model.
   BC_RETURN_IF_ERROR(engine.Validate());
-
-  const int64_t size = engine.ModelSizeBytes();
-  BC_RETURN_IF_ERROR(CheckModelSize(size));
-
-  // Replacing an existing entry: release its budget first.
-  Evict(model_key);
-  ReclaimUntilFits(size, evicted);
-  if (total_bytes_ + size > options_.max_total_bytes) {
-    return Status::ResourceExhausted("model '" + model_key +
-                                     "' cannot fit in total budget");
-  }
-  lru_.push_front(model_key);
-  admitted_[model_key] = {lru_.begin(), size};
-  total_bytes_ += size;
-  return Status::Ok();
-}
-
-void ModelValidator::Touch(const std::string& model_key) {
-  auto it = admitted_.find(model_key);
-  if (it == admitted_.end()) return;
-  lru_.erase(it->second.first);
-  lru_.push_front(model_key);
-  it->second.first = lru_.begin();
-}
-
-void ModelValidator::Evict(const std::string& model_key) {
-  auto it = admitted_.find(model_key);
-  if (it == admitted_.end()) return;
-  total_bytes_ -= it->second.second;
-  lru_.erase(it->second.first);
-  admitted_.erase(it);
-}
-
-bool ModelValidator::IsAdmitted(const std::string& model_key) const {
-  return admitted_.count(model_key) > 0;
+  return CheckModelSize(engine.ModelSizeBytes());
 }
 
 }  // namespace bytecard

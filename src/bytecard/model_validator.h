@@ -2,10 +2,6 @@
 #define BYTECARD_BYTECARD_MODEL_VALIDATOR_H_
 
 #include <cstdint>
-#include <list>
-#include <map>
-#include <string>
-#include <vector>
 
 #include "common/status.h"
 
@@ -14,51 +10,20 @@ namespace bytecard {
 class CardEstInferenceEngine;
 
 // The Model Validator (paper §4.2.1): guards query processing from bad or
-// oversized models. Two responsibilities:
+// oversized models before they may serve queries. Two checks:
 //
-//  * size checker — rejects individual models above a per-model cap and
-//    keeps the cumulative footprint of admitted models under a total cap by
-//    evicting least-recently-used models;
+//  * size checker — rejects any model above a fixed per-model cap;
 //  * health detector — delegates to each engine's Validate() (e.g. the BN
-//    DAG/cycle check, finite NN weights) before a model may serve queries.
+//    DAG/cycle check, finite NN weights).
 class ModelValidator {
  public:
-  struct Options {
-    int64_t max_model_bytes = 16 << 20;    // 16 MiB per model
-    int64_t max_total_bytes = 256 << 20;   // 256 MiB across all models
-  };
+  static constexpr int64_t kMaxModelBytes = 16 << 20;  // 16 MiB per model
 
-  ModelValidator() {}
-  explicit ModelValidator(Options options) : options_(options) {}
+  // Full admission check for a loaded engine.
+  Status Admit(const CardEstInferenceEngine& engine) const;
 
-  // Full admission check for a loaded engine keyed by `model_key`
-  // ("kind/name"). On success the model is registered in the LRU set;
-  // `evicted` (optional) receives keys whose budgets were reclaimed.
-  Status Admit(const std::string& model_key,
-               const CardEstInferenceEngine& engine,
-               std::vector<std::string>* evicted);
-
-  // Size-only checks, exposed for tests.
+  // Size-only check, exposed for tests.
   Status CheckModelSize(int64_t size_bytes) const;
-
-  // Marks `model_key` as used (moves it to the LRU front).
-  void Touch(const std::string& model_key);
-
-  // Drops a model from the accounting (e.g. after replacement).
-  void Evict(const std::string& model_key);
-
-  bool IsAdmitted(const std::string& model_key) const;
-  int64_t total_bytes() const { return total_bytes_; }
-
- private:
-  void ReclaimUntilFits(int64_t incoming, std::vector<std::string>* evicted);
-
-  Options options_;
-  // LRU: front = most recently used.
-  std::list<std::string> lru_;
-  std::map<std::string, std::pair<std::list<std::string>::iterator, int64_t>>
-      admitted_;
-  int64_t total_bytes_ = 0;
 };
 
 }  // namespace bytecard

@@ -111,7 +111,10 @@ Result<RoutingTable> RoutingTable::Deserialize(const std::string& bytes) {
   BC_RETURN_IF_ERROR(reader.ReadU64(&table.mined_epoch_));
   BC_RETURN_IF_ERROR(reader.ReadU64(&table.mined_snapshot_version_));
   uint64_t count = 0;
-  BC_RETURN_IF_ERROR(reader.ReadU64(&count));
+  // A route: class length, family, three doubles, samples, table count.
+  BC_RETURN_IF_ERROR(reader.ReadCount(
+      &count, sizeof(uint64_t) + sizeof(uint32_t) + 3 * sizeof(double) +
+                  2 * sizeof(uint64_t)));
   for (uint64_t i = 0; i < count; ++i) {
     std::string cls;
     BC_RETURN_IF_ERROR(reader.ReadString(&cls));
@@ -124,7 +127,7 @@ Result<RoutingTable> RoutingTable::Deserialize(const std::string& bytes) {
     BC_RETURN_IF_ERROR(reader.ReadDouble(&decision.mean_latency_nanos));
     BC_RETURN_IF_ERROR(reader.ReadI64(&decision.samples));
     uint64_t num_tables = 0;
-    BC_RETURN_IF_ERROR(reader.ReadU64(&num_tables));
+    BC_RETURN_IF_ERROR(reader.ReadCount(&num_tables, sizeof(uint64_t)));
     decision.tables.reserve(num_tables);
     for (uint64_t t = 0; t < num_tables; ++t) {
       std::string name;

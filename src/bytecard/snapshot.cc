@@ -333,7 +333,8 @@ double EstimatorSnapshot::DisjunctionImpl(
 // ---------------------------------------------------------------------------
 
 SnapshotBuilder::SnapshotBuilder(
-    std::shared_ptr<const EstimatorSnapshot> base, ModelValidator* validator)
+    std::shared_ptr<const EstimatorSnapshot> base,
+    const ModelValidator* validator)
     : base_(std::move(base)), validator_(validator) {}
 
 Status SnapshotBuilder::LoadBn(const std::string& table,
@@ -341,7 +342,7 @@ Status SnapshotBuilder::LoadBn(const std::string& table,
   auto engine = std::make_shared<BnCountEngine>();
   BC_RETURN_IF_ERROR(engine->LoadModel(bytes));
   if (validator_ != nullptr) {
-    BC_RETURN_IF_ERROR(validator_->Admit("bn/" + table, *engine, nullptr));
+    BC_RETURN_IF_ERROR(validator_->Admit(*engine));
   }
   BC_RETURN_IF_ERROR(engine->InitContext());
   new_bns_[table] = std::move(engine);
@@ -353,7 +354,7 @@ Status SnapshotBuilder::AdoptBn(const std::string& table,
   auto engine = std::make_shared<BnCountEngine>();
   engine->AdoptModel(std::move(model));
   if (validator_ != nullptr) {
-    BC_RETURN_IF_ERROR(validator_->Admit("bn/" + table, *engine, nullptr));
+    BC_RETURN_IF_ERROR(validator_->Admit(*engine));
   }
   BC_RETURN_IF_ERROR(engine->InitContext());
   new_bns_[table] = std::move(engine);
@@ -377,7 +378,7 @@ Status SnapshotBuilder::LoadRbx(const std::string& bytes) {
   auto engine = std::make_shared<RbxNdvEngine>();
   BC_RETURN_IF_ERROR(engine->LoadModel(bytes));
   if (validator_ != nullptr) {
-    BC_RETURN_IF_ERROR(validator_->Admit("rbx/global", *engine, nullptr));
+    BC_RETURN_IF_ERROR(validator_->Admit(*engine));
   }
   BC_RETURN_IF_ERROR(engine->InitContext());
   new_rbx_ = std::move(engine);
@@ -484,8 +485,7 @@ Result<std::shared_ptr<const EstimatorSnapshot>> SnapshotBuilder::Finish() {
     auto fj = std::make_unique<FactorJoinEngine>(&snapshot->bn_contexts_);
     BC_RETURN_IF_ERROR(fj->LoadModel(snapshot->fj_bytes_));
     if (validator_ != nullptr) {
-      BC_RETURN_IF_ERROR(
-          validator_->Admit("factorjoin/global", *fj, nullptr));
+      BC_RETURN_IF_ERROR(validator_->Admit(*fj));
     }
     BC_RETURN_IF_ERROR(fj->InitContext());
     snapshot->fj_engine_ = std::move(fj);

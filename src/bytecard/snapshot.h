@@ -185,7 +185,7 @@ class SnapshotBuilder {
   // `base` may be null (first snapshot). `validator` (may be null in tests)
   // admits every model that enters the successor.
   SnapshotBuilder(std::shared_ptr<const EstimatorSnapshot> base,
-                  ModelValidator* validator);
+                  const ModelValidator* validator);
 
   // Load + admit + InitContext a replacement engine. On error the builder is
   // unchanged (the candidate is discarded; the base model keeps serving).
@@ -230,7 +230,7 @@ class SnapshotBuilder {
 
  private:
   std::shared_ptr<const EstimatorSnapshot> base_;
-  ModelValidator* validator_;
+  const ModelValidator* validator_;
   std::map<std::string, std::shared_ptr<BnCountEngine>> new_bns_;
   // Probe engine for the pending FactorJoin model (boundary queries during
   // BN option derivation); the serving engine is built in Finish.

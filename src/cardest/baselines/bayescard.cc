@@ -86,7 +86,7 @@ Result<BayesCardModel> BayesCardModel::Deserialize(BufferReader* reader) {
   BayesCardModel model;
   BC_RETURN_IF_ERROR(reader->ReadDouble(&model.population_estimate_));
   uint64_t n = 0;
-  BC_RETURN_IF_ERROR(reader->ReadU64(&n));
+  BC_RETURN_IF_ERROR(reader->ReadCount(&n, sizeof(uint64_t)));
   model.denorm_columns_.resize(n);
   for (auto& name : model.denorm_columns_) {
     BC_RETURN_IF_ERROR(reader->ReadString(&name));

@@ -170,13 +170,15 @@ Result<MscnModel> MscnModel::Deserialize(BufferReader* reader) {
   }
   MscnModel model;
   uint64_t num_tables = 0;
-  BC_RETURN_IF_ERROR(reader->ReadU64(&num_tables));
+  BC_RETURN_IF_ERROR(reader->ReadCount(&num_tables, sizeof(uint64_t)));
   model.table_names_.resize(num_tables);
   for (auto& name : model.table_names_) {
     BC_RETURN_IF_ERROR(reader->ReadString(&name));
   }
   uint64_t num_ranges = 0;
-  BC_RETURN_IF_ERROR(reader->ReadU64(&num_ranges));
+  // A range: key length, then its two bounds.
+  BC_RETURN_IF_ERROR(
+      reader->ReadCount(&num_ranges, sizeof(uint64_t) + 2 * sizeof(double)));
   for (uint64_t i = 0; i < num_ranges; ++i) {
     std::string key;
     double lo = 0.0;

@@ -292,7 +292,8 @@ Result<SpnModel> SpnModel::Deserialize(BufferReader* reader) {
   BC_RETURN_IF_ERROR(reader->ReadI64(&root));
   model.root_ = static_cast<int>(root);
   uint64_t num_vars = 0;
-  BC_RETURN_IF_ERROR(reader->ReadU64(&num_vars));
+  // A variable: its column and its discretizer's bin count.
+  BC_RETURN_IF_ERROR(reader->ReadCount(&num_vars, 2 * sizeof(uint64_t)));
   model.columns_.resize(num_vars);
   model.discretizers_.resize(num_vars);
   for (uint64_t v = 0; v < num_vars; ++v) {
@@ -303,7 +304,9 @@ Result<SpnModel> SpnModel::Deserialize(BufferReader* reader) {
                         Discretizer::Deserialize(reader));
   }
   uint64_t num_nodes = 0;
-  BC_RETURN_IF_ERROR(reader->ReadU64(&num_nodes));
+  // A node: kind, column, then its three vector counts.
+  BC_RETURN_IF_ERROR(reader->ReadCount(
+      &num_nodes, sizeof(uint32_t) + 4 * sizeof(uint64_t)));
   model.nodes_.resize(num_nodes);
   for (auto& n : model.nodes_) {
     uint32_t kind = 0;

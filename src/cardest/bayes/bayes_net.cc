@@ -205,7 +205,8 @@ Result<BayesNetModel> BayesNetModel::Deserialize(BufferReader* reader) {
   BC_RETURN_IF_ERROR(reader->ReadString(&model.table_name_));
   BC_RETURN_IF_ERROR(reader->ReadI64(&model.row_count_));
   uint64_t n = 0;
-  BC_RETURN_IF_ERROR(reader->ReadU64(&n));
+  // A node: column and parent, then its discretizer's and CPD's counts.
+  BC_RETURN_IF_ERROR(reader->ReadCount(&n, 4 * sizeof(uint64_t)));
   model.nodes_.resize(n);
   for (auto& node : model.nodes_) {
     int64_t column = 0;

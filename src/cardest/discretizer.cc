@@ -198,7 +198,7 @@ void Discretizer::Serialize(BufferWriter* writer) const {
 Result<Discretizer> Discretizer::Deserialize(BufferReader* reader) {
   Discretizer d;
   uint64_t n = 0;
-  BC_RETURN_IF_ERROR(reader->ReadU64(&n));
+  BC_RETURN_IF_ERROR(reader->ReadCount(&n, 3 * sizeof(int64_t)));
   d.bins_.resize(n);
   for (auto& b : d.bins_) {
     BC_RETURN_IF_ERROR(reader->ReadI64(&b.lo));

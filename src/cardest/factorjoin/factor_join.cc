@@ -105,11 +105,13 @@ Result<FactorJoinModel> FactorJoinModel::Deserialize(BufferReader* reader) {
   }
   FactorJoinModel model;
   uint64_t num_groups = 0;
-  BC_RETURN_IF_ERROR(reader->ReadU64(&num_groups));
+  // A group: its member count and its bucketizer's bound count.
+  BC_RETURN_IF_ERROR(reader->ReadCount(&num_groups, 2 * sizeof(uint64_t)));
   model.groups_.resize(num_groups);
   for (auto& group : model.groups_) {
     uint64_t num_members = 0;
-    BC_RETURN_IF_ERROR(reader->ReadU64(&num_members));
+    // A member: its table name's length and its column.
+    BC_RETURN_IF_ERROR(reader->ReadCount(&num_members, 2 * sizeof(uint64_t)));
     group.members.resize(num_members);
     for (auto& ref : group.members) {
       BC_RETURN_IF_ERROR(reader->ReadString(&ref.table));
@@ -120,7 +122,8 @@ Result<FactorJoinModel> FactorJoinModel::Deserialize(BufferReader* reader) {
     BC_ASSIGN_OR_RETURN(group.buckets, JoinBucketizer::Deserialize(reader));
   }
   uint64_t num_stats = 0;
-  BC_RETURN_IF_ERROR(reader->ReadU64(&num_stats));
+  // A stats entry: table name length, column, then three vector counts.
+  BC_RETURN_IF_ERROR(reader->ReadCount(&num_stats, 5 * sizeof(uint64_t)));
   for (uint64_t i = 0; i < num_stats; ++i) {
     std::string table;
     int64_t column = 0;

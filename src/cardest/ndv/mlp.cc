@@ -288,7 +288,7 @@ Result<Mlp> Mlp::Deserialize(BufferReader* reader) {
   }
   Mlp mlp;
   uint64_t num_sizes = 0;
-  BC_RETURN_IF_ERROR(reader->ReadU64(&num_sizes));
+  BC_RETURN_IF_ERROR(reader->ReadCount(&num_sizes, sizeof(int64_t)));
   if (num_sizes < 2) return Status::InvalidModel("MLP needs >= 2 layers");
   mlp.layer_sizes_.resize(num_sizes);
   for (auto& s : mlp.layer_sizes_) {

@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
@@ -9,7 +8,6 @@
 namespace bytecard {
 
 namespace {
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
 std::mutex g_log_mutex;
 
 const char* LevelName(LogLevel level) {
@@ -28,14 +26,6 @@ const char* LevelName(LogLevel level) {
   return "?";
 }
 }  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
 
 std::string Status::ToString() const {
   if (ok()) return "OK";

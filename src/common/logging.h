@@ -9,9 +9,8 @@ namespace bytecard {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
-// Process-wide minimum level; messages below it are dropped.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+// Messages below this level are dropped.
+inline constexpr LogLevel kMinLogLevel = LogLevel::kInfo;
 
 namespace internal_logging {
 
@@ -40,7 +39,7 @@ struct NullStream {
 }  // namespace internal_logging
 
 #define BC_LOG(level)                                                         \
-  if (::bytecard::LogLevel::k##level < ::bytecard::GetLogLevel())             \
+  if (::bytecard::LogLevel::k##level < ::bytecard::kMinLogLevel)              \
     ;                                                                         \
   else                                                                        \
     ::bytecard::internal_logging::LogMessage(::bytecard::LogLevel::k##level,  \

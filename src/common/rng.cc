@@ -69,7 +69,6 @@ double Rng::NextGaussian() {
   return r * std::cos(theta);
 }
 
-Rng Rng::Fork() { return Rng(Next() ^ 0xd3f1e2c4b5a69788ULL); }
 
 ZipfDistribution::ZipfDistribution(uint64_t n, double skew) : n_(n) {
   BC_CHECK(n > 0 && n <= UINT32_MAX);

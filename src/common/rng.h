@@ -39,9 +39,6 @@ class Rng {
     }
   }
 
-  // Derive an independent child generator (for parallel-safe sub-streams).
-  Rng Fork();
-
  private:
   uint64_t s_[4];
   bool has_gauss_ = false;

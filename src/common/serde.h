@@ -62,6 +62,11 @@ class BufferReader {
   Status ReadI64(int64_t* out) { return ReadRaw(out, sizeof(*out)); }
   Status ReadDouble(double* out) { return ReadRaw(out, sizeof(*out)); }
 
+  // Reads an element count and fails unless that many elements of at least
+  // `min_element_bytes` each fit in the bytes that remain, so a corrupt
+  // count can never size a container past the buffer.
+  Status ReadCount(uint64_t* out, size_t min_element_bytes);
+
   Status ReadString(std::string* out);
   Status ReadDoubleVec(std::vector<double>* out);
   Status ReadI64Vec(std::vector<int64_t>* out);
@@ -83,6 +88,18 @@ class BufferReader {
   size_t size_;
   size_t pos_ = 0;
 };
+
+// Parses `bytes` as exactly one T through T::Deserialize: an artifact with
+// bytes left after its model is invalid, like a truncated one.
+template <typename T>
+Result<T> DeserializeArtifact(const std::string& bytes) {
+  BufferReader reader(bytes);
+  BC_ASSIGN_OR_RETURN(T value, T::Deserialize(&reader));
+  if (!reader.AtEnd()) {
+    return Status::InvalidModel("trailing bytes after the model");
+  }
+  return value;
+}
 
 }  // namespace bytecard
 

@@ -9,10 +9,6 @@
 
 namespace bytecard::common {
 
-namespace {
-thread_local bool t_on_worker_thread = false;
-}  // namespace
-
 ThreadPool::ThreadPool(int num_workers, int heavy_cap) {
   num_workers = std::max(0, num_workers);
   // Default cap: half the workers, floored at one, so a saturated heavy lane
@@ -48,19 +44,12 @@ std::future<void> ThreadPool::Submit(std::function<void()> task,
   return future;
 }
 
-int64_t ThreadPool::queued(TaskLane lane) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(lane == TaskLane::kHeavy ? heavy_queue_.size()
-                                                       : fast_queue_.size());
-}
-
 int ThreadPool::heavy_running() const {
   std::lock_guard<std::mutex> lock(mu_);
   return heavy_running_;
 }
 
 void ThreadPool::WorkerLoop() {
-  t_on_worker_thread = true;
   for (;;) {
     std::packaged_task<void()> task;
     bool heavy = false;
@@ -103,8 +92,6 @@ ThreadPool& ThreadPool::Global() {
   static ThreadPool pool(std::max(HardwareParallelism(), kDefaultMaxDop) - 1);
   return pool;
 }
-
-bool ThreadPool::OnWorkerThread() { return t_on_worker_thread; }
 
 int HardwareParallelism() {
   static const int n = [] {
@@ -201,16 +188,6 @@ void ParallelMorsels(ThreadPool& pool, int64_t morsel_count, int dop,
   // here (rather than per-helper) is equivalent — and it keeps abandoned
   // helpers from ever touching the per-query budget after the query died.
   if (policy.budget != nullptr) policy.budget->Release(helpers);
-}
-
-void ParallelMorsels(ThreadPool& pool, int64_t morsel_count, int dop,
-                     const std::function<void(int64_t, int)>& fn) {
-  ParallelMorsels(pool, morsel_count, dop, MorselPolicy{}, fn);
-}
-
-void ParallelMorsels(int64_t morsel_count, int dop,
-                     const std::function<void(int64_t, int)>& fn) {
-  ParallelMorsels(ThreadPool::Global(), morsel_count, dop, fn);
 }
 
 }  // namespace bytecard::common

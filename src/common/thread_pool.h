@@ -101,8 +101,6 @@ class ThreadPool {
   std::future<void> Submit(std::function<void()> task,
                            TaskLane lane = TaskLane::kFast);
 
-  // Tasks currently queued (not yet started) on `lane`.
-  int64_t queued(TaskLane lane) const;
   // Workers currently executing a heavy-lane task.
   int heavy_running() const;
 
@@ -111,9 +109,6 @@ class ThreadPool {
   // max(hardware threads, kDefaultMaxDop) so that explicit dop requests up
   // to the Fig 5 sweep's 8 overlap storage waits even on small machines.
   static ThreadPool& Global();
-
-  // True on a thread currently executing a pool task.
-  static bool OnWorkerThread();
 
  private:
   void WorkerLoop();
@@ -156,14 +151,6 @@ int HardwareParallelism();
 // run inline on the caller.
 void ParallelMorsels(ThreadPool& pool, int64_t morsel_count, int dop,
                      const MorselPolicy& policy,
-                     const std::function<void(int64_t, int)>& fn);
-
-// Same, with the default policy (fast lane, unbudgeted).
-void ParallelMorsels(ThreadPool& pool, int64_t morsel_count, int dop,
-                     const std::function<void(int64_t, int)>& fn);
-
-// Same, on the global pool.
-void ParallelMorsels(int64_t morsel_count, int dop,
                      const std::function<void(int64_t, int)>& fn);
 
 }  // namespace bytecard::common

@@ -208,9 +208,9 @@ class Column {
   // data pass), raw tail rows are scanned. Called by Table::Seal.
   void RefreshDomainStats();
 
-  // Installs explicit bounds. The ingest path uses this to merge batch
-  // bounds without a full rescan; tests use it to simulate stale stats (the
-  // mis-specialization guard's trigger).
+  // Installs explicit bounds. Test seam: sealing refreshes the bounds
+  // through RefreshDomainStats, so only tests call this, to simulate the
+  // stale stats that trigger the mis-specialization guard.
   void SetDomain(ColumnDomain domain) { domain_ = domain; }
 
  private:

@@ -41,12 +41,6 @@ int64_t Database::TotalRows() const {
   return rows;
 }
 
-int64_t Database::MemoryBytes() const {
-  int64_t bytes = 0;
-  for (const auto& [_, t] : tables_) bytes += t->MemoryBytes();
-  return bytes;
-}
-
 int64_t Database::EncodedBytes() const {
   int64_t bytes = 0;
   for (const auto& [_, t] : tables_) bytes += t->EncodedBytes();

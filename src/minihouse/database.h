@@ -32,7 +32,6 @@ class Database {
   int num_tables() const { return static_cast<int>(tables_.size()); }
 
   int64_t TotalRows() const;
-  int64_t MemoryBytes() const;
 
   // Simulated-storage tuning for this database only (see StorageProfile).
   // Thread-safe; benches may retune while queries are in flight, and two

@@ -7,18 +7,6 @@
 
 namespace bytecard::minihouse {
 
-const char* BlockEncodingName(BlockEncoding e) {
-  switch (e) {
-    case BlockEncoding::kPlain:
-      return "plain";
-    case BlockEncoding::kRle:
-      return "rle";
-    case BlockEncoding::kFor:
-      return "for";
-  }
-  return "?";
-}
-
 namespace {
 
 ZoneMap ComputeZone(const int64_t* values, int64_t rows) {

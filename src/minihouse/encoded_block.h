@@ -15,8 +15,6 @@ enum class BlockEncoding {
   kFor,    // frame-of-reference: base + bit-packed unsigned deltas
 };
 
-const char* BlockEncodingName(BlockEncoding e);
-
 // Per-block statistics captured in the same sealing pass that picks the
 // encoding. min/max bound every value in the block (in the column's numeric
 // domain), which lets the reader prune a whole block against a predicate

@@ -94,13 +94,6 @@ Result<Relation> ScanOp::Execute() {
   stats_.threads_used = scanned.dop_used;
   stats_.parallel_tasks = scanned.parallel_tasks;
   stats_.sip_filtered = sip_.bloom != nullptr;
-  // Resident footprint at scan end: the table's stored bytes plus whatever
-  // the shared decode cache currently holds. An approximation (other queries
-  // share the cache), but exactly the bound the bench asserts on.
-  stats_.bytes_resident = ref_.table->MemoryBytes();
-  if (const DecodeCache* cache = ref_.table->decode_cache()) {
-    stats_.bytes_resident += cache->ResidentBytes();
-  }
 
   Relation rel;
   rel.column_names = output_names_;

@@ -1,7 +1,6 @@
 #include "minihouse/predicate.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/logging.h"
 #include "minihouse/table.h"
@@ -261,24 +260,6 @@ void EvaluateConjunction(const Conjunction& conjuncts, const Table& table,
       }
     }
   }
-}
-
-std::string PredicateToString(const ColumnPredicate& pred) {
-  std::ostringstream os;
-  os << pred.column_name << " " << CompareOpName(pred.op) << " ";
-  if (pred.op == CompareOp::kIn) {
-    os << "(";
-    for (size_t i = 0; i < pred.in_list.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << pred.in_list[i];
-    }
-    os << ")";
-  } else if (pred.op == CompareOp::kBetween) {
-    os << pred.operand << " AND " << pred.operand2;
-  } else {
-    os << pred.operand;
-  }
-  return os.str();
 }
 
 }  // namespace bytecard::minihouse

@@ -76,8 +76,6 @@ void EvaluateConjunction(const Conjunction& conjuncts,
                          const class Table& table,
                          std::vector<uint8_t>* selection);
 
-std::string PredicateToString(const ColumnPredicate& pred);
-
 }  // namespace bytecard::minihouse
 
 #endif  // BYTECARD_MINIHOUSE_PREDICATE_H_

@@ -15,7 +15,7 @@ namespace bytecard::minihouse {
 
 // What a query's operators count while they run. Each operator fills its
 // own counters (OperatorStats) where it computes them; the executor sums them
-// over the finished tree with +=, which adds every field but the three
+// over the finished tree with +=, which adds every field but the two
 // high-water marks.
 struct OperatorCounters {
   IoStats io;  // scans: block reads, pruning, decode-cache traffic
@@ -45,9 +45,6 @@ struct OperatorCounters {
   int64_t peak_intermediate_values = 0;
   int64_t columns_pruned = 0;
   int64_t agg_resize_count = 0;  // aggregation hash-table growths
-  // Scans (DESIGN.md §12): stored table bytes + decode-cache residency at
-  // scan end — the footprint the scale bench bounds (a max).
-  int64_t bytes_resident = 0;
 
   OperatorCounters& operator+=(const OperatorCounters& other) {
     io += other.io;
@@ -64,7 +61,6 @@ struct OperatorCounters {
         std::max(peak_intermediate_values, other.peak_intermediate_values);
     columns_pruned += other.columns_pruned;
     agg_resize_count += other.agg_resize_count;
-    bytes_resident = std::max(bytes_resident, other.bytes_resident);
     return *this;
   }
 };

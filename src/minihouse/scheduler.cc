@@ -114,10 +114,6 @@ Result<ExecResult> QueryScheduler::Wait(
   return ticket->result_;
 }
 
-Result<ExecResult> QueryScheduler::Execute(const BoundQuery& query) {
-  return Wait(Submit(query));
-}
-
 void QueryScheduler::Run(const std::shared_ptr<QueryTicket>& ticket) {
   ticket->context_.mutable_stats()->queue_ms = ticket->queued_.ElapsedMillis();
   Result<ExecResult> result =

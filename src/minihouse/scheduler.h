@@ -125,9 +125,6 @@ class QueryScheduler {
   // ticket is redeemed once.
   Result<ExecResult> Wait(const std::shared_ptr<QueryTicket>& ticket);
 
-  // Convenience: Submit + Wait (still schedules through the lanes).
-  Result<ExecResult> Execute(const BoundQuery& query);
-
   // The classification input: the largest intermediate cardinality the plan
   // predicts (filtered scan outputs, join-prefix estimates, group NDV hint).
   // Static so benches can survey a workload and pick a threshold.

@@ -129,7 +129,7 @@ Result<EquiHeightHistogram> EquiHeightHistogram::Deserialize(
   uint64_t num_buckets = 0;
   BC_RETURN_IF_ERROR(reader->ReadU64(&rows));
   BC_RETURN_IF_ERROR(reader->ReadU64(&distinct));
-  BC_RETURN_IF_ERROR(reader->ReadU64(&num_buckets));
+  BC_RETURN_IF_ERROR(reader->ReadCount(&num_buckets, 4 * sizeof(int64_t)));
   hist.total_rows_ = static_cast<int64_t>(rows);
   hist.total_distinct_ = static_cast<int64_t>(distinct);
   hist.buckets_.resize(num_buckets);

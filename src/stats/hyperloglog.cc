@@ -92,7 +92,7 @@ Result<HyperLogLog> HyperLogLog::Deserialize(BufferReader* reader) {
   }
   HyperLogLog hll(static_cast<int>(precision));
   uint64_t n = 0;
-  BC_RETURN_IF_ERROR(reader->ReadU64(&n));
+  BC_RETURN_IF_ERROR(reader->ReadCount(&n, sizeof(uint32_t)));
   if (n != (uint64_t{1} << precision)) {
     return Status::InvalidModel("HLL register count mismatch");
   }

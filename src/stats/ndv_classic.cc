@@ -23,15 +23,6 @@ SampleFrequencies ComputeFrequencies(const std::vector<int64_t>& sample,
   return out;
 }
 
-double ChaoEstimate(const SampleFrequencies& s) {
-  const double d = static_cast<double>(s.sample_distinct());
-  if (s.freq.empty()) return 0.0;
-  const double f1 = static_cast<double>(s.freq[0]);
-  const double f2 = s.freq.size() > 1 ? static_cast<double>(s.freq[1]) : 0.0;
-  if (f2 <= 0.0) return d + f1 * (f1 - 1.0) / 2.0;
-  return d + f1 * f1 / (2.0 * f2);
-}
-
 double GeeEstimate(const SampleFrequencies& s) {
   const double d = static_cast<double>(s.sample_distinct());
   if (s.sample_size == 0) return 0.0;
@@ -39,35 +30,6 @@ double GeeEstimate(const SampleFrequencies& s) {
   const double ratio = static_cast<double>(s.population_size) /
                        static_cast<double>(s.sample_size);
   return d - f1 + std::sqrt(std::max(1.0, ratio)) * f1;
-}
-
-double ScaleUpEstimate(const SampleFrequencies& s) {
-  if (s.sample_size == 0) return 0.0;
-  const double d = static_cast<double>(s.sample_distinct());
-  return d * static_cast<double>(s.population_size) /
-         static_cast<double>(s.sample_size);
-}
-
-double ShlosserEstimate(const SampleFrequencies& s) {
-  const double d = static_cast<double>(s.sample_distinct());
-  if (s.sample_size == 0 || s.population_size == 0 || s.freq.empty()) {
-    return d;
-  }
-  const double q = std::clamp(static_cast<double>(s.sample_size) /
-                                  static_cast<double>(s.population_size),
-                              1e-12, 1.0);
-  const double one_minus_q = 1.0 - q;
-  double numer = 0.0;
-  double denom = 0.0;
-  for (size_t i = 0; i < s.freq.size(); ++i) {
-    const double fi = static_cast<double>(s.freq[i]);
-    const double pw = std::pow(one_minus_q, static_cast<double>(i + 1));
-    numer += pw * fi;
-    denom += static_cast<double>(i + 1) * q * pw / one_minus_q * fi;
-  }
-  if (denom <= 0.0) return d;
-  const double f1 = static_cast<double>(s.freq[0]);
-  return d + f1 * numer / denom;
 }
 
 }  // namespace bytecard::stats

@@ -7,8 +7,8 @@
 namespace bytecard::stats {
 
 // Frequency counts of a sample: freq[i] = f_{i+1} = number of distinct
-// values occurring exactly i+1 times in the sample. The shared input of
-// every sample-scale-up NDV estimator (and of RBX's frequency profile).
+// values occurring exactly i+1 times in the sample. The shared input of the
+// sample-scale-up NDV estimator below and of RBX's frequency profile.
 struct SampleFrequencies {
   std::vector<int64_t> freq;  // f_1, f_2, ...
   int64_t sample_size = 0;    // n
@@ -25,19 +25,8 @@ struct SampleFrequencies {
 SampleFrequencies ComputeFrequencies(const std::vector<int64_t>& sample,
                                      int64_t population_size);
 
-// Chao (1984) lower-bound estimator: d + f1^2 / (2 f2).
-double ChaoEstimate(const SampleFrequencies& s);
-
 // Guaranteed-Error Estimator (Charikar et al. 2000): d + (sqrt(N/n) - 1) f1.
 double GeeEstimate(const SampleFrequencies& s);
-
-// Naive scale-up: d * N / n (assumes every unseen row adds distinct mass
-// proportionally). The weakest heuristic; included as a baseline floor.
-double ScaleUpEstimate(const SampleFrequencies& s);
-
-// Shlosser (1981) estimator, strong under skew; the usual heuristic choice
-// for Bernoulli samples with rate q = n/N.
-double ShlosserEstimate(const SampleFrequencies& s);
 
 }  // namespace bytecard::stats
 

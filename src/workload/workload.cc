@@ -35,11 +35,6 @@ Result<WorkloadProfile> ProfileOf(const std::string& name) {
 
 }  // namespace
 
-Result<std::string> DatasetOf(const std::string& workload_name) {
-  BC_ASSIGN_OR_RETURN(WorkloadProfile profile, ProfileOf(workload_name));
-  return std::string(profile.dataset);
-}
-
 Result<Workload> BuildWorkload(const minihouse::Database& db,
                                const std::string& name,
                                WorkloadOptions options) {

@@ -37,9 +37,6 @@ Result<Workload> BuildWorkload(const minihouse::Database& db,
                                const std::string& name,
                                WorkloadOptions options);
 
-// Dataset name for a workload name ("JOB-Hybrid" -> "imdb", ...).
-Result<std::string> DatasetOf(const std::string& workload_name);
-
 // Table 5's row set, computed from a workload and the true COUNT(*) of each
 // of its queries (true_counts[i] = TrueCount(workload.queries[i].query)),
 // which the caller has counted once for its own use too.

@@ -1,5 +1,4 @@
-// The learned cost model (the paper's future-work extension, integrated via
-// the Inference Engine abstraction).
+// The learned cost model (the paper's future-work extension).
 
 #include <gtest/gtest.h>
 
@@ -100,53 +99,10 @@ TEST_F(CostModelTest, PredictionsCorrelateWithMeasurements) {
   EXPECT_GT(static_cast<double>(concordant) / pairs, 0.6);
 }
 
-TEST_F(CostModelTest, EngineLifecycle) {
-  LearnedCostModel::TrainOptions options;
-  auto model = LearnedCostModel::Train(*traces_, options);
-  ASSERT_TRUE(model.ok());
-  BufferWriter writer;
-  model.value().Serialize(&writer);
-
-  CostModelEngine engine;
-  ASSERT_TRUE(engine.LoadModel(writer.buffer()).ok());
-  ASSERT_TRUE(engine.Validate().ok());
-  ASSERT_TRUE(engine.InitContext().ok());
-  EXPECT_GT(engine.ModelSizeBytes(), 0);
-
-  FeatureVector features;
-  features.dense = (*traces_)[0].features;
-  auto estimate = engine.Estimate(features);
-  ASSERT_TRUE(estimate.ok());
-  EXPECT_NEAR(estimate.value(),
-              model.value().PredictMs((*traces_)[0].features), 1e-9);
-}
-
-TEST_F(CostModelTest, EngineRejectsBadInput) {
-  CostModelEngine engine;
-  FeatureVector features;
-  EXPECT_FALSE(engine.Estimate(features).ok());  // no InitContext
-  minihouse::BoundQuery ast;
-  EXPECT_EQ(engine.FeaturizeAst(ast).status().code(),
-            StatusCode::kUnimplemented);
-}
-
 TEST_F(CostModelTest, TrainRejectsTooFewTraces) {
   LearnedCostModel::TrainOptions options;
   std::vector<CostTrace> tiny(traces_->begin(), traces_->begin() + 2);
   EXPECT_FALSE(LearnedCostModel::Train(tiny, options).ok());
-}
-
-TEST_F(CostModelTest, SerializationRoundTrip) {
-  LearnedCostModel::TrainOptions options;
-  auto model = LearnedCostModel::Train(*traces_, options);
-  ASSERT_TRUE(model.ok());
-  BufferWriter writer;
-  model.value().Serialize(&writer);
-  BufferReader reader(writer.buffer());
-  auto restored = LearnedCostModel::Deserialize(&reader);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored.value().PredictMs((*traces_)[0].features),
-            model.value().PredictMs((*traces_)[0].features));
 }
 
 }  // namespace

@@ -78,13 +78,6 @@ TEST_F(ByteCardFacadeTest, BootstrapProducedAllModels) {
   }
 }
 
-TEST_F(ByteCardFacadeTest, ModelsAdmittedByValidator) {
-  EXPECT_TRUE(bytecard_->validator().IsAdmitted("bn/fact"));
-  EXPECT_TRUE(bytecard_->validator().IsAdmitted("bn/dim"));
-  EXPECT_TRUE(bytecard_->validator().IsAdmitted("factorjoin/global"));
-  EXPECT_TRUE(bytecard_->validator().IsAdmitted("rbx/global"));
-}
-
 TEST_F(ByteCardFacadeTest, SelectivityCapturesCorrelation) {
   const minihouse::Table& fact = *db_->FindTable("fact").value();
   const double sel = bytecard_->EstimateSelectivity(

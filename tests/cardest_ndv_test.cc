@@ -412,11 +412,12 @@ TEST_F(RbxTest, EstimatesWithinClampRange) {
   EXPECT_LE(estimate, 30000.0);
 }
 
-TEST_F(RbxTest, BeatsNaiveScaleUpOnAverage) {
-  // Q-error of RBX vs the naive d*N/n scale-up across held-out columns.
+TEST_F(RbxTest, BeatsGeeOnAverage) {
+  // Q-error of RBX vs GEE, the sample estimator the traditional path uses,
+  // across held-out columns.
   Rng rng(43);
   double rbx_log_q = 0.0;
-  double naive_log_q = 0.0;
+  double gee_log_q = 0.0;
   const int trials = 25;
   for (int i = 0; i < trials; ++i) {
     const NdvTrainingExample example =
@@ -427,9 +428,9 @@ TEST_F(RbxTest, BeatsNaiveScaleUpOnAverage) {
       return std::fabs(std::log(e / truth));
     };
     rbx_log_q += log_q(model_->EstimateNdv(example.frequencies));
-    naive_log_q += log_q(stats::ScaleUpEstimate(example.frequencies));
+    gee_log_q += log_q(stats::GeeEstimate(example.frequencies));
   }
-  EXPECT_LT(rbx_log_q, naive_log_q);
+  EXPECT_LT(rbx_log_q, gee_log_q);
 }
 
 TEST_F(RbxTest, WorkloadIndependence) {

@@ -151,12 +151,6 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(shuffled, v);
 }
 
-TEST(RngTest, ForkIndependent) {
-  Rng a(21);
-  Rng child = a.Fork();
-  EXPECT_NE(a.Next(), child.Next());
-}
-
 TEST(ZipfTest, SkewConcentratesMass) {
   Rng rng(31);
   ZipfDistribution zipf(1000, 1.2);

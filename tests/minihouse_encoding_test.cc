@@ -88,7 +88,7 @@ TEST(EncodedBlockTest, ValueAtMatchesDecodeForEveryEncoding) {
     ASSERT_EQ(block.encoding(), enc);
     for (size_t i = 0; i < values.size(); ++i) {
       ASSERT_EQ(block.ValueAt(static_cast<int64_t>(i)), values[i])
-          << BlockEncodingName(enc) << " row " << i;
+          << "encoding " << static_cast<int>(enc) << " row " << i;
     }
   }
 }
@@ -140,7 +140,7 @@ TEST(EncodingPropertyTest, RandomRoundTripEveryEncoding) {
     const EncodedBlock chosen = EncodedBlock::Encode(values.data(), rows);
     ASSERT_EQ(DecodeAll(chosen), values)
         << "shape " << shape << " rows " << rows << " enc "
-        << BlockEncodingName(chosen.encoding());
+        << static_cast<int>(chosen.encoding());
     // …and so does every forced encoding, even where Encode would not pick
     // it (e.g. FOR at full 64-bit width on extreme spans).
     for (const BlockEncoding enc :
@@ -149,7 +149,7 @@ TEST(EncodingPropertyTest, RandomRoundTripEveryEncoding) {
           EncodedBlock::EncodeAs(enc, values.data(), rows);
       ASSERT_EQ(DecodeAll(forced), values)
           << "shape " << shape << " rows " << rows << " forced "
-          << BlockEncodingName(enc);
+          << static_cast<int>(enc);
     }
   }
 }
@@ -212,8 +212,8 @@ TEST(EncodingPropertyTest, PredicateOverEncodedMatchesDecoded) {
       std::vector<uint8_t> got(rows, 1);
       EvaluateOnEncodedBlock(pred, block, &got);
       ASSERT_EQ(got, expected)
-          << "iter " << iter << " enc " << BlockEncodingName(enc) << " pred "
-          << PredicateToString(pred);
+          << "iter " << iter << " enc " << static_cast<int>(enc) << " op "
+          << CompareOpName(pred.op) << " operand " << pred.operand;
     }
   }
 }
@@ -231,7 +231,7 @@ TEST(ZoneMapTest, MayMatchNeverPrunesAMatchingRow) {
     if (any_match) {
       // Soundness: a block holding a matching row must never be prunable.
       EXPECT_TRUE(ZoneMapMayMatch(pred, block.zone()))
-          << PredicateToString(pred);
+          << CompareOpName(pred.op) << " " << pred.operand;
     }
   }
 }

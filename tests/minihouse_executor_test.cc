@@ -193,7 +193,6 @@ void AppendCounters(const ExecStats& s, std::string* out) {
       s.peak_intermediate_values,
       s.columns_pruned,
       s.agg_resize_count,
-      s.bytes_resident,
       s.estimator_calls,
       s.memo_hits,
       s.fallback_estimates,
@@ -357,7 +356,7 @@ std::map<std::string, uint64_t> CounterHashes(
   sched_options.heavy_rows_threshold = 2000;
   QueryScheduler scheduler(bytecard, sched_options);
   run_leg("bytecard/scheduler", [&](const BoundQuery& query) {
-    return scheduler.Execute(query);
+    return scheduler.Wait(scheduler.Submit(query));
   });
   return hashes;
 }
@@ -378,27 +377,27 @@ TEST(ExecStatsTest, StatsCountersUnchanged) {
   ExpectCounterHashes(
       CounterHashes(db.value().get(), "STATS-Hybrid"),
       {
-          {"bytecard/feedback1", 0x31330a1bb22e87feULL},
-          {"bytecard/feedback2", 0x6346320ae44930ccULL},
-          {"bytecard/routed", 0xc443af298f17c8d6ULL},
-          {"bytecard/scheduler", 0x8abe9d674723a124ULL},
-          {"sketch/dop1", 0x7656a7ac50945dc4ULL},
-          {"sketch/dop1/no-ndv-hint", 0x03e5fad20bd869a1ULL},
-          {"sketch/dop1/prune", 0x5eae9f651531cc40ULL},
-          {"sketch/dop1/prune/specialize", 0xe5f7d52f343a8beeULL},
-          {"sketch/dop1/sip", 0xdca90ee8f67938b7ULL},
-          {"sketch/dop1/sip/prune", 0xdf7ac1039b2146bfULL},
-          {"sketch/dop1/sip/prune/specialize", 0x4baa868f203bf265ULL},
-          {"sketch/dop1/sip/specialize", 0x6341e83edaac1a5dULL},
-          {"sketch/dop1/specialize", 0xb9ff458cb4c83b4eULL},
-          {"sketch/dop4", 0x9ef3a2d0bf6dcf3cULL},
-          {"sketch/dop4/prune", 0x86a62a579ee46d2cULL},
-          {"sketch/dop4/prune/specialize", 0x43540403304d2ecaULL},
-          {"sketch/dop4/sip", 0x2c6795de8b94ee5fULL},
-          {"sketch/dop4/sip/prune", 0x91e1e5d8b29288b7ULL},
-          {"sketch/dop4/sip/prune/specialize", 0xc1d095e1731a0ca5ULL},
-          {"sketch/dop4/sip/specialize", 0x8d497d3b9a6bc56dULL},
-          {"sketch/dop4/specialize", 0x824a914340a39532ULL},
+          {"bytecard/feedback1", 0x0b3eb3a690cb0828ULL},
+          {"bytecard/feedback2", 0x49cf0b6ee0315c96ULL},
+          {"bytecard/routed", 0x5075ea68f0064a98ULL},
+          {"bytecard/scheduler", 0x403e88f0430d645aULL},
+          {"sketch/dop1", 0x70cfe895f2e8b64dULL},
+          {"sketch/dop1/no-ndv-hint", 0xceb643832e4e7823ULL},
+          {"sketch/dop1/prune", 0xdd4fcb76edc09aeaULL},
+          {"sketch/dop1/prune/specialize", 0x2d306fb0808962f4ULL},
+          {"sketch/dop1/sip", 0x464bbf56475bfd41ULL},
+          {"sketch/dop1/sip/prune", 0x54d015622fdc89c1ULL},
+          {"sketch/dop1/sip/prune/specialize", 0xea05ee8399e23b33ULL},
+          {"sketch/dop1/sip/specialize", 0xc2b64b74c4195223ULL},
+          {"sketch/dop1/specialize", 0xc79e4c5ca2ec6cacULL},
+          {"sketch/dop4", 0x2e4ed31d8444c21eULL},
+          {"sketch/dop4/prune", 0xa0bd5c9504188a96ULL},
+          {"sketch/dop4/prune/specialize", 0x8b315ac18a8762c0ULL},
+          {"sketch/dop4/sip", 0xfddabcc62797f301ULL},
+          {"sketch/dop4/sip/prune", 0xe0d0ef21d96f0461ULL},
+          {"sketch/dop4/sip/prune/specialize", 0xb8ab3c842dfb05fbULL},
+          {"sketch/dop4/sip/specialize", 0x7caa551df1c2eefbULL},
+          {"sketch/dop4/specialize", 0x470cb797fc3edd40ULL},
       });
 }
 
@@ -408,27 +407,27 @@ TEST(ExecStatsTest, ImdbCountersUnchanged) {
   ExpectCounterHashes(
       CounterHashes(db.value().get(), "JOB-Hybrid"),
       {
-          {"bytecard/feedback1", 0xf5f31eb9bd34874fULL},
-          {"bytecard/feedback2", 0xb224175d867ea764ULL},
-          {"bytecard/routed", 0x4f2af511c2a29c24ULL},
-          {"bytecard/scheduler", 0x97a8558a4dd78965ULL},
-          {"sketch/dop1", 0x251b60c3e9d49527ULL},
-          {"sketch/dop1/no-ndv-hint", 0x751bce862f3b9527ULL},
-          {"sketch/dop1/prune", 0x110acec05b0ba718ULL},
-          {"sketch/dop1/prune/specialize", 0x3ffba91e25759da6ULL},
-          {"sketch/dop1/sip", 0x842dcf8e121fbc5fULL},
-          {"sketch/dop1/sip/prune", 0x2ce86cb3d78514e3ULL},
-          {"sketch/dop1/sip/prune/specialize", 0x4e2944a047258185ULL},
-          {"sketch/dop1/sip/specialize", 0xcd02809df64267e5ULL},
-          {"sketch/dop1/specialize", 0x123f88f27babd55eULL},
-          {"sketch/dop4", 0x029d0d2eab6bd6b0ULL},
-          {"sketch/dop4/prune", 0x3cb8b0cc721ccf0cULL},
-          {"sketch/dop4/prune/specialize", 0xdfc3ed65fe549682ULL},
-          {"sketch/dop4/sip", 0x8c9fde9bd4734bb5ULL},
-          {"sketch/dop4/sip/prune", 0xe503744e41959755ULL},
-          {"sketch/dop4/sip/prune/specialize", 0xb98a91d7f9f661e3ULL},
-          {"sketch/dop4/sip/specialize", 0x40c518e8c91c1c07ULL},
-          {"sketch/dop4/specialize", 0x82adbb6c73e46a42ULL},
+          {"bytecard/feedback1", 0x34127b00f8e1e496ULL},
+          {"bytecard/feedback2", 0x2fd084dbbb82f199ULL},
+          {"bytecard/routed", 0x3ab2c338269a8835ULL},
+          {"bytecard/scheduler", 0x04691bfddb356874ULL},
+          {"sketch/dop1", 0x565ed0ae77eaa434ULL},
+          {"sketch/dop1/no-ndv-hint", 0xbccb35a6cccd5f1eULL},
+          {"sketch/dop1/prune", 0xe930fddbdd769d61ULL},
+          {"sketch/dop1/prune/specialize", 0xe19385d8fd52b55fULL},
+          {"sketch/dop1/sip", 0xb4888504268c54caULL},
+          {"sketch/dop1/sip/prune", 0x3deb2204234296f2ULL},
+          {"sketch/dop1/sip/prune/specialize", 0x61db41c1c86d31e4ULL},
+          {"sketch/dop1/sip/specialize", 0xd89ad175254a9408ULL},
+          {"sketch/dop1/specialize", 0x4a0a72db16bccfe3ULL},
+          {"sketch/dop4", 0x62c2f9b425891f65ULL},
+          {"sketch/dop4/prune", 0x3e1fa6986ca4e88dULL},
+          {"sketch/dop4/prune/specialize", 0xe7db289064d0095bULL},
+          {"sketch/dop4/sip", 0xa7fc363829ad2494ULL},
+          {"sketch/dop4/sip/prune", 0xf03c520ecfb17180ULL},
+          {"sketch/dop4/sip/prune/specialize", 0x0ce4c2916b3ad23eULL},
+          {"sketch/dop4/sip/specialize", 0x32b29c33ab07528eULL},
+          {"sketch/dop4/specialize", 0x4bf01397f1a51827ULL},
       });
 }
 
@@ -438,27 +437,27 @@ TEST(ExecStatsTest, AeolusCountersUnchanged) {
   ExpectCounterHashes(
       CounterHashes(db.value().get(), "AEOLUS-Online"),
       {
-          {"bytecard/feedback1", 0x0be898a9a0151881ULL},
-          {"bytecard/feedback2", 0xfa3840598aa7bc75ULL},
-          {"bytecard/routed", 0x182c838db1820463ULL},
-          {"bytecard/scheduler", 0xe36bd85af53d1d13ULL},
-          {"sketch/dop1", 0x1d2410c0ce6e7f5fULL},
-          {"sketch/dop1/no-ndv-hint", 0x3a758391a6c7bebbULL},
-          {"sketch/dop1/prune", 0xc90971a15c2aa4ecULL},
-          {"sketch/dop1/prune/specialize", 0x13ef0eeeb2dc156cULL},
-          {"sketch/dop1/sip", 0x4a7558bbbbb79bbfULL},
-          {"sketch/dop1/sip/prune", 0x7884f159cf03b80fULL},
-          {"sketch/dop1/sip/prune/specialize", 0x6b0128ce00991a0fULL},
-          {"sketch/dop1/sip/specialize", 0xc47cb62de6aec0bfULL},
-          {"sketch/dop1/specialize", 0xe76dc784abb42224ULL},
-          {"sketch/dop4", 0x46cf9459240c122fULL},
-          {"sketch/dop4/prune", 0xf33a28d78bac4a87ULL},
-          {"sketch/dop4/prune/specialize", 0x315f9ed5ed4fce07ULL},
-          {"sketch/dop4/sip", 0x702944035314b7f4ULL},
-          {"sketch/dop4/sip/prune", 0x592c0d5bc86e1484ULL},
-          {"sketch/dop4/sip/prune/specialize", 0x0585566eaa6d7e84ULL},
-          {"sketch/dop4/sip/specialize", 0x7620edc7492a5af4ULL},
-          {"sketch/dop4/specialize", 0x6133cdd65ebabcafULL},
+          {"bytecard/feedback1", 0x9e94db2b4be4df9dULL},
+          {"bytecard/feedback2", 0xbe240359279fb2f5ULL},
+          {"bytecard/routed", 0x608b401a761686fbULL},
+          {"bytecard/scheduler", 0xd4283e3c5194bd6fULL},
+          {"sketch/dop1", 0x86d2b207997275a0ULL},
+          {"sketch/dop1/no-ndv-hint", 0xdadc3ab5ad956bebULL},
+          {"sketch/dop1/prune", 0x920d601c907ece38ULL},
+          {"sketch/dop1/prune/specialize", 0x3f698b48b7c289b8ULL},
+          {"sketch/dop1/sip", 0xcd27ce57248ceed7ULL},
+          {"sketch/dop1/sip/prune", 0x05f0f90bf5d0c5f3ULL},
+          {"sketch/dop1/sip/prune/specialize", 0xcecad44bc37a17f3ULL},
+          {"sketch/dop1/sip/specialize", 0x55f02626227c81d7ULL},
+          {"sketch/dop1/specialize", 0xe41ac3cd1a681814ULL},
+          {"sketch/dop4", 0xf3420acff95e4903ULL},
+          {"sketch/dop4/prune", 0x386c910c823a023fULL},
+          {"sketch/dop4/prune/specialize", 0x90e1266c3616ffbfULL},
+          {"sketch/dop4/sip", 0xa552827d0876b380ULL},
+          {"sketch/dop4/sip/prune", 0x3d4b48698f45aee4ULL},
+          {"sketch/dop4/sip/prune/specialize", 0x4b6887e451b9f7e4ULL},
+          {"sketch/dop4/sip/specialize", 0x038d2a8fb2954180ULL},
+          {"sketch/dop4/specialize", 0xc46d8058c99e8183ULL},
       });
 }
 

@@ -95,14 +95,5 @@ TEST(ConjunctionTest, EvaluateOnTable) {
   EXPECT_EQ(count, 5);  // 3, 13, 23, 33, 43
 }
 
-TEST(PredicateTest, ToStringCoversShapes) {
-  EXPECT_EQ(PredicateToString(Pred(CompareOp::kLe, 7)), "c <= 7");
-  EXPECT_EQ(PredicateToString(Pred(CompareOp::kBetween, 1, 9)),
-            "c BETWEEN 1 AND 9");
-  ColumnPredicate in = Pred(CompareOp::kIn, 0);
-  in.in_list = {1, 2};
-  EXPECT_EQ(PredicateToString(in), "c IN (1, 2)");
-}
-
 }  // namespace
 }  // namespace bytecard::minihouse

@@ -230,7 +230,7 @@ TEST(PredicateKernelTest, KernelMatchesGenericOnBoundaryOperands) {
     // The row-wise oracle: ColumnPredicate::Matches on each value.
     std::vector<uint8_t> expected;
     for (int64_t v : values) expected.push_back(pred.Matches(v) ? 1 : 0);
-    EXPECT_EQ(kernel, expected) << minihouse::PredicateToString(pred);
+    EXPECT_EQ(kernel, expected) << minihouse::CompareOpName(pred.op);
     // The kernels AND into the selection: a cleared bit stays cleared.
     std::vector<uint8_t> masked(values.size(), 0);
     EvaluateOnBlock(pred, values, &masked);

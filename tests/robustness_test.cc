@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 
 #include "bytecard/inference_engine.h"
 #include "bytecard/model_forge.h"
 #include "bytecard/model_loader.h"
+#include "bytecard/routing/routing_table.h"
 #include "cardest/baselines/bayescard.h"
 #include "cardest/baselines/mscn.h"
 #include "cardest/baselines/spn.h"
@@ -102,6 +105,84 @@ TEST(RobustnessTest, EnginesRejectGarbageViaLoadModel) {
     EXPECT_FALSE(bn.LoadModel(garbage).ok());
     EXPECT_FALSE(rbx.LoadModel(garbage).ok());
     EXPECT_FALSE(fj.LoadModel(garbage).ok());
+  }
+}
+
+// Real artifacts with 8 bytes overwritten by 0xff: at every offset of the
+// first 64 bytes, which hold each artifact's first element count, then at a
+// stride. A count read from the artifact must never size a container past
+// the buffer (that aborts), so every load returns a Status; one that parses
+// may still fail validation. An artifact with one byte appended must not
+// load at all.
+TEST(RobustnessTest, CorruptArtifactsFailCleanly) {
+  auto db = testutil::BuildToyDatabase(2000);
+  std::map<std::string, const cardest::BnInferenceContext*> no_contexts;
+  using Load = std::function<Status(const std::string&)>;
+  std::vector<std::pair<std::string, Load>> loads;
+
+  cardest::BnTrainOptions bn_options;
+  auto bn = cardest::BayesNetModel::Train(*db->FindTable("fact").value(),
+                                          bn_options);
+  ASSERT_TRUE(bn.ok());
+  BufferWriter bn_bytes;
+  bn.value().Serialize(&bn_bytes);
+  loads.emplace_back(bn_bytes.buffer(), [](const std::string& bytes) {
+    BnCountEngine engine;
+    BC_RETURN_IF_ERROR(engine.LoadModel(bytes));
+    return engine.Validate();
+  });
+
+  auto fj = cardest::FactorJoinModel::Train(*db, {{{"dim", 0}, {"fact", 0}}},
+                                            16);
+  ASSERT_TRUE(fj.ok());
+  BufferWriter fj_bytes;
+  fj.value().Serialize(&fj_bytes);
+  loads.emplace_back(fj_bytes.buffer(), [&](const std::string& bytes) {
+    FactorJoinEngine engine(&no_contexts);
+    BC_RETURN_IF_ERROR(engine.LoadModel(bytes));
+    return engine.Validate();
+  });
+
+  cardest::RbxTrainOptions rbx_options;
+  rbx_options.population_sizes = {10000};
+  rbx_options.sample_rates = {0.05};
+  rbx_options.replicas = 1;
+  rbx_options.epochs = 2;
+  auto rbx = cardest::RbxModel::TrainWorkloadIndependent(rbx_options);
+  ASSERT_TRUE(rbx.ok());
+  BufferWriter rbx_bytes;
+  rbx.value().Serialize(&rbx_bytes);
+  loads.emplace_back(rbx_bytes.buffer(), [](const std::string& bytes) {
+    RbxNdvEngine engine;
+    BC_RETURN_IF_ERROR(engine.LoadModel(bytes));
+    return engine.Validate();
+  });
+
+  routing::RoutingTable routes;
+  routing::RouteDecision decision;
+  decision.family = routing::RouteFamily::kBn;
+  decision.samples = 3;
+  decision.tables = {"fact"};
+  routes.Insert("fact(1:lt)", decision);
+  decision.family = routing::RouteFamily::kFactorJoin;
+  decision.tables = {"dim", "fact"};
+  routes.Insert("J(dim(),fact(1:lt);0.0=1.0)", decision);
+  BufferWriter route_bytes;
+  routes.Serialize(&route_bytes);
+  loads.emplace_back(route_bytes.buffer(), [](const std::string& bytes) {
+    return routing::RoutingTable::Deserialize(bytes).status();
+  });
+
+  for (const auto& [bytes, load] : loads) {
+    ASSERT_TRUE(load(bytes).ok());
+    EXPECT_FALSE(load(bytes + '\0').ok());
+    const size_t stride = std::max<size_t>(1, bytes.size() / 256);
+    for (size_t at = 0; at + 8 <= bytes.size();
+         at += at < 64 ? 1 : stride) {
+      std::string corrupt = bytes;
+      corrupt.replace(at, 8, 8, '\xff');
+      (void)load(corrupt);
+    }
   }
 }
 

@@ -94,7 +94,7 @@ TEST(SchedulerTest, ExecuteMatchesSerialExecution) {
     auto serial =
         minihouse::PlanAndExecute(query, optimizer, f.estimator.get());
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    auto scheduled = scheduler.Execute(query);
+    auto scheduled = scheduler.Wait(scheduler.Submit(query));
     ASSERT_TRUE(scheduled.ok()) << scheduled.status().ToString();
     EXPECT_EQ(SortedFlatten(serial.value().agg),
               SortedFlatten(scheduled.value().agg));
@@ -169,7 +169,8 @@ TEST(SchedulerTest, ConcurrentSubmittersGetSerialResults) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         const int64_t v = (t * 17 + i * 5) % 50;
-        auto result = scheduler.Execute(GroupedJoinQuery(*f.db, v));
+        auto result =
+            scheduler.Wait(scheduler.Submit(GroupedJoinQuery(*f.db, v)));
         if (!result.ok() ||
             SortedFlatten(result.value().agg) != expected[v]) {
           mismatches.fetch_add(1);

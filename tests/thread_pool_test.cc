@@ -38,14 +38,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
   EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(ThreadPoolTest, OnWorkerThreadDistinguishesPoolThreads) {
-  EXPECT_FALSE(ThreadPool::OnWorkerThread());
-  ThreadPool pool(1);
-  std::atomic<bool> on_worker{false};
-  pool.Submit([&] { on_worker = ThreadPool::OnWorkerThread(); }).get();
-  EXPECT_TRUE(on_worker.load());
-}
-
 TEST(ParallelMorselsTest, CoversEveryMorselExactlyOnce) {
   ThreadPool pool(4);
   constexpr int64_t kMorsels = 1000;
@@ -54,10 +46,11 @@ TEST(ParallelMorselsTest, CoversEveryMorselExactlyOnce) {
   // (the sanitizer build would flag any double execution).
   std::vector<int> hits(kMorsels, 0);
   std::vector<int> slot_of(kMorsels, -1);
-  ParallelMorsels(pool, kMorsels, 5, [&](int64_t m, int slot) {
-    hits[m] += 1;
-    slot_of[m] = slot;
-  });
+  ParallelMorsels(pool, kMorsels, 5, MorselPolicy{},
+                  [&](int64_t m, int slot) {
+                    hits[m] += 1;
+                    slot_of[m] = slot;
+                  });
   for (int64_t m = 0; m < kMorsels; ++m) {
     ASSERT_EQ(hits[m], 1) << "morsel " << m;
     EXPECT_GE(slot_of[m], 0);
@@ -69,7 +62,7 @@ TEST(ParallelMorselsTest, DopClampedToMorselCount) {
   ThreadPool pool(4);
   std::mutex mu;
   std::set<int> slots;
-  ParallelMorsels(pool, 2, 8, [&](int64_t, int slot) {
+  ParallelMorsels(pool, 2, 8, MorselPolicy{}, [&](int64_t, int slot) {
     std::lock_guard<std::mutex> lock(mu);
     slots.insert(slot);
   });
@@ -81,22 +74,25 @@ TEST(ParallelMorselsTest, DopClampedToPoolWorkersPlusCaller) {
   // drains everything inline.
   ThreadPool pool(0);
   std::vector<int> slot_of(16, -1);
-  ParallelMorsels(pool, 16, 8, [&](int64_t m, int slot) { slot_of[m] = slot; });
+  ParallelMorsels(pool, 16, 8, MorselPolicy{},
+                  [&](int64_t m, int slot) { slot_of[m] = slot; });
   for (int64_t m = 0; m < 16; ++m) EXPECT_EQ(slot_of[m], 0);
 }
 
 TEST(ParallelMorselsTest, SerialWhenDopOne) {
   std::vector<int64_t> order;
-  ParallelMorsels(5, 1, [&](int64_t m, int slot) {
-    EXPECT_EQ(slot, 0);
-    order.push_back(m);
-  });
+  ParallelMorsels(ThreadPool::Global(), 5, 1, MorselPolicy{},
+                  [&](int64_t m, int slot) {
+                    EXPECT_EQ(slot, 0);
+                    order.push_back(m);
+                  });
   EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(ParallelMorselsTest, ZeroMorselsIsNoOp) {
   bool called = false;
-  ParallelMorsels(0, 4, [&](int64_t, int) { called = true; });
+  ParallelMorsels(ThreadPool::Global(), 0, 4, MorselPolicy{},
+                  [&](int64_t, int) { called = true; });
   EXPECT_FALSE(called);
 }
 
@@ -108,7 +104,7 @@ TEST(ParallelMorselsTest, NestedFanOutFromWorkerCompletesWithoutDeadlock) {
   ThreadPool pool(1);
   std::atomic<int64_t> inner_sum{0};
   pool.Submit([&] {
-        ParallelMorsels(pool, 8, 4, [&](int64_t m, int) {
+        ParallelMorsels(pool, 8, 4, MorselPolicy{}, [&](int64_t m, int) {
           inner_sum.fetch_add(m, std::memory_order_relaxed);
         });
       })
@@ -122,8 +118,8 @@ TEST(ParallelMorselsTest, DeepNestedFanOutCompletes) {
   ThreadPool pool(2);
   std::atomic<int64_t> leaf{0};
   pool.Submit([&] {
-        ParallelMorsels(pool, 4, 3, [&](int64_t, int) {
-          ParallelMorsels(pool, 4, 3, [&](int64_t, int) {
+        ParallelMorsels(pool, 4, 3, MorselPolicy{}, [&](int64_t, int) {
+          ParallelMorsels(pool, 4, 3, MorselPolicy{}, [&](int64_t, int) {
             leaf.fetch_add(1, std::memory_order_relaxed);
           });
         });
@@ -212,9 +208,10 @@ TEST(ParallelMorselsTest, GlobalPoolServesDefaultMaxDop) {
   // requests up to kDefaultMaxDop overlap even on small machines.
   EXPECT_GE(ThreadPool::Global().num_workers(), kDefaultMaxDop - 1);
   std::atomic<int64_t> sum{0};
-  ParallelMorsels(100, kDefaultMaxDop, [&](int64_t m, int) {
-    sum.fetch_add(m, std::memory_order_relaxed);
-  });
+  ParallelMorsels(ThreadPool::Global(), 100, kDefaultMaxDop, MorselPolicy{},
+                  [&](int64_t m, int) {
+                    sum.fetch_add(m, std::memory_order_relaxed);
+                  });
   EXPECT_EQ(sum.load(), 4950);
 }
 

@@ -388,8 +388,6 @@ TEST(WorkloadTest, UnknownNameRejected) {
   auto db = GenerateImdb(0.02, 1);
   ASSERT_TRUE(db.ok());
   EXPECT_FALSE(BuildWorkload(*db.value(), "NOPE", {}).ok());
-  EXPECT_FALSE(DatasetOf("NOPE").ok());
-  EXPECT_EQ(DatasetOf("JOB-Hybrid").value(), "imdb");
 }
 
 TEST(WorkloadTest, AggQueriesExecutable) {

@@ -123,14 +123,17 @@ print("accuracy gate:", "FAILED" if errors else "OK", f"({len(want)} cells)")
 sys.exit(1 if errors else 0)
 EOF
 
-echo "== perfbench smoke: stats-adhoc and aeolus-live runners =="
+echo "== perfbench smoke: stats-adhoc, imdb-scan and aeolus-live runners =="
 # Builds the repository benchmark's runner from this checkout and runs one
 # short window of each workload; fails unless every query answered
 # correctly. A src/ interface change that breaks the runner fails here.
-# aeolus-live is the one workload where an ingest batch lands between a
-# query's plan and its execution: its replica check fails a run that
-# answers from a scan opened before the batch.
-for workload in stats-adhoc aeolus-live; do
+# imdb-scan is the one workload whose decode cache evicts (~144 entries a
+# request), so scans hold block views across evictions, and whose SIP
+# filters run against IMDB's 1M rows. aeolus-live is the one workload where
+# an ingest batch lands between a query's plan and its execution: its
+# replica check fails a run that answers from a scan opened before the
+# batch.
+for workload in stats-adhoc imdb-scan aeolus-live; do
   (cd "${REPO_ROOT}" &&
     python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
       --trace 0 | tail -n 1 |

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "common/logging.h"
@@ -91,39 +91,34 @@ int64_t Column::RawChecksum(int64_t b, int64_t rows) const {
   return checksum;
 }
 
-void Column::DecodeThroughCache(int64_t b, std::vector<int64_t>* out,
-                                IoStats* io) const {
-  const EncodedBlock& block = blocks_[b];
-  if (cache_ != nullptr) {
-    if (DecodeCache::BlockRef ref = cache_->Lookup(this, b)) {
-      out->assign(ref->begin(), ref->end());
-      if (io != nullptr) ++io->decode_cache_hits;
-      return;
-    }
-    block.Decode(out);
-    cache_->Insert(this, b, *out,
-                   io != nullptr ? &io->decode_cache_evictions : nullptr);
-    return;
-  }
-  block.Decode(out);
-}
-
-void Column::FetchBlock(int64_t b, std::vector<int64_t>* out,
-                        IoStats* io) const {
+Column::BlockView Column::ViewBlock(int64_t b, IoStats* io) const {
   const int64_t rows = BlockRowCount(b);
   BC_DCHECK(rows > 0);
-  if (b < static_cast<int64_t>(blocks_.size())) {
-    if (const int64_t* plain = blocks_[b].PlainData()) {
-      out->assign(plain, plain + rows);
-    } else {
-      DecodeThroughCache(b, out, io);
-    }
-    return;
+  if (b >= static_cast<int64_t>(blocks_.size())) {
+    // Raw path: unsealed column or the appended tail past the sealed blocks.
+    const int64_t begin = b * kBlockRows - sealed_rows_;
+    return {{ints_.data() + begin, static_cast<size_t>(rows)}, nullptr};
   }
-  // Raw path: unsealed column or the appended tail past the sealed blocks.
-  const int64_t begin = b * kBlockRows - sealed_rows_;
-  out->resize(rows);
-  std::memcpy(out->data(), ints_.data() + begin, rows * sizeof(int64_t));
+  const EncodedBlock& block = blocks_[b];
+  if (const int64_t* plain = block.PlainData()) {
+    return {{plain, static_cast<size_t>(rows)}, nullptr};
+  }
+  DecodeCache::BlockRef ref =
+      cache_ != nullptr ? cache_->Lookup(this, b) : nullptr;
+  if (ref != nullptr) {
+    if (io != nullptr) ++io->decode_cache_hits;
+  } else {
+    std::vector<int64_t> decoded;
+    block.Decode(&decoded);
+    ref = cache_ != nullptr
+              ? cache_->Insert(
+                    this, b, std::move(decoded),
+                    io != nullptr ? &io->decode_cache_evictions : nullptr)
+              : std::make_shared<const std::vector<int64_t>>(
+                    std::move(decoded));
+  }
+  const std::span<const int64_t> values(*ref);
+  return {values, std::move(ref)};
 }
 
 void Column::EnsureAppendable() {

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -148,12 +149,22 @@ class Column {
   std::chrono::steady_clock::time_point IssueRead(int64_t b,
                                                   IoStats* io) const;
 
-  // Copies block `b`'s numeric values into `out` (resized): plain blocks
-  // zero-copy, other sealed blocks through the attached DecodeCache, the
-  // raw tail from the raw vector. Charges no read; `io` receives only the
-  // decode-cache hits and evictions. The caller must not fetch a block, or
-  // evaluate a predicate on its encoded form, before its read has landed.
-  void FetchBlock(int64_t b, std::vector<int64_t>* out, IoStats* io) const;
+  // Block `b`'s numeric values, copied nowhere: a plain block's and the raw
+  // tail's in place, another sealed block's as the decode it shares with
+  // the attached DecodeCache (a hit, or a miss decoded once and inserted;
+  // a detached column decodes into a block of its own). `hold` keeps a
+  // decoded block alive even after the cache evicts it; values in place
+  // stay valid until the column is next appended to or sealed, which a
+  // query's read latch rules out while it scans.
+  struct BlockView {
+    std::span<const int64_t> values;
+    DecodeCache::BlockRef hold;  // null for values in place
+  };
+
+  // Views block `b`. Charges no read; `io` receives only the decode-cache
+  // hits and evictions. The caller must not view a block, or evaluate a
+  // predicate on its encoded form, before its read has landed.
+  BlockView ViewBlock(int64_t b, IoStats* io) const;
 
   int64_t BlockRowCount(int64_t b) const {
     const int64_t begin = b * kBlockRows;
@@ -231,10 +242,6 @@ class Column {
   void SortDictionaryAndRemap();
 
   void InvalidateCachedBlocks();
-
-  // Decode of sealed block `b` through the cache (or direct when detached).
-  void DecodeThroughCache(int64_t b, std::vector<int64_t>* out,
-                          IoStats* io) const;
 
   // Sum of the raw-tail words of block `b` (`rows` rows): what a simulated
   // cost pass over a raw block touches.

@@ -14,16 +14,17 @@ namespace bytecard::minihouse {
 
 // Bounded LRU cache of decoded blocks, shared by every column of one
 // Database (DESIGN.md §12). Sealed columns keep only encoded blocks
-// resident; any access that needs decoded values (materialization, the
-// generic predicate path, NumericAt probes from the estimators) goes through
-// here, so the decoded working set — not the whole table — is what occupies
-// memory, and its size is capped by the byte budget.
+// resident; a scan that needs a non-plain block's decoded values (the SIP
+// test and materialization) gets them through here, so the decoded working
+// set — not the whole table — is what occupies memory, and its size is
+// capped by the byte budget. Filters evaluate on the encoded form and
+// NumericAt reads one value from it, neither through the cache.
 //
-// Entries are shared_ptr snapshots: a reader holds its block alive even if
-// the entry is evicted mid-scan, so eviction never invalidates in-flight
-// reads. Thread-safe; concurrent scans on the same table share entries.
-// Plain-encoded blocks never enter the cache (they are served zero-copy from
-// the encoded form).
+// Entries are shared_ptr snapshots: a reader's view (Column::BlockView)
+// holds its block alive even if the entry is evicted mid-scan, so eviction
+// never invalidates in-flight reads. Thread-safe; concurrent scans on the
+// same table share entries. Plain-encoded blocks never enter the cache: a
+// view points straight into the encoded form.
 class DecodeCache {
  public:
   using BlockRef = std::shared_ptr<const std::vector<int64_t>>;

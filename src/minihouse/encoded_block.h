@@ -32,8 +32,8 @@ struct ZoneMap {
 // values, ordered string-dictionary codes, or ordered double codes — the one
 // space all predicates operate in). Built at Table::Seal; raw vectors are
 // released after encoding, so the encoded blocks ARE the table's resident
-// storage. Decoding is explicit (FetchBlock / the decode cache); predicates
-// can also evaluate directly on the encoded form (predicate.cc).
+// storage. Decoding is explicit (Column::ViewBlock through the decode cache);
+// predicates can also evaluate directly on the encoded form (predicate.cc).
 class EncodedBlock {
  public:
   // Encodes `rows` values (rows >= 1), picking the smallest layout. Plain

@@ -146,7 +146,7 @@ void EvaluateKernel(const ColumnPredicate& pred, const int64_t* v, size_t n,
 }  // namespace
 
 void EvaluateOnBlock(const ColumnPredicate& pred,
-                     const std::vector<int64_t>& values,
+                     std::span<const int64_t> values,
                      std::vector<uint8_t>* selection) {
   BC_DCHECK(selection->size() == values.size());
   EvaluateKernel(pred, values.data(), values.size(), selection->data());

@@ -2,6 +2,7 @@
 #define BYTECARD_MINIHOUSE_PREDICATE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,7 @@ using Conjunction = std::vector<ColumnPredicate>;
 // byte-identical to ColumnPredicate::Matches applied row by row, the
 // reference the tests compare against.
 void EvaluateOnBlock(const ColumnPredicate& pred,
-                     const std::vector<int64_t>& values,
+                     std::span<const int64_t> values,
                      std::vector<uint8_t>* selection);
 
 // True iff some value in [zone.min, zone.max] could satisfy `pred` — the

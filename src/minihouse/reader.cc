@@ -52,11 +52,10 @@ void SleepUntil(std::chrono::steady_clock::time_point t) {
 // The SIP test over one block whose SIP-column read has landed: clears the
 // selection of every row whose key the Bloom filter rejects.
 void ApplySip(const Table& table, const SemiJoinFilter& sip, int64_t b,
-              std::vector<int64_t>* scratch, std::vector<uint8_t>* selection,
-              IoStats* io) {
-  table.column(sip.column).FetchBlock(b, scratch, io);
+              std::vector<uint8_t>* selection, IoStats* io) {
+  const Column::BlockView keys = table.column(sip.column).ViewBlock(b, io);
   for (size_t i = 0; i < selection->size(); ++i) {
-    if ((*selection)[i] != 0 && !sip.bloom->MayContain((*scratch)[i])) {
+    if ((*selection)[i] != 0 && !sip.bloom->MayContain(keys.values[i])) {
       (*selection)[i] = 0;
     }
   }
@@ -64,32 +63,22 @@ void ApplySip(const Table& table, const SemiJoinFilter& sip, int64_t b,
 
 // One filter predicate over one block whose read has landed. A sealed block
 // is evaluated in its encoded form, with no decode (or decode-cache
-// traffic); a raw-tail block is fetched and run through the kernels.
+// traffic); a raw-tail block runs through the kernels in place.
 void ApplyFilter(const Table& table, const ColumnPredicate& pred, int64_t b,
-                 std::vector<int64_t>* scratch,
                  std::vector<uint8_t>* selection, IoStats* io) {
   const Column& col = table.column(pred.column);
   if (const EncodedBlock* encoded = col.encoded_block(b)) {
     EvaluateOnEncodedBlock(pred, *encoded, selection);
   } else {
-    col.FetchBlock(b, scratch, io);
-    EvaluateOnBlock(pred, *scratch, selection);
+    EvaluateOnBlock(pred, col.ViewBlock(b, io).values, selection);
   }
 }
 
-// Appends block `b`'s selected rows: their ids and the output columns'
-// values, fetched into `out_blocks`.
-void EmitRows(int64_t b, const std::vector<uint8_t>& selection,
-              const std::vector<std::vector<int64_t>>& out_blocks,
-              ScanResult* result) {
-  const int64_t base = b * kBlockRows;
-  for (size_t i = 0; i < selection.size(); ++i) {
-    if (selection[i] == 0) continue;
-    result->row_ids.push_back(base + static_cast<int64_t>(i));
-    for (size_t c = 0; c < out_blocks.size(); ++c) {
-      result->materialized[c].push_back(out_blocks[c][i]);
-    }
-  }
+// Grows `out` by `n` values and returns where they go.
+int64_t* Extend(std::vector<int64_t>* out, size_t n) {
+  const size_t at = out->size();
+  out->resize(at + n);
+  return out->data() + at;
 }
 
 }  // namespace
@@ -117,9 +106,10 @@ ScanPipeline::ScanPipeline(const Table& table, const Conjunction& filters,
       single_stage_(options.reader == ReaderKind::kSingleStage),
       prune_blocks_(options.features.prune_blocks),
       tuple_columns_(output_columns),
+      num_outputs_(output_columns.size()),
       next_(block_begin),
       end_(block_end),
-      out_blocks_(output_columns.size()) {
+      picked_(kBlockRows) {
   const bool has_sip = sip_.bloom != nullptr && sip_.column >= 0;
   if (single_stage_ || (filters.empty() && !has_sip)) {
     Stage stage;
@@ -209,24 +199,42 @@ bool ScanPipeline::Admit(Slot* slot, IoStats* io) {
 // next stage to issue.
 bool ScanPipeline::RunStage(Slot* slot, ScanResult* result, IoStats* io) {
   const Stage& stage = stages_[slot->stage];
-  if (stage.sip) {
-    ApplySip(table_, sip_, slot->block, &scratch_, &slot->selection, io);
-  }
+  if (stage.sip) ApplySip(table_, sip_, slot->block, &slot->selection, io);
   for (int f : stage.filters) {
-    ApplyFilter(table_, filters_[f], slot->block, &scratch_, &slot->selection,
-                io);
+    ApplyFilter(table_, filters_[f], slot->block, &slot->selection, io);
   }
   if (slot->stage + 1 < stages_.size()) {
     return std::any_of(slot->selection.begin(), slot->selection.end(),
                        [](uint8_t v) { return v != 0; });
   }
-  for (size_t c = 0; c < tuple_columns_.size(); ++c) {
-    std::vector<int64_t>* dest =
-        c < out_blocks_.size() ? &out_blocks_[c] : &scratch_;
-    table_.column(tuple_columns_[c]).FetchBlock(slot->block, dest, io);
-  }
-  EmitRows(slot->block, slot->selection, out_blocks_, result);
+  Emit(*slot, result, io);
   return false;
+}
+
+// Appends the block's selected rows column by column: the offsets of the
+// selected rows once, then their ids and each output column's values, one
+// gather each, in row order. Every tuple column is viewed, in order, so the
+// decode cache sees the lookups of reading the whole tuple; the views of
+// the re-read filter columns past the outputs are dropped unused.
+void ScanPipeline::Emit(const Slot& slot, ScanResult* result, IoStats* io) {
+  const std::vector<uint8_t>& selection = slot.selection;
+  uint32_t* picked = picked_.data();
+  size_t n = 0;
+  for (size_t i = 0; i < selection.size(); ++i) {
+    picked[n] = static_cast<uint32_t>(i);
+    n += selection[i] != 0 ? 1 : 0;
+  }
+  const int64_t base = slot.block * kBlockRows;
+  int64_t* ids = Extend(&result->row_ids, n);
+  for (size_t k = 0; k < n; ++k) ids[k] = base + picked[k];
+  for (size_t c = 0; c < tuple_columns_.size(); ++c) {
+    const Column::BlockView view =
+        table_.column(tuple_columns_[c]).ViewBlock(slot.block, io);
+    if (c >= num_outputs_) continue;
+    const int64_t* values = view.values.data();
+    int64_t* dest = Extend(&result->materialized[c], n);
+    for (size_t k = 0; k < n; ++k) dest[k] = values[picked[k]];
+  }
 }
 
 // The slots are visited round robin, which is the order their stages were
@@ -239,7 +247,7 @@ bool ScanPipeline::RunStage(Slot* slot, ScanResult* result, IoStats* io) {
 // earlier stage emptied.
 ScanResult ScanPipeline::Drain(IoStats* io) {
   ScanResult result;
-  result.materialized.resize(out_blocks_.size());
+  result.materialized.resize(num_outputs_);
   for (size_t s = 0; live_ > 0; s = (s + 1) % slots_.size()) {
     Slot& slot = slots_[s];
     if (slot.block < 0) continue;

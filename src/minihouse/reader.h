@@ -94,14 +94,17 @@ struct ScanResult {
 };
 
 // Read-ahead depth: the blocks whose chains one scan range (one drainer's
-// morsel) keeps in flight. Deeper read-ahead hides more of a read's latency
-// but leaves a scan CPU-bound, its speed then following the host's from run
-// to run. On perfbench's imdb-scan (4-vCPU host, 200 us reads) a request
-// spends ~12 ms of CPU on ~250 block reads, ~50 us each: three blocks in
-// flight cover most of a read and four all of it, but the fourth block
-// saved ~1.4 ms of p50 while its qps spread between runs reached the
-// benchmark's bound (DESIGN.md §12).
-inline constexpr int kReadAheadBlocks = 3;
+// morsel) keeps in flight. A read's latency is hidden once the blocks ahead
+// of it take as long to evaluate, and a range of N blocks waits at least
+// ceil(N / depth) latencies per stage whatever its CPU. On perfbench's
+// imdb-scan (4-vCPU host, 200 us reads, ~250 block reads a request) a
+// request spent ~6.9 ms of user CPU, ~28 us a block, with three blocks in
+// flight, so ~40% of it waited; eight blocks, with the CPU a block saves by
+// being viewed in place and emitted column by column, took its p50 from
+// ~13 to ~8 ms. The depth also bounds the scans the optimizer reads in one
+// stage (Optimizer::BoundScan), so a deeper one changes plans as well as
+// waits (DESIGN.md §12).
+inline constexpr int kReadAheadBlocks = 8;
 
 // Scans `table` with `filters`, materializing `output_columns`.
 //
@@ -163,7 +166,7 @@ class ScanPipeline {
  private:
   // One stage of a block's chain: the reads of the block it issues and, once
   // they have landed, the tests it applies. The last stage of a chain also
-  // fetches the tuple columns and emits the block's selected rows.
+  // views the tuple columns and emits the block's selected rows.
   struct Stage {
     std::vector<int> reads;    // columns whose read of the block it issues
     bool sip = false;          // applies the SIP Bloom filter
@@ -180,6 +183,7 @@ class ScanPipeline {
   void Issue(Slot* slot, IoStats* io);
   bool Admit(Slot* slot, IoStats* io);
   bool RunStage(Slot* slot, ScanResult* result, IoStats* io);
+  void Emit(const Slot& slot, ScanResult* result, IoStats* io);
 
   const Table& table_;
   const Conjunction& filters_;
@@ -187,16 +191,16 @@ class ScanPipeline {
   bool single_stage_;
   bool prune_blocks_;
   // The chain every unpruned block runs, and the columns its last stage
-  // fetches: the output columns, then (multi-stage) the filter columns that
-  // tuple reconstruction re-reads.
+  // views: the num_outputs_ output columns, then (multi-stage) the filter
+  // columns that tuple reconstruction re-reads.
   std::vector<Stage> stages_;
   std::vector<int> tuple_columns_;
+  size_t num_outputs_;
   int64_t next_;  // the range's next block to admit
   int64_t end_;
   std::array<Slot, kReadAheadBlocks> slots_;
   int live_ = 0;  // slots holding a block
-  std::vector<int64_t> scratch_;
-  std::vector<std::vector<int64_t>> out_blocks_;
+  std::vector<uint32_t> picked_;  // the emitting block's selected offsets
 };
 
 }  // namespace bytecard::minihouse

@@ -279,6 +279,44 @@ TEST(DecodeCacheTest, ShrinkingBudgetEvictsImmediately) {
   EXPECT_EQ(cache.ResidentBytes(), 0);
 }
 
+// A view of a FOR block holds the decode it shares with the cache: the
+// entry can be evicted (budget to 0) or dropped (the column invalidated)
+// while the view is alive, and its values stay those of the source.
+TEST(DecodeCacheTest, ViewOutlivesEviction) {
+  DecodeCache cache(1 << 20);
+  Column col(DataType::kInt64);
+  col.AttachStorage(nullptr, &cache);
+  std::vector<int64_t> source;
+  for (int64_t i = 0; i < kBlockRows; ++i) {
+    source.push_back(1'000'000'000 + i * 7919 % 1000);
+    col.AppendInt(source.back());
+  }
+  col.SealStorage();
+  ASSERT_EQ(col.encoded_block(0)->encoding(), BlockEncoding::kFor);
+
+  IoStats io;
+  const Column::BlockView missed = col.ViewBlock(0, &io);  // decoded, cached
+  const Column::BlockView hit = col.ViewBlock(0, &io);
+  EXPECT_EQ(io.decode_cache_hits, 1);
+  EXPECT_EQ(hit.values.data(), missed.values.data());
+  cache.SetBudgetBytes(0);
+  EXPECT_EQ(cache.ResidentBytes(), 0);
+  cache.SetBudgetBytes(1 << 20);
+  const Column::BlockView recached = col.ViewBlock(0, &io);
+  EXPECT_GT(cache.ResidentBytes(), 0);
+  cache.InvalidateColumn(&col);
+  EXPECT_EQ(cache.ResidentBytes(), 0);
+  EXPECT_EQ(io.decode_cache_hits, 1);
+  EXPECT_EQ(io.decode_cache_evictions, 0);
+
+  for (const Column::BlockView* view : {&missed, &hit, &recached}) {
+    ASSERT_EQ(view->values.size(), source.size());
+    for (size_t i = 0; i < source.size(); ++i) {
+      ASSERT_EQ(view->values[i], source[i]) << "row " << i;
+    }
+  }
+}
+
 // --- Dictionary sealing (the AppendString footgun) -------------------------
 
 TEST(DictionarySealTest, UnsortedInsertionOrderResortedAtSeal) {

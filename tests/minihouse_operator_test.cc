@@ -593,16 +593,22 @@ TEST(OperatorDagTest, ScansOpenedWhilePlanningOverlapEstimation) {
   EXPECT_LT(elapsed, 2 * kLatency);
 }
 
-// build(id 0..12287, tag = id % 10), three blocks, and a probe of
-// `probe_blocks` blocks (key = row * 7 % 24576, val = row % 13): half the
-// probe keys find a build row, and build.id is clustered, so a bound on it
-// prunes whole blocks.
+// The build side's blocks: enough that its rows past the first block are
+// at least half of a probe of kReadAheadBlocks + 1 blocks, so that the
+// join's runtime size test declines SIP against every probe, and few enough
+// to open while planning at max_dop 1 (three at a depth of 3).
+constexpr int64_t kPlanningBuildBlocks = kReadAheadBlocks / 2 + 2;
+
+// build(id 0..kPlanningBuildBlocks * kBlockRows - 1, tag = id % 10) and a
+// probe of `probe_blocks` blocks (key = row * 7 % twice the build's rows,
+// val = row % 13): about half the probe keys find a build row, and build.id
+// is clustered, so a bound on it prunes whole blocks.
 std::unique_ptr<Database> BuildPlanningDb(int64_t probe_blocks) {
   auto db = std::make_unique<Database>();
   auto build = std::make_unique<Table>(
       "build", TableSchema({{"id", DataType::kInt64},
                             {"tag", DataType::kInt64}}));
-  for (int64_t i = 0; i < 3 * kBlockRows; ++i) {
+  for (int64_t i = 0; i < kPlanningBuildBlocks * kBlockRows; ++i) {
     build->mutable_column(0)->AppendInt(i);
     build->mutable_column(1)->AppendInt(i % 10);
   }
@@ -612,7 +618,8 @@ std::unique_ptr<Database> BuildPlanningDb(int64_t probe_blocks) {
       "probe", TableSchema({{"key", DataType::kInt64},
                             {"val", DataType::kInt64}}));
   for (int64_t r = 0; r < probe_blocks * kBlockRows; ++r) {
-    probe->mutable_column(0)->AppendInt(r * 7 % (6 * kBlockRows));
+    probe->mutable_column(0)->AppendInt(
+        r * 7 % (2 * kPlanningBuildBlocks * kBlockRows));
     probe->mutable_column(1)->AppendInt(r % 13);
   }
   BC_CHECK_OK(probe->Seal());
@@ -623,14 +630,17 @@ std::unique_ptr<Database> BuildPlanningDb(int64_t probe_blocks) {
 
 // build JOIN probe ON build.id = probe.key WHERE build.id >= 4096 AND
 // probe.val <= 9, GROUP BY build.tag, SUM(probe.val); `armed` adds
-// build.tag = 0, which keeps a build side small enough for the join to arm
-// SIP. Tables: 0 = build, 1 = probe.
+// build.id < 8192 AND build.tag = 0, which keeps a build side small enough
+// for the join to arm SIP against any probe. Tables: 0 = build, 1 = probe.
 BoundQuery PlanningQuery(const Database& db, bool armed) {
   BoundTableRef build;
   build.table = db.FindTable("build").value();
   build.alias = "build";
   build.filters = {{0, "id", CompareOp::kGe, kBlockRows, 0, {}}};
-  if (armed) build.filters.push_back({1, "tag", CompareOp::kEq, 0, 0, {}});
+  if (armed) {
+    build.filters.push_back({0, "id", CompareOp::kLt, 2 * kBlockRows, 0, {}});
+    build.filters.push_back({1, "tag", CompareOp::kEq, 0, 0, {}});
+  }
   BoundTableRef probe;
   probe.table = db.FindTable("probe").value();
   probe.alias = "probe";
@@ -646,14 +656,15 @@ BoundQuery PlanningQuery(const Database& db, bool armed) {
 // A scan opened while planning returns the rows and charges the IoStats of
 // the same plan's scan opened at execution: SIP off, declined (the join's
 // runtime size test) or armed; zone-map pruning on and off; a probe of one,
-// three or four blocks; max_dop 1 and 2. What opens is exactly what the
-// rule allows: at max_dop 1 the three-block build side, pruned or not, and
-// a probe of at most three blocks (four need an estimate to pick a reader);
-// at max_dop 2 only the one-block probe, as the others could run at dop 2.
+// kReadAheadBlocks or kReadAheadBlocks + 1 blocks; max_dop 1 and 2. What
+// opens is exactly what the rule allows: at max_dop 1 the build side of
+// kPlanningBuildBlocks, pruned or not, and a probe of at most
+// kReadAheadBlocks blocks (one more needs an estimate to pick a reader); at
+// max_dop 2 only the one-block probe, as the others could run at dop 2.
 // Each run gets a fresh database, so both start from an empty decode cache.
 TEST(OperatorDagTest, ScansOpenedWhilePlanningMatchScansOpenedAtExecution) {
   const char* const kSipNames[] = {"off", "declined", "armed"};
-  for (int64_t probe_blocks : {1, 3, 4}) {
+  for (int64_t probe_blocks : {1, kReadAheadBlocks, kReadAheadBlocks + 1}) {
     for (int max_dop : {1, 2}) {
       for (int sip : {0, 1, 2}) {
         for (bool prune : {false, true}) {
@@ -697,7 +708,8 @@ TEST(OperatorDagTest, ScansOpenedWhilePlanningMatchScansOpenedAtExecution) {
           const Run reference = run(false);
           std::vector<int> expected_opened;
           if (max_dop == 1) expected_opened.push_back(0);
-          if (probe_blocks == 1 || (max_dop == 1 && probe_blocks <= 3)) {
+          if (probe_blocks == 1 ||
+              (max_dop == 1 && probe_blocks <= kReadAheadBlocks)) {
             expected_opened.push_back(1);
           }
           EXPECT_EQ(early.opened, expected_opened);

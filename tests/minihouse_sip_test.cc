@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "common/bloom.h"
 #include "common/rng.h"
 #include "minihouse/executor.h"
@@ -37,6 +41,80 @@ TEST(BloomFilterTest, TinyFilterStillWorks) {
   bloom.Add(42);
   EXPECT_TRUE(bloom.MayContain(42));
   EXPECT_GT(bloom.MemoryBytes(), 0);
+}
+
+// The filter's probe arithmetic as it was written first, one 64-bit `%` of
+// the bit count per probe: the reference the real filter's division-free
+// reduction must match bit for bit.
+class ModuloBloomFilter {
+ public:
+  explicit ModuloBloomFilter(int64_t expected_keys) {
+    int64_t bits = expected_keys * 10;
+    if (bits < 1024) bits = 1024;
+    words_.assign(static_cast<size_t>((bits + 63) / 64), 0);
+  }
+
+  void Add(int64_t key) {
+    const auto [h1, h2] = Hashes(key);
+    for (int i = 0; i < 7; ++i) {
+      const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % NumBits();
+      words_[bit >> 6] |= 1ULL << (bit & 63);
+    }
+  }
+
+  bool MayContain(int64_t key) const {
+    const auto [h1, h2] = Hashes(key);
+    for (int i = 0; i < 7; ++i) {
+      const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % NumBits();
+      if ((words_[bit >> 6] & (1ULL << (bit & 63))) == 0) return false;
+    }
+    return true;
+  }
+
+  uint64_t NumBits() const { return words_.size() * 64; }
+
+ private:
+  static std::pair<uint64_t, uint64_t> Hashes(int64_t key) {
+    uint64_t x = static_cast<uint64_t>(key);
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return {x, (x >> 17) | 1ULL};
+  }
+
+  std::vector<uint64_t> words_;
+};
+
+// Both filters get the same keys, up to their sizing load, so that about
+// half their bits are set and a probe that picked any other bit would
+// change some answers. They must answer every member and non-member alike:
+// at the 1,024-bit floor, at a power-of-two bit count and above 2^24 bits.
+TEST(BloomFilterTest, ProbesMatchModuloReference) {
+  constexpr int64_t kProbes = 100000;
+  for (const int64_t expected_keys : {50, 6550, 1700000}) {
+    SCOPED_TRACE(expected_keys);
+    BloomFilter bloom(expected_keys);
+    ModuloBloomFilter reference(expected_keys);
+    Rng rng(static_cast<uint64_t>(expected_keys));
+    std::vector<int64_t> members(expected_keys);
+    for (int64_t& key : members) {
+      key = static_cast<int64_t>(rng.Next());
+      bloom.Add(key);
+      reference.Add(key);
+    }
+    int64_t positives = 0;
+    for (int64_t k = 0; k < kProbes; ++k) {
+      const int64_t member = members[k % expected_keys];
+      const int64_t other = static_cast<int64_t>(rng.Next());
+      ASSERT_EQ(bloom.MayContain(member), reference.MayContain(member)) << k;
+      ASSERT_EQ(bloom.MayContain(other), reference.MayContain(other)) << k;
+      positives += reference.MayContain(other) ? 1 : 0;
+    }
+    EXPECT_GT(positives, 0);  // some non-members reach every probe
+  }
+  EXPECT_EQ(ModuloBloomFilter(50).NumBits(), 1024u);
+  EXPECT_EQ(ModuloBloomFilter(6550).NumBits(), 1u << 16);
+  EXPECT_GT(ModuloBloomFilter(1700000).NumBits(), 1u << 24);
 }
 
 class SipScanTest : public ::testing::Test {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "minihouse/column.h"
@@ -105,9 +106,9 @@ TEST(ColumnTest, FloatColumnNumericViewMatchesOrderedCode) {
       lo = std::min(lo, code);
       hi = std::max(hi, code);
     }
-    std::vector<int64_t> block;
     for (int64_t b = 0; b < f->num_blocks(); ++b) {
-      f->FetchBlock(b, &block, nullptr);
+      const Column::BlockView view = f->ViewBlock(b, nullptr);
+      const std::span<const int64_t> block = view.values;
       ASSERT_EQ(static_cast<int64_t>(block.size()), f->BlockRowCount(b));
       for (size_t i = 0; i < block.size(); ++i) {
         EXPECT_EQ(block[i],
@@ -145,16 +146,16 @@ TEST(ColumnTest, BlockReadChargesIo) {
   EXPECT_EQ(col.BlockRowCount(0), kBlockRows);
   EXPECT_EQ(col.BlockRowCount(2), 100);
 
-  // Issuing a read charges it; fetching the values charges nothing more.
+  // Issuing a read charges it; viewing the values charges nothing more.
   IoStats io;
   col.IssueRead(0, &io);
   col.IssueRead(2, &io);
   EXPECT_EQ(io.blocks_read, 2);
   EXPECT_EQ(io.rows_scanned, kBlockRows + 100);
-  std::vector<int64_t> block;
-  col.FetchBlock(0, &block, &io);
-  EXPECT_EQ(block.size(), static_cast<size_t>(kBlockRows));
-  col.FetchBlock(2, &block, &io);
+  EXPECT_EQ(col.ViewBlock(0, &io).values.size(),
+            static_cast<size_t>(kBlockRows));
+  const Column::BlockView view = col.ViewBlock(2, &io);
+  const std::span<const int64_t> block = view.values;
   EXPECT_EQ(io.blocks_read, 2);
   EXPECT_EQ(io.rows_scanned, kBlockRows + 100);
   EXPECT_EQ(block.size(), 100u);
@@ -164,10 +165,8 @@ TEST(ColumnTest, BlockReadChargesIo) {
 TEST(ColumnTest, NullIoStatsSkipsAccounting) {
   Column col(DataType::kInt64);
   col.AppendInt(1);
-  std::vector<int64_t> block;
   col.IssueRead(0, nullptr);  // must not crash
-  col.FetchBlock(0, &block, nullptr);
-  EXPECT_EQ(block.size(), 1u);
+  EXPECT_EQ(col.ViewBlock(0, nullptr).values.size(), 1u);
 }
 
 TEST(ColumnTest, IssueReadReturnsLandingTimeWithoutWaiting) {
